@@ -28,7 +28,7 @@ def main():
         for h in args.h_values:
             for alpha_s in args.alphas:
                 alpha = Fraction(alpha_s)
-                limit = alpha / (4 * h) if regime.kind == zz.CHAR_2 else alpha / (2 * h)
+                limit = zz.beta_limit(regime, alpha, h)
                 for frac_s in args.beta_fractions:
                     beta = limit * Fraction(frac_s)
                     res = zz.ledger_sweep(regime, alpha, h, beta,

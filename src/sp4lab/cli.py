@@ -142,7 +142,7 @@ def _ring_rep(spec, depth, text):
 # subcommand implementations
 
 
-def cmd_field_info(args, emitter, field, seed):
+def cmd_field_info(args, emitter, field, seed, threads):
     spec = parse_field(field)
     info = {"field": str(spec), "kind": spec.kind, "p": spec.p, "f": spec.f,
             "q": spec.q, "uniformizer": "p" if spec.kind == "mixed" else "t"}
@@ -154,7 +154,7 @@ def cmd_field_info(args, emitter, field, seed):
     return 0
 
 
-def cmd_cartan(args, emitter, field, seed):
+def cmd_cartan(args, emitter, field, seed, threads):
     spec = parse_field(field)
     g = _read_matrix_arg(spec, args.matrix)
     (i, j), (e1, e2), length = cartan_invariants(g)
@@ -163,7 +163,7 @@ def cmd_cartan(args, emitter, field, seed):
     return 0
 
 
-def cmd_witness(args, emitter, field, seed):
+def cmd_witness(args, emitter, field, seed, threads):
     spec = parse_field(field)
     depth = lw.lemma_depth(args.lemma, spec, args.i, args.j)
     a = _ring_rep(spec, depth, args.a)
@@ -192,7 +192,7 @@ def cmd_witness(args, emitter, field, seed):
     return 0
 
 
-def cmd_verify(args, emitter, field, seed):
+def cmd_verify(args, emitter, field, seed, threads):
     spec = parse_field(field)
     status = 0
     if args.checks in ("cells", "both"):
@@ -210,7 +210,7 @@ def cmd_verify(args, emitter, field, seed):
     return status
 
 
-def cmd_decompose(args, emitter, field, seed):
+def cmd_decompose(args, emitter, field, seed, threads):
     spec = parse_field(field)
     g = _read_matrix_arg(spec, args.matrix)
     fl = decompose_k1k2(g)
@@ -222,7 +222,7 @@ def cmd_decompose(args, emitter, field, seed):
     return 0
 
 
-def cmd_parity(args, emitter, field, seed):
+def cmd_parity(args, emitter, field, seed, threads):
     spec = parse_field(field)
     if args.d:
         i, j = (int(t) for t in args.d.split(","))
@@ -237,7 +237,7 @@ def cmd_parity(args, emitter, field, seed):
     return 0 if rep.status == PASS else CHECK_FAILED
 
 
-def cmd_fourier_norm(args, emitter, field, seed):
+def cmd_fourier_norm(args, emitter, field, seed, threads):
     spec = parse_field(field)
     space = parse_space(args.space)
     res = transform_norm(spec, args.h, space, strategy=args.strategy,
@@ -249,7 +249,7 @@ def cmd_fourier_norm(args, emitter, field, seed):
     return 0
 
 
-def cmd_fft_check(args, emitter, field, seed):
+def cmd_fft_check(args, emitter, field, seed, threads):
     spec = parse_field(field)
     space = parse_space(args.space)
     rep = check_fft_lemma(spec, args.h, args.n, args.k, eps0_code=args.eps0,
@@ -259,7 +259,7 @@ def cmd_fft_check(args, emitter, field, seed):
     return 0 if rep.status == PASS else CHECK_FAILED
 
 
-def cmd_type_const(args, emitter, field, seed):
+def cmd_type_const(args, emitter, field, seed, threads):
     space = parse_space(args.space)
     res = estimate_type_constant(space, args.p, args.n_vectors,
                                  trials=args.trials, seed=seed)
@@ -267,7 +267,7 @@ def cmd_type_const(args, emitter, field, seed):
     return 0
 
 
-def cmd_zigzag(args, emitter, field, seed):
+def cmd_zigzag(args, emitter, field, seed, threads):
     if args.zigzag_cmd == "plan":
         i, j = (int(t) for t in args.start.split(","))
         regime = _cli_regime(args)
@@ -341,6 +341,21 @@ def cmd_suite(args, emitter, field, seed, threads):
                   "mutation": args.mutation,
                   "status": "pass" if worst == PASS else worst})
     return 0 if worst == PASS else CHECK_FAILED
+
+
+COMMANDS = {
+    "field-info": cmd_field_info,
+    "cartan": cmd_cartan,
+    "witness": cmd_witness,
+    "verify": cmd_verify,
+    "decompose": cmd_decompose,
+    "parity": cmd_parity,
+    "fourier-norm": cmd_fourier_norm,
+    "fft-check": cmd_fft_check,
+    "type-const": cmd_type_const,
+    "zigzag": cmd_zigzag,
+    "suite": cmd_suite,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -465,29 +480,7 @@ def main(argv=None):
     try:
         field, fmt, seed, threads, out = _resolve_options(args)
         emitter = Emitter(fmt, out)
-        if args.command == "field-info":
-            return cmd_field_info(args, emitter, field, seed)
-        if args.command == "cartan":
-            return cmd_cartan(args, emitter, field, seed)
-        if args.command == "witness":
-            return cmd_witness(args, emitter, field, seed)
-        if args.command == "verify":
-            return cmd_verify(args, emitter, field, seed)
-        if args.command == "decompose":
-            return cmd_decompose(args, emitter, field, seed)
-        if args.command == "parity":
-            return cmd_parity(args, emitter, field, seed)
-        if args.command == "fourier-norm":
-            return cmd_fourier_norm(args, emitter, field, seed)
-        if args.command == "fft-check":
-            return cmd_fft_check(args, emitter, field, seed)
-        if args.command == "type-const":
-            return cmd_type_const(args, emitter, field, seed)
-        if args.command == "zigzag":
-            return cmd_zigzag(args, emitter, field, seed)
-        if args.command == "suite":
-            return cmd_suite(args, emitter, field, seed, threads)
-        raise CliError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args, emitter, field, seed, threads)
     except (CliError, FieldConfigError, lw.LemmaPreconditionError,
             BudgetExceededError, SymplecticError, zz.PlannerError,
             zz.InadmissibleRateError, ValueError, OSError, json.JSONDecodeError) as exc:

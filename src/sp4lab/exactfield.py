@@ -3,10 +3,15 @@
 Two kinds of field are supported, and both stay exact forever:
 
 * mixed characteristic: the model is Q with the p-adic valuation; an
-  element is ``num/den * p^v`` with num, den integers prime to p;
+  element is ``num/den * p^v`` with num, den coprime integers prime to
+  p and den > 0;
 * equal characteristic: the model is F_q(t) with the t-adic valuation;
-  an element is ``num/den * t^v`` with num, den polynomials over F_q
-  that have a nonzero constant term (den normalized to constant term 1).
+  an element is ``num/den * t^v`` with num, den coprime polynomials over
+  F_q, num[0] != 0 and den[0] == 1.
+
+Both kinds are kept in lowest terms, and zero is ``num/den = 0/1`` with
+v = 0, so each value has exactly one representation: equality and
+hashing compare (spec, v, num, den) field by field.
 
 The uniformizer is p respectively t, the residue field has q elements,
 and ``|x| = q^(-v(x))``.  Residue rings O/pi^n carry canonical digit /
@@ -199,10 +204,71 @@ def _padic_from_fraction(spec, fr):
     return PadicElem(spec, vn - vd, num, den)
 
 
-class PadicElem:
-    """num/den * p^v with p-free num, den; num == 0 encodes zero."""
+class _FieldElem:
+    """num/den * pi^v in lowest terms; a false num encodes zero.
+
+    Each value has exactly one representation, so equality and hashing
+    compare the fields directly.  Subclasses supply the arithmetic, the
+    serialization and ``_coercible``, the foreign types ``==`` coerces.
+    """
 
     __slots__ = ("spec", "v", "num", "den")
+
+    def is_zero(self):
+        return not self.num
+
+    def valuation(self):
+        return INF if not self.num else self.v
+
+    def is_integral(self):
+        return not self.num or self.v >= 0
+
+    def is_unit(self):
+        return bool(self.num) and self.v == 0
+
+    def __sub__(self, other):
+        return self + (-_coerce(self.spec, other))
+
+    def __rsub__(self, other):
+        return _coerce(self.spec, other) + (-self)
+
+    def __rtruediv__(self, other):
+        return _coerce(self.spec, other) / self
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            if not isinstance(other, self._coercible):
+                return NotImplemented
+            other = _coerce(self.spec, other)
+        return (self.spec == other.spec and self.v == other.v
+                and self.num == other.num and self.den == other.den)
+
+    def __hash__(self):
+        return hash((self.v, self.num, self.den))
+
+    def __str__(self):
+        return self.to_str()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.spec}, {self.to_str()})"
+
+    def reduce(self, ring):
+        """Canonical representative mod pi^n; needs valuation >= 0."""
+        if not self.num:
+            return ring.zero
+        if self.v < 0:
+            raise NonIntegralError(f"{self} has valuation {self.v} < 0")
+        if self.v >= ring.n:
+            return ring.zero
+        return self._reduce_integral(ring)
+
+
+class PadicElem(_FieldElem):
+    """num/den * p^v with p-free, coprime num and den > 0; num == 0 encodes zero."""
+
+    __slots__ = ()
+
+    _coercible = (int, Fraction)
 
     def __init__(self, spec, v, num, den):
         if num == 0:
@@ -218,18 +284,6 @@ class PadicElem:
         self.v = v
         self.num = num
         self.den = den
-
-    def is_zero(self):
-        return self.num == 0
-
-    def valuation(self):
-        return INF if self.num == 0 else self.v
-
-    def is_integral(self):
-        return self.num == 0 or self.v >= 0
-
-    def is_unit(self):
-        return self.num != 0 and self.v == 0
 
     def shift(self, k):
         """Multiply by pi^k."""
@@ -258,12 +312,6 @@ class PadicElem:
     def __neg__(self):
         return PadicElem(self.spec, self.v, -self.num, self.den)
 
-    def __sub__(self, other):
-        return self + (-_coerce(self.spec, other))
-
-    def __rsub__(self, other):
-        return _coerce(self.spec, other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(self.spec, other)
         if self.num == 0 or other.num == 0:
@@ -282,21 +330,6 @@ class PadicElem:
         return PadicElem(self.spec, self.v - other.v,
                          self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return _coerce(self.spec, other) / self
-
-    def __eq__(self, other):
-        if not isinstance(other, PadicElem):
-            if isinstance(other, (int, Fraction)):
-                other = _coerce(self.spec, other)
-            else:
-                return NotImplemented
-        return (self.spec == other.spec and self.v == other.v
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.v, self.num, self.den))
-
     def as_fraction(self):
         p = self.spec.p
         if self.v >= 0:
@@ -307,30 +340,23 @@ class PadicElem:
         fr = self.as_fraction()
         return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
-    __str__ = to_str
-
-    def __repr__(self):
-        return f"PadicElem({self.spec}, {self.to_str()})"
-
-    def reduce(self, ring):
-        """Canonical representative mod pi^n; needs valuation >= 0."""
-        if self.num == 0:
-            return ring.zero
-        if self.v < 0:
-            raise NonIntegralError(f"{self} has valuation {self.v} < 0")
-        if self.v >= ring.n:
-            return ring.zero
+    def _reduce_integral(self, ring):
         m = ring.modulus
         return (self.num * pow(self.den, -1, m) * pow(self.spec.p, self.v, m)) % m
 
 
-class LaurentElem:
-    """num/den * t^v with num, den in F_q[t], num[0] != 0, den[0] == 1."""
+class LaurentElem(_FieldElem):
+    """num/den * t^v with num, den in F_q[t] coprime, num[0] != 0, den[0] == 1.
 
-    __slots__ = ("spec", "v", "num", "den")
+    The constructor cancels t-powers and the gcd of num and den and scales
+    den to constant term 1, so every element is kept in lowest terms.
+    ``normalize=False`` skips that work for callers whose inputs already
+    meet the invariant.
+    """
 
-    # above this total degree, cancel gcd factors to stop growth
-    _REDUCE_DEGREE = 48
+    __slots__ = ()
+
+    _coercible = (int,)
 
     def __init__(self, spec, v, num, den, normalize=True):
         if normalize and num:
@@ -343,36 +369,21 @@ class LaurentElem:
             if nv:
                 num = num[nv:]
                 v += nv
-            if den[0] != 1:
-                c = k.inv(den[0])
-                num = poly_scale(k, num, c)
-                den = poly_scale(k, den, c)
-            if len(num) + len(den) > self._REDUCE_DEGREE and len(den) > 1:
+            if len(den) > 1:
                 g = poly_gcd(k, num, den)
                 if len(g) > 1:
                     num, _ = poly_divmod(k, num, g)
                     den, _ = poly_divmod(k, den, g)
-                    c = k.inv(den[0])
-                    num = poly_scale(k, num, c)
-                    den = poly_scale(k, den, c)
+            if den[0] != 1:
+                c = k.inv(den[0])
+                num = poly_scale(k, num, c)
+                den = poly_scale(k, den, c)
         if not num:
             v, num, den = 0, (), (1,)
         self.spec = spec
         self.v = v
         self.num = num
         self.den = den
-
-    def is_zero(self):
-        return not self.num
-
-    def valuation(self):
-        return INF if not self.num else self.v
-
-    def is_integral(self):
-        return not self.num or self.v >= 0
-
-    def is_unit(self):
-        return bool(self.num) and self.v == 0
 
     def shift(self, k):
         if not self.num:
@@ -404,12 +415,6 @@ class LaurentElem:
         return LaurentElem(self.spec, self.v, poly_neg(k, self.num), self.den,
                            normalize=False)
 
-    def __sub__(self, other):
-        return self + (-_coerce(self.spec, other))
-
-    def __rsub__(self, other):
-        return _coerce(self.spec, other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(self.spec, other)
         if not self.num or not other.num:
@@ -432,38 +437,10 @@ class LaurentElem:
                            poly_mul(k, self.num, other.den),
                            poly_mul(k, self.den, other.num))
 
-    def __rtruediv__(self, other):
-        return _coerce(self.spec, other) / self
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentElem):
-            if isinstance(other, int):
-                other = _coerce(self.spec, other)
-            else:
-                return NotImplemented
-        if self.spec != other.spec:
-            return False
-        if not self.num or not other.num:
-            return self.num == other.num
-        if self.v != other.v:
-            return False
-        k = self.spec.residue_gf
-        return poly_mul(k, self.num, other.den) == poly_mul(k, other.num, self.den)
-
-    __hash__ = None
-
     def to_str(self):
         if not self.num:
             return "0"
-        k = self.spec.residue_gf
         num, den = self.num, self.den
-        g = poly_gcd(k, num, den)
-        if len(g) > 1:
-            num, _ = poly_divmod(k, num, g)
-            den, _ = poly_divmod(k, den, g)
-            c = k.inv(den[0])
-            num = poly_scale(k, num, c)
-            den = poly_scale(k, den, c)
         if self.v >= 0:
             num = (0,) * self.v + num
         else:
@@ -473,19 +450,8 @@ class LaurentElem:
             return ns
         return f"({ns})/({ds})"
 
-    __str__ = to_str
-
-    def __repr__(self):
-        return f"LaurentElem({self.spec}, {self.to_str()})"
-
-    def reduce(self, ring):
-        if not self.num:
-            return ring.zero
-        if self.v < 0:
-            raise NonIntegralError(f"{self} has valuation {self.v} < 0")
+    def _reduce_integral(self, ring):
         n = ring.n
-        if self.v >= n:
-            return ring.zero
         k = self.spec.residue_gf
         inv = poly_series_inv(k, self.den, n)
         prod = poly_mul(k, self.num, inv)
@@ -494,7 +460,7 @@ class LaurentElem:
 
 
 def _coerce(spec, x):
-    if isinstance(x, (PadicElem, LaurentElem)):
+    if isinstance(x, _FieldElem):
         if x.spec != spec:
             raise TypeError("mixing elements of different fields")
         return x

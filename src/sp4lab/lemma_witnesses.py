@@ -159,10 +159,6 @@ def designated_eps_code(lemma, spec):
     return 1
 
 
-def _group(spec, rows, certify=True):
-    return GroupElement(spec, rows, certify=certify)
-
-
 def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
                   section=None, mutation=None, y_override=None):
     """Assemble the witness for one residue tuple.
@@ -201,7 +197,7 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
                   (z, one, z, z),
                   (sa, one, one, z),
                   (sa * sa - 2 * sb, sa, z, one))
-        beta_inv = _group(spec, _diag_times(d_beta, u_beta))
+        beta_inv = GroupElement(spec, _diag_times(d_beta, u_beta))
         alpha_41 = sx * sx + 2 * sy
         if mutation == "minor-sign-flip":
             # the (4,1) slot is the free parameter of this unipotent shape,
@@ -213,13 +209,14 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
                    (sx, z, one, z),
                    (alpha_41, sx, z, one))
         d_alpha = (pi(j - m), pi(j - m), pi(m - j), pi(m - j))
-        alpha_mat = _group(spec, _times_diag(u_alpha, d_alpha))
+        alpha_mat = GroupElement(spec, _times_diag(u_alpha, d_alpha))
         t = sa + sx
         u_merged = ((one, z, z, z),
                     (z, one, z, z),
                     (t, one, one, z),
                     (sa * sa - 2 * sb + alpha_41, t, z, one))
-        merged = _group(spec, _diag_times_diag(d_beta, u_merged, d_alpha), certify=False)
+        merged = GroupElement(spec, _diag_times_diag(d_beta, u_merged, d_alpha),
+                              certify=False)
         expected = (i, j) if _eps_is_zero(ring, eps_ring) else (i, j + 1)
         wit = LemmaWitness(lemma, spec, i, j, k_level, depth, m, a, b, x, y,
                            eps_code, beta_inv, alpha_mat, merged, expected)
@@ -234,19 +231,20 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
                   (a1, one, z, z),
                   (z, z, one, z),
                   (-(pi(1) * sb), z, -a1, one))
-        beta_inv = _group(spec, _diag_times(d_beta, u_beta))
+        beta_inv = GroupElement(spec, _diag_times(d_beta, u_beta))
         u_alpha = ((one, z, z, z),
                    (z, one, z, z),
                    (sx, z, one, z),
                    (pi(1) * sy + sx, sx, z, one))
         d_alpha = (pi(-j), one, one, pi(j))
-        alpha_mat = _group(spec, _times_diag(u_alpha, d_alpha))
+        alpha_mat = GroupElement(spec, _times_diag(u_alpha, d_alpha))
         s = sy - sa * sx - sb
         u_merged = ((one, z, z, z),
                     (a1, one, z, z),
                     (sx, z, one, z),
                     (pi(1) * s, sx, -a1, one))
-        merged = _group(spec, _diag_times_diag(d_beta, u_merged, d_alpha), certify=False)
+        merged = GroupElement(spec, _diag_times_diag(d_beta, u_merged, d_alpha),
+                              certify=False)
         if _eps_is_zero(ring, eps_ring):
             expected = (max(i, j), min(i, j))
         else:
@@ -266,20 +264,21 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
               (z, one, z, z),
               (pi(1) * sb, a1_den * a1_den, one, z),
               (z, pi(1) * sb, z, one))
-    beta_inv = _group(spec, _diag_times(d_beta, u_beta))
+    beta_inv = GroupElement(spec, _diag_times(d_beta, u_beta))
     w = sx + pi(1) * sy
     u_alpha = ((one, z, z, z),
                (z, one, z, z),
                (w, z, one, z),
                (sx * sx, w, z, one))
     d_alpha = (pi(j - m), pi(j - m), pi(m - j), pi(m - j))
-    alpha_mat = _group(spec, _times_diag(u_alpha, d_alpha))
+    alpha_mat = GroupElement(spec, _times_diag(u_alpha, d_alpha))
     full = pi(1) * sb + sx + pi(1) * sy
     u_merged = ((one, z, z, z),
                 (z, one, z, z),
                 (full, a1_den * a1_den, one, z),
                 (sx * sx, full, z, one))
-    merged = _group(spec, _diag_times_diag(d_beta, u_merged, d_alpha), certify=False)
+    merged = GroupElement(spec, _diag_times_diag(d_beta, u_merged, d_alpha),
+                          certify=False)
     if _eps_is_zero(ring, eps_ring):
         expected = (i, j)
     elif eps_ring == ring.embed_residue_code(1):
@@ -315,12 +314,12 @@ def _attach_nonspher01(wit, t, sa, sb, sx, sy, mutation):
     eps1 = 2 * pi(-2 * m + 2 * j + 1) * (sy - sa * sx - sb)
     if not eps1.is_integral():
         raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
-    k1 = _group(spec, (
+    k1 = GroupElement(spec, (
         (z, z, one, z),
         (z, z, -(pi(i - 2 * m + j) * t), one),
         (-one, z, -(pi(i - 2 * m + 3 * j + 1) * t), pi(2 * j + 1)),
         (-(pi(i - 2 * m + j) * t), -one, pi(2 * i - 2 * m + 2 * j), z)))
-    g1_reference = _group(spec, (
+    g1_reference = GroupElement(spec, (
         (pi(-i) * t, pi(-i), pi(-i + 2 * m - 2 * j), z),
         (pi(-j - 1) * eps1, z, -(pi(-j) * t), pi(-j)),
         (pi(j) * (eps1 - one), z, -(pi(j + 1) * t), pi(j + 1)),
@@ -355,13 +354,13 @@ def _attach_nonspher1m1(wit, s, sx, mutation):
     entry32 = -(pi(j - 1) * a1i * a1i * eps1) - a1i * sx
     if mutation == "drop-eps1":
         entry32 = -(a1i * sx)
-    k1 = _group(spec, (
+    k1 = GroupElement(spec, (
         (z, z, z, one),
         (z, one, z, -(pi(i - j + 1) * a1)),
         (z, entry32, one, pi(i) * a1i),
         (-one, pi(i) * a1i * (one - eps1) - pi(i - j + 1) * sx,
          pi(i - j + 1) * a1, pi(2 * i - j + 1))), certify=mutation != "drop-eps1")
-    g1_reference = _group(spec, (
+    g1_reference = GroupElement(spec, (
         (pi(-i - 1) * eps1, pi(-i) * sx, -(pi(-i) * a1), pi(-i + j)),
         (pi(-j) * a1 * (one - eps1), one - pi(-j + 1) * a1 * sx,
          pi(-j + 1) * a1 * a1, -(pi(1) * a1)),
@@ -394,13 +393,13 @@ def _attach_char2(wit, a1_den, full, sa, sb, sx, sy, mutation):
     if not eps1.is_integral():
         raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
     den2 = one / (a1_den * a1_den)
-    k1 = _group(spec, (
+    k1 = GroupElement(spec, (
         (z, z, one, z),
         (z, z, pi(i - 2 * m + j) * a1, one),
         (one, z, pi(i - 2 * m + 3 * j + 2) * a1, pi(2 * j + 2)),
         (pi(i - 2 * m + j) * a1, one, pi(2 * i - 2 * m + 2 * j) * den2, z)))
     e2 = eps1 * eps1 * den2
-    g1_reference = _group(spec, (
+    g1_reference = GroupElement(spec, (
         (pi(-i) * full, pi(-i) * a1_den * a1_den, pi(-i + 2 * m - 2 * j), z),
         (pi(-j - 2) * e2, z, pi(-j) * a1, pi(-j)),
         (pi(j) * e2 + pi(j), z, pi(j + 2) * a1, pi(j + 2)),

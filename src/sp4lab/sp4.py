@@ -69,8 +69,7 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.field == other.field and all(
-            self.rows[r][c] == other.rows[r][c] for r in ROWS for c in ROWS)
+        return self.field == other.field and self.rows == other.rows
 
     __hash__ = None
 

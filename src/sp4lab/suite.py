@@ -73,48 +73,38 @@ def run_identities(params, seed, mutation):
                                      seed=seed, mutation=mutation)
 
 
-def run_decompose_sweep(params, seed, mutation):
-    spec = parse_field(params["field"])
+def _decompose_report(params, seed, elements):
+    """Decompose every K element of ``elements`` and tally routes and block counts."""
     sw = Stopwatch()
     report = VerificationReport(task="", params=dict(params), seed=seed)
     routes = {}
     max_blocks = 0
-    n = 0
-    for reps in enumerate_symplectic_residue(spec, 1):
-        g = lift_symplectic(spec, 1, reps)
+    for g in elements:
         fl = decompose_k1k2(g)
         routes[fl.route] = routes.get(fl.route, 0) + 1
         max_blocks = max(max_blocks, fl.block_count)
         if fl.block_count > 30:
             report.record_violation({"check": "block-count", "blocks": fl.block_count})
-        n += 1
-    report.cases_total = report.cases_run = n
+        report.cases_run += 1
+    report.cases_total = report.cases_run
     report.margins["max_block_count"] = max_blocks
     report.margins["routes"] = routes
     report.elapsed_ms = sw.ms()
     return report
+
+
+def run_decompose_sweep(params, seed, mutation):
+    spec = parse_field(params["field"])
+    return _decompose_report(params, seed, (
+        lift_symplectic(spec, 1, reps) for reps in enumerate_symplectic_residue(spec, 1)))
 
 
 def run_decompose_random(params, seed, mutation):
     import random as _random
     spec = parse_field(params["field"])
-    sw = Stopwatch()
-    report = VerificationReport(task="", params=dict(params), seed=seed)
     rng = _random.Random(seed)
-    routes = {}
-    max_blocks = 0
-    for _ in range(params["n"]):
-        g = random_k_element(spec, params["depth"], rng)
-        fl = decompose_k1k2(g)
-        routes[fl.route] = routes.get(fl.route, 0) + 1
-        max_blocks = max(max_blocks, fl.block_count)
-        if fl.block_count > 30:
-            report.record_violation({"check": "block-count", "blocks": fl.block_count})
-    report.cases_total = report.cases_run = params["n"]
-    report.margins["max_block_count"] = max_blocks
-    report.margins["routes"] = routes
-    report.elapsed_ms = sw.ms()
-    return report
+    return _decompose_report(params, seed, (
+        random_k_element(spec, params["depth"], rng) for _ in range(params["n"])))
 
 
 def run_averaging(params, seed, mutation):
@@ -285,9 +275,7 @@ def run_zigzag_ledger(params, seed, mutation):
     for alpha in params["alphas"]:
         for beta_frac in params["betas"]:
             alpha_f = Fraction(alpha)
-            limit = alpha_f / (4 * params["h"]) if regime.kind == zz.CHAR_2 \
-                else alpha_f / (2 * params["h"])
-            beta = limit * Fraction(beta_frac)
+            beta = zz.beta_limit(regime, alpha_f, params["h"]) * Fraction(beta_frac)
             res = zz.ledger_sweep(regime, alpha_f, params["h"], beta,
                                   max_length=params["max_length"],
                                   stride=params.get("stride", 11))

@@ -405,12 +405,17 @@ class InadmissibleRateError(ValueError):
     pass
 
 
+def beta_limit(regime, alpha, h):
+    """Supremum of the admissible beta: alpha/(4h) in char 2, alpha/(2h) otherwise."""
+    return Fraction(alpha) / ((4 if regime.kind == CHAR_2 else 2) * h)
+
+
 def _check_rates(regime, alpha, h, beta):
     if alpha <= 0:
         raise InadmissibleRateError("alpha must be positive")
     if h < 1:
         raise InadmissibleRateError("h must be a positive integer")
-    limit = Fraction(alpha) / (4 * h) if regime.kind == CHAR_2 else Fraction(alpha) / (2 * h)
+    limit = beta_limit(regime, alpha, h)
     if not 0 <= beta < limit:
         side = "alpha/(4h)" if regime.kind == CHAR_2 else "alpha/(2h)"
         raise InadmissibleRateError(f"beta must lie in [0, {side}) = [0, {limit})")

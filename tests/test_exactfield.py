@@ -11,6 +11,7 @@ from sp4lab.exactfield import (
     EQUAL,
     MIXED,
     FieldConfigError,
+    LaurentElem,
     NonIntegralError,
     make_field,
     parse_element,
@@ -19,6 +20,7 @@ from sp4lab.exactfield import (
     residue_ring,
     two_valuation,
 )
+from sp4lab.gfq import poly_gcd, poly_mul, poly_trim
 from conftest import FIELD_NAMES, random_element
 
 INF = math.inf
@@ -171,3 +173,58 @@ def test_norm_convention(fields):
     assert valuation_and_norm(q3.pi(-2)) == (-2, 9)
     v, norm = valuation_and_norm(q3.zero())
     assert v == INF and norm == 0
+
+
+# ---------------------------------------------------------------------------
+# Laurent elements stay in lowest terms
+
+
+def _cross_equal(x, y):
+    """Equality by cross-multiplication, which needs no canonical form."""
+    if not x.num or not y.num:
+        return x.num == y.num
+    k = x.spec.residue_gf
+    return x.v == y.v and poly_mul(k, x.num, y.den) == poly_mul(k, y.num, x.den)
+
+
+def _assert_lowest_terms(x):
+    if not x.num:
+        assert (x.v, x.num, x.den) == (0, (), (1,))
+        return
+    assert x.num[0] != 0 and x.num[-1] != 0
+    assert x.den[0] == 1 and x.den[-1] != 0
+    assert poly_gcd(x.spec.residue_gf, x.num, x.den) == (1,)
+
+
+@st.composite
+def laurent_triples(draw):
+    """Three elements of one F_q((t)) whose raw fractions share a common factor."""
+    spec = parse_field(draw(st.sampled_from(["F2((t))", "F3((t))", "F4((t))"])))
+    k = spec.residue_gf
+    poly = st.lists(st.integers(0, k.q - 1), min_size=1, max_size=4).map(poly_trim)
+    common = draw(poly.filter(bool))
+
+    def element():
+        num = poly_mul(k, draw(poly), common)
+        den = poly_mul(k, draw(poly.filter(bool)), common)
+        return LaurentElem(spec, draw(st.integers(-4, 4)), num, den)
+
+    return spec, element(), element(), element()
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_triples())
+def test_laurent_lowest_terms_hypothesis(triple):
+    spec, x, y, z = triple
+    results = [x, y, z, x + y, x - y, x * y, parse_element(spec, x.to_str())]
+    if not y.is_zero():
+        results += [x / y, (x * y) / y, (x + z) / y]
+    for r in results:
+        _assert_lowest_terms(r)
+    for a in results:
+        for b in results:
+            assert (a == b) == _cross_equal(a, b)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert (x + y) - y == x
+    assert parse_element(spec, x.to_str()) == x

@@ -120,6 +120,10 @@ def test_ledger_rates_and_admissibility():
     assert res2["rate"] == Fraction(7, 20) - Fraction(16, 100)
     with pytest.raises(zz.InadmissibleRateError):
         zz.bound_ledger(path2, Fraction("0.7"), 1, Fraction("0.2"))
+    assert zz.beta_limit(R0, Fraction("0.7"), 2) == Fraction(7, 40)
+    assert zz.beta_limit(RC2, Fraction("0.7"), 2) == Fraction(7, 80)
+    with pytest.raises(zz.InadmissibleRateError):  # the limit itself is excluded
+        zz.bound_ledger(path2, Fraction("0.7"), 1, zz.beta_limit(RC2, Fraction("0.7"), 1))
 
 
 def test_ledger_diagonal_start_geometric_tail():
