@@ -324,9 +324,11 @@ def cmd_suite(args, emitter, field, seed, threads):
     if threads > 1:
         import multiprocessing as mp
         with mp.Pool(threads) as pool:
+            # one task per dispatch: task costs differ by orders of magnitude,
+            # and multi-task chunks leave one worker idle behind the last chunk
             reports = pool.starmap(
                 suite_mod.run_task,
-                [(t, seed, args.mutation) for t in tasks])
+                [(t, seed, args.mutation) for t in tasks], chunksize=1)
     else:
         reports = [suite_mod.run_task(t, seed, args.mutation) for t in tasks]
     reports.sort(key=lambda r: r.task)

@@ -10,8 +10,13 @@ Two kinds of field are supported, and both stay exact forever:
   F_q, num[0] != 0 and den[0] == 1.
 
 Both kinds are kept in lowest terms, and zero is ``num/den = 0/1`` with
-v = 0, so each value has exactly one representation: equality and
-hashing compare (spec, v, num, den) field by field.
+v = 0, so each value has exactly one representation: equality compares
+(spec, v, num, den) field by field.  A p-adic element also equals the
+int or Fraction of the same rational value and hashes as that value, so
+sets and dicts may mix them.  A Laurent element never equals an int:
+F_q((t)) sends every n congruent mod p to one element, and no hash could
+agree with all of them.  ``FieldSpec.integer`` memoises the image of n,
+so equal small constants are one shared (immutable) object.
 
 The uniformizer is p respectively t, the residue field has q elements,
 and ``|x| = q^(-v(x))``.  Residue rings O/pi^n carry canonical digit /
@@ -77,23 +82,27 @@ class FieldSpec:
 
     # -- element constructors ------------------------------------------------
 
+    @functools.cached_property
+    def _integers(self):
+        return {}
+
     def zero(self):
-        if self.kind == MIXED:
-            return PadicElem(self, 0, 0, 1)
-        return LaurentElem(self, 0, (), (1,))
+        return self.integer(0)
 
     def one(self):
         return self.integer(1)
 
     def integer(self, n):
-        """Image of the rational integer n."""
-        if self.kind == MIXED:
-            return _padic_from_fraction(self, Fraction(n))
-        k = self.residue_gf
-        c = k.from_int(n)
-        if c == 0:
-            return self.zero()
-        return LaurentElem(self, 0, (c,), (1,))
+        """Image of the rational integer n, built once per (spec, n)."""
+        x = self._integers.get(n)
+        if x is None:
+            if self.kind == MIXED:
+                x = _padic_from_fraction(self, Fraction(n))
+            else:
+                c = self.residue_gf.from_int(n)
+                x = LaurentElem(self, 0, (c,) if c else (), (1,))
+            self._integers[n] = x
+        return x
 
     def rational(self, num, den=1):
         if self.kind != MIXED:
@@ -209,7 +218,8 @@ class _FieldElem:
 
     Each value has exactly one representation, so equality and hashing
     compare the fields directly.  Subclasses supply the arithmetic, the
-    serialization and ``_coercible``, the foreign types ``==`` coerces.
+    serialization and ``_coercible``, the foreign types ``==`` coerces;
+    a subclass that coerces a type also hashes like it.
     """
 
     __slots__ = ("spec", "v", "num", "den")
@@ -240,7 +250,7 @@ class _FieldElem:
             if not isinstance(other, self._coercible):
                 return NotImplemented
             other = _coerce(self.spec, other)
-        return (self.spec == other.spec and self.v == other.v
+        return ((self.spec is other.spec or self.spec == other.spec) and self.v == other.v
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
@@ -330,6 +340,10 @@ class PadicElem(_FieldElem):
         return PadicElem(self.spec, self.v - other.v,
                          self.num * other.den, self.den * other.num)
 
+    def __hash__(self):
+        # the hash of the rational value, so equal ints and Fractions agree
+        return hash(self.as_fraction())
+
     def as_fraction(self):
         p = self.spec.p
         if self.v >= 0:
@@ -356,7 +370,7 @@ class LaurentElem(_FieldElem):
 
     __slots__ = ()
 
-    _coercible = (int,)
+    _coercible = ()
 
     def __init__(self, spec, v, num, den, normalize=True):
         if normalize and num:
@@ -461,9 +475,9 @@ class LaurentElem(_FieldElem):
 
 def _coerce(spec, x):
     if isinstance(x, _FieldElem):
-        if x.spec != spec:
-            raise TypeError("mixing elements of different fields")
-        return x
+        if x.spec is spec or x.spec == spec:
+            return x
+        raise TypeError("mixing elements of different fields")
     if isinstance(x, int):
         return spec.integer(x)
     if isinstance(x, Fraction) and spec.kind == MIXED:

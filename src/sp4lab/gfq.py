@@ -119,6 +119,8 @@ class GF:
 
     def add(self, a, b):
         p = self.p
+        if p == 2:
+            return a ^ b  # digit-wise sum mod 2 of the binary codes
         if self.f == 1:
             return (a + b) % p
         s = 0
@@ -134,6 +136,8 @@ class GF:
         return self._neg[a]
 
     def sub(self, a, b):
+        if self.p == 2:
+            return a ^ b
         return self.add(a, self._neg[b])
 
     def mul(self, a, b):

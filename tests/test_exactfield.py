@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from sp4lab.exactfield import (
     EQUAL,
     MIXED,
     FieldConfigError,
+    FieldSpec,
     LaurentElem,
     NonIntegralError,
     make_field,
@@ -20,7 +22,7 @@ from sp4lab.exactfield import (
     residue_ring,
     two_valuation,
 )
-from sp4lab.gfq import poly_gcd, poly_mul, poly_trim
+from sp4lab.gfq import gf, poly_gcd, poly_mul, poly_trim
 from conftest import FIELD_NAMES, random_element
 
 INF = math.inf
@@ -228,3 +230,67 @@ def test_laurent_lowest_terms_hypothesis(triple):
                 assert hash(a) == hash(b)
     assert (x + y) - y == x
     assert parse_element(spec, x.to_str()) == x
+
+
+# ---------------------------------------------------------------------------
+# equality, hashing and the shared constants
+
+
+def test_padic_hash_is_the_hash_of_its_value(fields):
+    q3 = fields["Q3"]
+    five = q3.integer(5)
+    assert five == 5 and hash(five) == hash(5)
+    assert len({five, 5}) == 1
+    assert q3.rational(9, 2) == Fraction(9, 2)
+    assert len({q3.rational(9, 2), Fraction(9, 2), q3.rational(18, 4)}) == 1
+    rnd = random.Random(4)
+    for name in ("Q2", "Q3", "Q5"):
+        for _ in range(60):
+            x = random_element(fields[name], rnd)
+            fr = x.as_fraction()
+            assert x == fr and hash(x) == hash(fr)
+            if fr.denominator == 1:
+                assert hash(x) == hash(int(fr))
+
+
+def test_laurent_never_equals_an_int(fields):
+    f2 = fields["F2((t))"]
+    one = f2.one()
+    assert f2.integer(3) == one  # 3 and 1 have one image in F_2((t))
+    assert not one == 3 and one != 1 and not 1 == one
+    assert len({one, 1, 3}) == 3
+    assert f2.zero() != 0
+
+
+def test_integers_are_shared_and_same_field_operands_pass_through(fields):
+    q3 = fields["Q3"]
+    assert q3.integer(7) is q3.integer(7)
+    assert q3.zero() is q3.integer(0) and q3.one() is q3.integer(1)
+    x = q3.rational(2, 9)
+    assert x + 0 is x and x * 1 == x
+    # an equal spec that is not the interned one still coerces by value
+    twin = FieldSpec(MIXED, 3, 1)
+    assert twin is not q3
+    assert (x + twin.integer(1)).spec is q3
+    assert x + twin.integer(1) == q3.rational(11, 9)
+    with pytest.raises(TypeError, match="different fields"):
+        x + fields["Q5"].one()
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_char2_add_sub_match_digitwise_sum(f):
+    k = gf(2, f)
+
+    def digitwise(a, b):
+        s, mult = 0, 1
+        for _ in range(f):
+            s += (a % 2 + b % 2) % 2 * mult
+            a //= 2
+            b //= 2
+            mult *= 2
+        return s
+
+    for a in range(k.q):
+        for b in range(k.q):
+            assert k.add(a, b) == digitwise(a, b)
+            assert k.sub(a, b) == digitwise(a, k.neg(b)) == k.add(a, k.neg(b))

@@ -1,0 +1,71 @@
+"""Report-stream contract: at a fixed seed, reports repeat byte for byte.
+
+A handful of cheap tasks runs through ``suite.run_task`` and each report,
+without its timing field, is compared with its line in a golden JSONL
+file.  A speed-up of certification, coercion or element arithmetic must
+leave every line as it is.
+
+Regenerate the golden file only for a deliberate change of the report
+format:  ``PYTHONPATH=src python tests/test_report_stream.py --write``.
+"""
+
+import json
+import pathlib
+import sys
+
+from sp4lab import lemma_witnesses as lw
+from sp4lab.suite import run_task
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "report_stream_seed42.jsonl"
+SEED = 42
+
+
+def _cells(lemma, field, i, j, k=0, cap=25_000, sample_n=1500):
+    return (f"cells:{lemma}:{field}:{i},{j},k{k}", "cells",
+            {"lemma": lemma, "field": field, "i": i, "j": j, "k": k,
+             "cap": cap, "sample_n": sample_n})
+
+
+# (task, mutation): one cell sweep per lemma over Q3 and F2((t)) where the
+# lemma applies, one identities task and two mutated replays
+CASES = (
+    (_cells(lw.SPHER01, "Q3", 3, 1, cap=0, sample_n=200), None),
+    (_cells(lw.SPHER1M1, "Q3", 2, 2), None),
+    (_cells(lw.SPHER1M1, "F2((t))", 4, 2), None),
+    (_cells(lw.NONSPHER01, "Q3", 3, 1, k=1), None),
+    (_cells(lw.NONSPHER1M1, "Q3", 4, 4, k=1, cap=0, sample_n=60), None),
+    (_cells(lw.NONSPHER1M1, "F2((t))", 4, 4, k=1, cap=0, sample_n=40), None),
+    (_cells(lw.CHAR2_02, "F2((t))", 5, 1), None),
+    (("identities:NONSPHER1M1:Q3:4,4", "identities",
+      {"lemma": lw.NONSPHER1M1, "field": "Q3", "i": 4, "j": 4, "n": 30}), None),
+    (_cells(lw.NONSPHER1M1, "Q3", 4, 4, k=1, cap=0, sample_n=60), "drop-eps1"),
+    (_cells(lw.SPHER01, "Q3", 3, 1, cap=0, sample_n=100), "minor-sign-flip"),
+)
+
+
+def stream():
+    """One JSON line per case, the report without ``elapsed_ms``."""
+    lines = []
+    for task, mutation in CASES:
+        d = run_task(task, SEED, mutation=mutation).to_dict()
+        del d["elapsed_ms"]
+        lines.append(json.dumps(d, sort_keys=True))
+    return lines
+
+
+def test_report_stream_matches_golden():
+    expected = GOLDEN.read_text().splitlines()
+    got = stream()
+    assert len(got) == len(expected)
+    for case, g, e in zip(CASES, got, expected):
+        assert g == e, case[0]
+    statuses = [json.loads(line)["status"] for line in got]
+    assert statuses[-2:] == ["violated", "violated"]
+    assert set(statuses[:-2]) == {"pass"}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_report_stream.py --write")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("\n".join(stream()) + "\n")

@@ -171,3 +171,108 @@ def test_k1_k2_embed_validation(fields):
         sp4.k2_embed(q3, ((q3.integer(2), q3.zero()), (q3.zero(), q3.integer(2))))
     with pytest.raises(ValueError):
         sp4.mu21(q3, q3.pi(-1))
+
+
+# ---------------------------------------------------------------------------
+# certification against the full product t(m) J m - J
+
+
+def _defects(spec, rows):
+    """Oracle: the nonzero entries (r, c, str) of t(m) J m - J in row-major order.
+
+    Built from the full product, with no use of the form's antisymmetry.
+    """
+    j = sp4.j_rows(spec)
+    jm = [[sum((j[r][k] * rows[k][c] for k in range(4)), spec.zero()) for c in range(4)]
+          for r in range(4)]
+    out = []
+    for r in range(4):
+        for c in range(4):
+            defect = sum((rows[k][r] * jm[k][c] for k in range(4)), spec.zero()) - j[r][c]
+            if not defect.is_zero():
+                out.append((r, c, defect.to_str()))
+    return out
+
+
+def _random_generator(spec, rnd):
+    def integral():
+        code = rnd.randrange(spec.q)
+        return spec.from_residue_code(code).shift(rnd.randrange(3)) if code else spec.zero()
+
+    def unit():
+        return spec.from_residue_code(rnd.randrange(1, spec.q)) + spec.pi(1) * integral()
+
+    pick = rnd.randrange(7)
+    if pick == 0:
+        return sp4.d_matrix(spec, rnd.randrange(4), rnd.randrange(-2, 3))
+    if pick == 1:
+        return rnd.choice((sp4.mu21, sp4.mu32, sp4.mu31, sp4.mu41))(spec, integral())
+    if pick == 2:
+        return sp4.torus(spec, unit(), unit())
+    if pick == 3:
+        return rnd.choice((sp4.weyl_w21, sp4.weyl_w32, sp4.j_form))(spec)
+    if pick == 4:
+        return sp4.k1_embed(spec, ((unit(), integral()), (spec.pi(1) * integral(), unit())))
+    if pick == 5:
+        return random_k_element(spec, 1, rnd)
+    return _random_generator(spec, rnd).inverse()
+
+
+def _random_product(spec, rnd, factors=4):
+    g = sp4.identity(spec)
+    for _ in range(factors):
+        g = g * _random_generator(spec, rnd)
+    return g
+
+
+def _assert_certified_like_oracle(spec, rows):
+    """Certification accepts rows iff the oracle does, else names its first defect."""
+    defects = _defects(spec, rows)
+    if not defects:
+        assert sp4.is_symplectic(spec, rows)
+        return False
+    with pytest.raises(SymplecticError) as err:
+        sp4.symplectic_check(spec, rows)
+    assert (err.value.row, err.value.col, err.value.defect) == defects[0]
+    assert not sp4.is_symplectic(spec, rows)
+    return True
+
+
+@pytest.mark.parametrize("name", ["Q2", "Q3", "F2((t))", "F4((t))"])
+def test_certification_matches_full_product(fields, name):
+    spec = fields[name]
+    rnd = random.Random(0x5E7 + len(name))
+    rejected = 0
+    for _ in range(20):
+        g = _random_product(spec, rnd)
+        assert _defects(spec, g.rows) == []
+        assert sp4.symplectic_check(spec, g.rows) == g
+        # one perturbed entry breaks the form unless row r of J g is a
+        # multiple of e_c (a root-subgroup step), so both outcomes occur
+        r, c = rnd.randrange(4), rnd.randrange(4)
+        delta = spec.pi(rnd.randrange(-2, 3)) * spec.from_residue_code(rnd.randrange(1, spec.q))
+        rows = [list(row) for row in g.rows]
+        rows[r][c] = rows[r][c] + delta
+        rejected += _assert_certified_like_oracle(spec, tuple(map(tuple, rows)))
+    assert rejected >= 10
+
+
+@pytest.mark.parametrize("name", ["Q3", "F2((t))", "F4((t))"])
+def test_each_pairing_violation_is_named(fields, name):
+    spec = fields[name]
+    rnd = random.Random(0xA11)
+    x = spec.pi(1) + spec.one()
+    for a, b in sp4.PAIRS:
+        cols = [list(col) for col in zip(*sp4.identity(spec).rows)]
+        if a + b == 3:
+            # scaling column a scales omega(c_a, c_b) alone, b being a's partner
+            cols[a] = [x * e for e in cols[a]]
+        else:
+            # adding x e_(3-a) to column b turns omega(c_a, c_b) from 0 into +-x
+            cols[b][3 - a] = cols[b][3 - a] + x
+        base = tuple(zip(*cols))
+        g = _random_product(spec, rnd, factors=3)
+        # left multiplication by a symplectic g preserves every pairing
+        for rows in (base, sp4.mat_mul(g.rows, base)):
+            assert [d[:2] for d in _defects(spec, rows)] == [(a, b), (b, a)]
+            assert _assert_certified_like_oracle(spec, rows)
