@@ -270,7 +270,7 @@ def cmd_type_const(args, emitter, field, seed, threads):
 def cmd_zigzag(args, emitter, field, seed, threads):
     if args.zigzag_cmd == "plan":
         i, j = (int(t) for t in args.start.split(","))
-        regime = _cli_regime(args)
+        regime = zz.Regime.named(args.regime, args.v0, args.k)
         path = zz.plan_path((i, j), regime)
         emitter.emit({
             "start": [i, j],
@@ -283,7 +283,7 @@ def cmd_zigzag(args, emitter, field, seed, threads):
             "notes": {k: v for k, v in path.notes.items() if k != "diagonal"},
         })
         return 0
-    regime = _cli_regime(args)
+    regime = zz.Regime.named(args.regime, args.v0, args.k)
     if args.start:
         i, j = (int(t) for t in args.start.split(","))
         path = zz.plan_path((i, j), regime)
@@ -301,12 +301,6 @@ def cmd_zigzag(args, emitter, field, seed, threads):
                           max_length=args.grid)
     emitter.emit(res)
     return 0
-
-
-def _cli_regime(args):
-    if args.regime == "char2":
-        return zz.Regime(zz.CHAR_2, k=args.k)
-    return zz.Regime(zz.CHAR_NE2, v0=args.v0, k=args.k)
 
 
 def cmd_suite(args, emitter, field, seed, threads):

@@ -10,10 +10,12 @@ Two kinds of field are supported, and both stay exact forever:
   F_q, num[0] != 0 and den[0] == 1.
 
 Both kinds are kept in lowest terms, and zero is ``num/den = 0/1`` with
-v = 0, so each value has exactly one representation: equality compares
-(spec, v, num, den) field by field.  A p-adic element also equals the
-int or Fraction of the same rational value and hashes as that value, so
-sets and dicts may mix them.  A Laurent element never equals an int:
+v = 0, so each value has exactly one representation: equality within
+one field compares (v, num, den) field by field.  A p-adic element
+equals every int, Fraction or p-adic element (of any Q_p) of the same
+rational value and hashes as that value, so equality is transitive and
+sets and dicts may mix them; arithmetic across two fields still raises
+TypeError.  A Laurent element never equals an int:
 F_q((t)) sends every n congruent mod p to one element, and no hash could
 agree with all of them.  ``FieldSpec.integer`` memoises the image of n,
 so equal small constants are one shared (immutable) object.
@@ -217,9 +219,10 @@ class _FieldElem:
     """num/den * pi^v in lowest terms; a false num encodes zero.
 
     Each value has exactly one representation, so equality and hashing
-    compare the fields directly.  Subclasses supply the arithmetic, the
-    serialization and ``_coercible``, the foreign types ``==`` coerces;
-    a subclass that coerces a type also hashes like it.
+    within one field compare the fields directly.  Subclasses supply the
+    arithmetic, the serialization, ``_coercible``, the foreign types
+    ``==`` coerces, and ``_eq_across_fields``; a subclass that coerces a
+    type also hashes like it.
     """
 
     __slots__ = ("spec", "v", "num", "den")
@@ -250,8 +253,12 @@ class _FieldElem:
             if not isinstance(other, self._coercible):
                 return NotImplemented
             other = _coerce(self.spec, other)
-        return ((self.spec is other.spec or self.spec == other.spec) and self.v == other.v
-                and self.num == other.num and self.den == other.den)
+        elif not (self.spec is other.spec or self.spec == other.spec):
+            return self._eq_across_fields(other)
+        return self.v == other.v and self.num == other.num and self.den == other.den
+
+    def _eq_across_fields(self, other):
+        return False
 
     def __hash__(self):
         return hash((self.v, self.num, self.den))
@@ -339,6 +346,11 @@ class PadicElem(_FieldElem):
             return self
         return PadicElem(self.spec, self.v - other.v,
                          self.num * other.den, self.den * other.num)
+
+    def _eq_across_fields(self, other):
+        # every Q_p is modelled on Q, so elements of two of them are equal
+        # when their rational values are, as their hashes say
+        return self.as_fraction() == other.as_fraction()
 
     def __hash__(self):
         # the hash of the rational value, so equal ints and Fractions agree

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sp4lab.exactfield import MIXED, residue_ring
-from sp4lab.verifiers.reports import Stopwatch, VerificationReport
+from sp4lab.verifiers.reports import VerificationReport
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,8 @@ class CharacterTable:
         self._certify(tol)
 
     def _certify(self, tol):
-        size = self.matrix.shape[0]
-        gram = self.matrix @ self.matrix.conj().T
-        defect = np.abs(gram - size * np.eye(size)).max()
-        if defect > tol * size:
+        defect = self.orthogonality_defect()
+        if defect > tol * self.matrix.shape[0]:
             raise AssertionError(f"character pairing is not perfect (defect {defect})")
 
     def orthogonality_defect(self):
@@ -171,14 +169,6 @@ def transform_matrix(spec, h):
     return table.matrix / len(table.elements)
 
 
-def hilbert_transform_norm(spec, h):
-    """Exact operator norm for Hilbert coefficients: the largest singular
-    value of the normalized transform, analytically q^(-h/2)."""
-    mat = transform_matrix(spec, h)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return float(sv[0])
-
-
 def transform_upper_bound(spec, h, space):
     """Valid upper bound on ||T (x) 1_E||: interpolation against the l1
     witness bound 1 and the exact Hilbert value."""
@@ -201,13 +191,14 @@ def _transform_ratio(mat, fam, p):
 def transform_norm(spec, h, space, strategy="exact", iters=2000, seed=0):
     """[lower, upper] bracket for ||T (x) 1_E|| with a certificate kind.
 
-    Hilbert spaces get the exact singular value (lower == upper); other
-    spaces get an adversarial-search lower bound and the interpolation
-    upper bound.
+    Hilbert spaces get the exact operator norm, the largest singular
+    value of the normalized transform (lower == upper, analytically
+    q^(-h/2)); other spaces get an adversarial-search lower bound and the
+    interpolation upper bound.
     """
     mat = transform_matrix(spec, h)
     if space.is_hilbert and strategy == "exact":
-        value = hilbert_transform_norm(spec, h)
+        value = float(np.linalg.svd(mat, compute_uv=False)[0])
         return {"lower": value, "upper": value, "kind": "exact",
                 "analytic": spec.q ** (-h / 2.0)}
     upper = transform_upper_bound(spec, h, space)
@@ -267,10 +258,9 @@ def line_operator(spec, n, chi_row, table):
     elems = ring.elements()
     size = len(elems)
     idx = _index_map(elems)
-    ring1 = residue_ring(spec, 1)
-    eps_elems = ring1.elements()
-    q = spec.q
-    weight = 1.0 / (size * q)
+    # a level-1 representative is already canonical at level n
+    shifts = [ring.shift(eps, n - 1) for eps in residue_ring(spec, 1).elements()]
+    weight = 1.0 / (size * spec.q)
     mat = np.zeros((size * size, size * size), dtype=complex)
     for ai, a in enumerate(elems):
         for xi, x in enumerate(elems):
@@ -278,16 +268,10 @@ def line_operator(spec, n, chi_row, table):
             for bi, b in enumerate(elems):
                 base = ring.add(ax, b)
                 row = ai * size + bi
-                for ei, eps in enumerate(eps_elems):
-                    y = ring.add(base, ring.shift(_embed_level1(ring, ring1, eps), n - 1))
+                for ei, shift in enumerate(shifts):
+                    y = ring.add(base, shift)
                     mat[row, xi * size + idx[y]] += weight * chi_row[ei]
     return mat
-
-
-def _embed_level1(ring, ring1, rep1):
-    if ring.spec.kind == MIXED:
-        return rep1 % ring.modulus
-    return rep1
 
 
 def shifted_difference_operator(spec, n, k, eps0_code):
@@ -338,7 +322,6 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
     families and coordinate ascent search for a violating family; any
     ratio above 1 + tol is reported as a violation.
     """
-    sw = Stopwatch()
     if k < 0 or k > n // 2:
         raise ValueError("congruence level must satisfy 0 <= k <= n/2")
     if k > 0 and n < 2 * k + 1:
@@ -370,8 +353,7 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
         report.cases_total = report.cases_run = 1
         if ratio > 1 + tol:
             report.record_violation({"check": "fft-inequality", "ratio": ratio})
-        report.elapsed_ms = sw.ms()
-        return report
+        return report.done()
     rng = np.random.default_rng(seed)
     cols = mat.shape[1]
     rows_n = mat.shape[0]
@@ -406,8 +388,7 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
         report.record_violation({
             "check": "fft-inequality", "ratio": best,
             "family": [[str(z) for z in row] for row in best_fam.tolist()]})
-    report.elapsed_ms = sw.ms()
-    return report
+    return report.done()
 
 
 def _fft_ratio(mat, fam, p, coeff):
@@ -438,13 +419,13 @@ def shifted_rewrite_families(spec, n, k, xi, eps0_code=1):
     d = xi.shape[-1]
     xi_prime = np.zeros((len(small_elems), len(small_elems), d), dtype=complex)
     z_count = spec.q ** k
+    # a depth n-2k representative is already canonical at depth n
     for x1i, x1 in enumerate(small_elems):
-        sx1 = _promote(ring, small, x1)
         for z_i in range(z_count):
             z = ring.shift(ring.element_at(z_i), n - 2 * k)
-            xval = ring.shift(ring.add(sx1, z), k)
+            xval = ring.shift(ring.add(x1, z), k)
             for y1i, y1 in enumerate(small_elems):
-                yval = ring.shift(_promote(ring, small, y1), 2 * k)
+                yval = ring.shift(y1, 2 * k)
                 xi_prime[x1i, y1i] += xi[x_idx[xval] * len(y_dom) + y_idx[yval]]
         xi_prime[x1i] /= z_count
     mat, _, _ = shifted_difference_operator(spec, n, k, eps0_code)
@@ -454,13 +435,6 @@ def shifted_rewrite_families(spec, n, k, xi, eps0_code=1):
     flat2 = xi_prime.reshape(len(small_elems) * len(small_elems), d)
     lhs_reduced = float(np.mean(lp_norms(mat2 @ flat2, 2) ** 2))
     return xi_prime, lhs_full, lhs_reduced
-
-
-def _promote(big, small, rep):
-    """Reinterpret a depth-m representative inside a deeper ring."""
-    if big.spec.kind == MIXED:
-        return rep % big.modulus
-    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -422,14 +422,19 @@ def _attach_char2(wit, a1_den, full, sa, sb, sx, sy, mutation):
     wit.scaled_branches = ((0, scale0, reference0), (1, scale1, reference1))
 
 
-def congruence_target(lemma, spec, i, j, k_level):
+def congruence_target(lemma, spec, i, j, k_level, mutation=None):
     """Reduction mod pi^k of k1 at the zero tuple: the symbolic target that
-    k1 must be congruent to on every congruence-restricted tuple."""
+    k1 must be congruent to on every congruence-restricted tuple.
+
+    The zero-tuple witness is built with the same mutation as the tuples
+    it is compared with, so a corrupted formula is caught on the tuples
+    where it differs, not flagged on every tuple through its target.
+    """
     if k_level < 1:
         raise ValueError("congruence target needs k >= 1")
     ring = residue_ring(spec, lemma_depth(lemma, spec, i, j))
     wit = build_witness(lemma, spec, i, j, k_level, ring.zero, ring.zero,
-                        ring.zero, 0)
+                        ring.zero, 0, mutation=mutation)
     return wit.k1.reduce(k_level)
 
 

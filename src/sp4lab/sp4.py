@@ -62,12 +62,12 @@ class GroupElement:
         return GroupElement(self.field, mat_mul(self.rows, other.rows), certify=False)
 
     def inverse(self):
-        # g^(-1) = -J t(g) J, entries exact
-        j = j_rows(self.field)
-        t = tuple(zip(*self.rows))
-        rows = mat_mul(j, mat_mul(t, j))
-        neg = tuple(tuple(-e for e in r) for r in rows)
-        return GroupElement(self.field, neg, certify=False)
+        # g^(-1) = -J t(g) J written out: entry (r, c) is g[3-c][3-r],
+        # negated when exactly one of r, c is >= 2
+        g = self.rows
+        return GroupElement(self.field, tuple(
+            tuple(-g[3 - c][3 - r] if (r >= 2) != (c >= 2) else g[3 - c][3 - r]
+                  for c in ROWS) for r in ROWS), certify=False)
 
     def transpose(self):
         return GroupElement(self.field, tuple(zip(*self.rows)), certify=True)
@@ -132,7 +132,7 @@ def j_rows(field):
             (-o, z, z, z))
 
 
-def _pairing(u, w):
+def pairing(u, w):
     """omega(u, w) = u0 w3 + u1 w2 - u2 w1 - u3 w0; terms with a zero factor are skipped."""
     pos = neg = None
     for x, y in ((u[0], w[3]), (u[1], w[2])):
@@ -154,7 +154,7 @@ def _check_symplectic(field, rows):
     cols = tuple(zip(*rows))
     z, o = _zero_one(field)
     for a, b in PAIRS:
-        form = _pairing(cols[a], cols[b])
+        form = pairing(cols[a], cols[b])
         target = o if a + b == 3 else z  # J[a][b] above the diagonal
         if not form == target:
             raise SymplecticError(a, b, (form - target).to_str())

@@ -38,7 +38,7 @@ from sp4lab.verifiers import (
     verify_witness_identities,
 )
 from sp4lab.verifiers.cells import case_count
-from sp4lab.verifiers.reports import Stopwatch, VerificationReport
+from sp4lab.verifiers.reports import VerificationReport
 
 QUICK_EXHAUSTIVE_CAP = 25_000
 FULL_EXHAUSTIVE_CAP = 250_000
@@ -75,7 +75,6 @@ def run_identities(params, seed, mutation):
 
 def _decompose_report(params, seed, elements):
     """Decompose every K element of ``elements`` and tally routes and block counts."""
-    sw = Stopwatch()
     report = VerificationReport(task="", params=dict(params), seed=seed)
     routes = {}
     max_blocks = 0
@@ -89,8 +88,7 @@ def _decompose_report(params, seed, elements):
     report.cases_total = report.cases_run
     report.margins["max_block_count"] = max_blocks
     report.margins["routes"] = routes
-    report.elapsed_ms = sw.ms()
-    return report
+    return report.done()
 
 
 def run_decompose_sweep(params, seed, mutation):
@@ -115,7 +113,6 @@ def run_averaging(params, seed, mutation):
 
 def run_fourier_norm(params, seed, mutation):
     spec = parse_field(params["field"])
-    sw = Stopwatch()
     report = VerificationReport(task="", params=dict(params), seed=seed)
     worst = 0.0
     for h in params["h_values"]:
@@ -130,8 +127,7 @@ def run_fourier_norm(params, seed, mutation):
             report.cases_run += 1
     report.cases_total = report.cases_run
     report.margins["max_deviation"] = worst
-    report.elapsed_ms = sw.ms()
-    return report
+    return report.done()
 
 
 def run_fft(params, seed, mutation):
@@ -147,7 +143,6 @@ def run_fft_rewrite(params, seed, mutation):
     import numpy as np
     spec = parse_field(params["field"])
     n, k = params["n"], params["k"]
-    sw = Stopwatch()
     report = VerificationReport(task="", params=dict(params), seed=seed)
     ring = residue_ring(spec, n)
     nx = len(ring.pi_multiples(k))
@@ -166,13 +161,11 @@ def run_fft_rewrite(params, seed, mutation):
         report.cases_run += 1
     report.cases_total = report.cases_run
     report.margins["max_relative_diff"] = worst
-    report.elapsed_ms = sw.ms()
-    return report
+    return report.done()
 
 
 def run_c2(params, seed, mutation):
     spec = parse_field(params["field"])
-    sw = Stopwatch()
     report = VerificationReport(task="", params=dict(params), seed=seed)
     q = spec.q
     for eps0 in range(1, q):
@@ -184,12 +177,10 @@ def run_c2(params, seed, mutation):
                                      "chars": via_chars, "direct": direct})
         report.cases_run += 1
     report.cases_total = report.cases_run
-    report.elapsed_ms = sw.ms()
-    return report
+    return report.done()
 
 
 def run_type_constant(params, seed, mutation):
-    sw = Stopwatch()
     report = VerificationReport(task="", params=dict(params), seed=seed)
     space = SpaceSpec(params["space_p"], params["d"])
     res = estimate_type_constant(space, params["p"], params["n_vectors"],
@@ -201,8 +192,7 @@ def run_type_constant(params, seed, mutation):
     if expect == "l1-growth" and res["max_ratio"] < params["n_vectors"] ** 0.5 - 1e-9:
         report.record_violation({"check": "l1-growth", "ratio": res["max_ratio"]})
     report.cases_total = report.cases_run = params.get("trials", 50)
-    report.elapsed_ms = sw.ms()
-    return report
+    return report.done()
 
 
 def run_parity(params, seed, mutation):
@@ -218,7 +208,6 @@ def run_parity(params, seed, mutation):
 
 def run_parity_monotone(params, seed, mutation):
     spec = parse_field(params["field"])
-    sw = Stopwatch()
     report = VerificationReport(task="", params=dict(params), seed=seed)
     i, j = params["g"]
     g = d_matrix(spec, i, j)
@@ -230,14 +219,13 @@ def run_parity_monotone(params, seed, mutation):
             report.record_violation({"check": "decided-mass-monotone", "profile": profile})
             break
     report.cases_total = report.cases_run = params.get("sample_n", 800)
-    report.elapsed_ms = sw.ms()
-    return report
+    return report.done()
 
 
 def run_zigzag_plan(params, seed, mutation):
-    sw = Stopwatch()
     report = VerificationReport(task="", params=dict(params), seed=seed)
-    regime = _regime_from(params)
+    regime = zz.Regime.named(params["regime"], params.get("v0", 0),
+                             params.get("klevel", 0))
     budget = params["max_length"]
     blocked = []
     planned = 0
@@ -263,14 +251,13 @@ def run_zigzag_plan(params, seed, mutation):
     report.cases_total = report.cases_run = planned + len(blocked)
     report.margins["planned"] = planned
     report.margins["blocked"] = [list(c) for c, _ in blocked]
-    report.elapsed_ms = sw.ms()
-    return report
+    return report.done()
 
 
 def run_zigzag_ledger(params, seed, mutation):
-    sw = Stopwatch()
     report = VerificationReport(task="", params=dict(params), seed=seed)
-    regime = _regime_from(params)
+    regime = zz.Regime.named(params["regime"], params.get("v0", 0),
+                             params.get("klevel", 0))
     sup = 0.0
     for alpha in params["alphas"]:
         for beta_frac in params["betas"]:
@@ -285,14 +272,7 @@ def run_zigzag_ledger(params, seed, mutation):
                 report.record_violation({"check": "ledger-finite", "alpha": alpha})
     report.cases_total = report.cases_run
     report.margins["sup_constant"] = sup
-    report.elapsed_ms = sw.ms()
-    return report
-
-
-def _regime_from(params):
-    if params["regime"] == "char2":
-        return zz.Regime(zz.CHAR_2, k=params.get("klevel", 0))
-    return zz.Regime(zz.CHAR_NE2, v0=params.get("v0", 0), k=params.get("klevel", 0))
+    return report.done()
 
 
 RUNNERS = {

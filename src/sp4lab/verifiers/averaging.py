@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from sp4lab.verifiers.reports import Stopwatch, VerificationReport
+from sp4lab.verifiers.reports import VerificationReport
 
 
 class FiniteGroupRep:
@@ -104,7 +104,6 @@ def verify_averaging(group, subgroup_names=("K1", "K2"), repeats=2,
                      trials=1000, seed=0, tol=1e-9):
     """Check coverage, the no-invariant-vector hypothesis, and the
     averaging inequality on random and adversarial data."""
-    sw = Stopwatch()
     report = VerificationReport(
         task=f"averaging:{group.name}:N{repeats}",
         params={"group": group.name, "subgroups": list(subgroup_names),
@@ -115,16 +114,14 @@ def verify_averaging(group, subgroup_names=("K1", "K2"), repeats=2,
     if len(covered) != group.order:
         report.record_violation({"check": "coverage",
                                  "covered": len(covered), "order": group.order})
-        report.elapsed_ms = sw.ms()
-        return report
+        return report.done()
     projector = group.matrices.mean(axis=0)
     proj_norm = float(np.linalg.norm(projector, 2))
     report.margins["invariant_projector_norm"] = proj_norm
     if proj_norm > 1e-12:
         report.record_violation({"check": "no-invariant-vectors",
                                  "projector_norm": proj_norm})
-        report.elapsed_ms = sw.ms()
-        return report
+        return report.done()
     n = len(subgroup_names)
     bound = 2 * n * repeats
     averages = {
@@ -157,8 +154,7 @@ def verify_averaging(group, subgroup_names=("K1", "K2"), repeats=2,
     report.cases_total = trials + 1
     report.cases_run = trials + 1
     report.margins["max_lhs_over_rhs"] = worst
-    report.elapsed_ms = sw.ms()
-    return report
+    return report.done()
 
 
 def invariance_forces_zero(group, subgroup_names=("K1", "K2"), tol=1e-9):

@@ -9,6 +9,8 @@ is congruent mod pi^k to its symbolically reduced target on every
 congruence-restricted tuple.
 """
 
+import itertools
+import math
 import random
 
 from sp4lab import lemma_witnesses as lw
@@ -21,11 +23,7 @@ from sp4lab.sp4 import (
     wedge_norm_exponent,
     norm_exponent,
 )
-from sp4lab.verifiers.reports import (
-    BudgetExceededError,
-    Stopwatch,
-    VerificationReport,
-)
+from sp4lab.verifiers.reports import BudgetExceededError, VerificationReport
 
 HARD_BUDGET = 10 ** 7
 
@@ -43,8 +41,27 @@ def tuple_space(lemma, spec, i, j, k_level):
 
 
 def case_count(lemma, spec, i, j, k_level):
-    a_dom, b_dom, x_dom, eps_dom = tuple_space(lemma, spec, i, j, k_level)
-    return len(a_dom) * len(b_dom) * len(x_dom) * len(eps_dom)
+    return math.prod(map(len, tuple_space(lemma, spec, i, j, k_level)))
+
+
+def _tuples(domains, mode, sample_n, seed, partition=None):
+    """The (a, b, x, eps) tuples one sweep checks, in the order it checks them.
+
+    mode "exhaustive" walks the product of the domains in
+    ``itertools.product`` order; partition=(index, count) keeps the
+    tuples whose position is index mod count.  mode "sample" makes
+    sample_n draws from random.Random(seed), each in a, b, x, eps order.
+    """
+    if mode == "exhaustive":
+        for idx, tup in enumerate(itertools.product(*domains)):
+            if partition is None or idx % partition[1] == partition[0]:
+                yield tup
+    elif mode == "sample":
+        rng = random.Random(seed)
+        for _ in range(sample_n):
+            yield tuple(dom[rng.randrange(len(dom))] for dom in domains)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _check_tuple(report, lemma, spec, i, j, k_level, a, b, x, eps, target,
@@ -110,65 +127,36 @@ def verify_cell_lemma(lemma, spec, i, j, k_level=0, mode="exhaustive",
     stream.  partition=(index, count) restricts an exhaustive run to a
     deterministic slice so runs can be merged afterwards.
     """
-    sw = Stopwatch()
     params = {"lemma": lemma, "field": str(spec), "i": i, "j": j,
               "k": k_level, "mode": mode}
     if mutation:
         params["mutation"] = mutation
     report = VerificationReport(task=f"cells:{lemma}:{spec}:{i},{j},k{k_level}",
                                 params=params, seed=seed)
-    a_dom, b_dom, x_dom, eps_dom = tuple_space(lemma, spec, i, j, k_level)
-    total = len(a_dom) * len(b_dom) * len(x_dom) * len(eps_dom)
-    report.cases_total = total
+    domains = tuple_space(lemma, spec, i, j, k_level)
+    report.cases_total = total = math.prod(map(len, domains))
     target = None
     if k_level > 0:
-        target = lw.congruence_target(lemma, spec, i, j, k_level)
-        if mutation == "drop-eps1" and lemma == lw.NONSPHER1M1:
-            # target must come from the same mutated formula, otherwise the
-            # congruence check would trivially flag the zero tuple
-            ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
-            wit0 = lw.build_witness(lemma, spec, i, j, k_level, ring.zero,
-                                    ring.zero, ring.zero, 0, mutation=mutation)
-            target = wit0.k1.reduce(k_level)
+        target = lw.congruence_target(lemma, spec, i, j, k_level, mutation)
+    if mode == "exhaustive" and total > min(budget, HARD_BUDGET):
+        raise BudgetExceededError(
+            f"{total} tuples exceed the enumeration budget; use sample mode")
     observed_cells = set()
-    if mode == "exhaustive":
-        if total > min(budget, HARD_BUDGET):
-            raise BudgetExceededError(
-                f"{total} tuples exceed the enumeration budget; use sample mode")
-        idx = 0
-        for a in a_dom:
-            for b in b_dom:
-                for x in x_dom:
-                    for eps in eps_dom:
-                        if partition is None or idx % partition[1] == partition[0]:
-                            _check_tuple(report, lemma, spec, i, j, k_level,
-                                         a, b, x, eps, target, mutation,
-                                         observed_cells)
-                            report.cases_run += 1
-                        idx += 1
-    elif mode == "sample":
-        rng = random.Random(seed)
-        for _ in range(sample_n):
-            a = a_dom[rng.randrange(len(a_dom))]
-            b = b_dom[rng.randrange(len(b_dom))]
-            x = x_dom[rng.randrange(len(x_dom))]
-            eps = eps_dom[rng.randrange(len(eps_dom))]
-            _check_tuple(report, lemma, spec, i, j, k_level, a, b, x, eps,
-                         target, mutation, observed_cells)
-            report.cases_run += 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    for a, b, x, eps in _tuples(domains, mode, sample_n, seed, partition):
+        _check_tuple(report, lemma, spec, i, j, k_level, a, b, x, eps,
+                     target, mutation, observed_cells)
+        report.cases_run += 1
     if observed_cells:
         report.margins["unpinned_eps_cells"] = sorted(
             f"eps={e}->({c[0]},{c[1]})" for e, c in observed_cells)
-    report.elapsed_ms = sw.ms()
-    return report
+    return report.done()
 
 
-def _identity_tuple_checks(report, lemma, spec, i, j, a, b, x, eps, mutation):
+def _identity_tuple_checks(report, lemma, spec, i, j, k_level, a, b, x, eps,
+                           mutation):
     ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
-    wit = lw.build_witness(lemma, spec, i, j, 0 if lemma in (lw.SPHER01, lw.SPHER1M1, lw.CHAR2_02) else 1,
-                           a, b, x, eps, mutation=mutation)
+    wit = lw.build_witness(lemma, spec, i, j, k_level, a, b, x, eps,
+                           mutation=mutation)
     prod = wit.product
     failures = []
     if not prod == wit.merged_reference:
@@ -241,7 +229,6 @@ def _identity_tuple_checks(report, lemma, spec, i, j, a, b, x, eps, mutation):
 def verify_witness_identities(lemma, spec, i, j, sample_n=1000, seed=0,
                               mutation=None):
     """Exact checks of the displayed identities inside one lemma's proof."""
-    sw = Stopwatch()
     params = {"lemma": lemma, "field": str(spec), "i": i, "j": j,
               "n": sample_n}
     if mutation:
@@ -249,23 +236,16 @@ def verify_witness_identities(lemma, spec, i, j, sample_n=1000, seed=0,
     report = VerificationReport(task=f"identities:{lemma}:{spec}:{i},{j}",
                                 params=params, seed=seed)
     k_level = 0 if lemma in (lw.SPHER01, lw.SPHER1M1, lw.CHAR2_02) else 1
-    a_dom, b_dom, x_dom, eps_dom = tuple_space(lemma, spec, i, j, k_level)
-    total = len(a_dom) * len(b_dom) * len(x_dom) * len(eps_dom)
-    report.cases_total = total
-    rng = random.Random(seed)
-    for _ in range(sample_n):
-        a = a_dom[rng.randrange(len(a_dom))]
-        b = b_dom[rng.randrange(len(b_dom))]
-        x = x_dom[rng.randrange(len(x_dom))]
-        eps = eps_dom[rng.randrange(len(eps_dom))]
+    domains = tuple_space(lemma, spec, i, j, k_level)
+    report.cases_total = math.prod(map(len, domains))
+    for a, b, x, eps in _tuples(domains, "sample", sample_n, seed):
         try:
-            _identity_tuple_checks(report, lemma, spec, i, j, a, b, x, eps,
-                                   mutation)
+            _identity_tuple_checks(report, lemma, spec, i, j, k_level, a, b, x,
+                                   eps, mutation)
         except (SymplecticError, lw.LemmaPreconditionError) as exc:
             ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
             report.record_violation({"check": "build", "detail": str(exc),
                                      "a": ring.to_str(a), "b": ring.to_str(b),
                                      "x": ring.to_str(x), "eps": eps})
         report.cases_run += 1
-    report.elapsed_ms = sw.ms()
-    return report
+    return report.done()

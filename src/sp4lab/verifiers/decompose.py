@@ -47,10 +47,15 @@ class FactorList:
     weyl_pattern: tuple = None
 
     def product(self, field):
-        acc = identity(field)
-        for _, g in self.factors:
-            acc = acc * g
-        return acc
+        return _word_product(field, self.factors)
+
+
+def _word_product(field, word):
+    """Exact product of the elements of a [(tag, GroupElement)] word."""
+    acc = identity(field)
+    for _, g in word:
+        acc = acc * g
+    return acc
 
 
 def _merge_factors(field, factors):
@@ -140,10 +145,7 @@ def expand_lower(g):
     word += _mu41_word(field, a * c + d)
     if not (e == field.one() and f == field.one()):
         word.append((K1, torus(field, e, f)))
-    acc = identity(field)
-    for _, x in word:
-        acc = acc * x
-    if not acc == g:
+    if not _word_product(field, word) == g:
         raise DecompositionError("mu-expansion failed to reproduce the B element")
     return word
 
@@ -430,9 +432,6 @@ def _finish(g, factors, route, pat):
     for tag, x in merged:
         if not subgroup_membership(x, tag):
             raise DecompositionError(f"factor failed {tag} membership check")
-    acc = identity(field)
-    for _, x in merged:
-        acc = acc * x
-    if not acc == g:
+    if not _word_product(field, merged) == g:
         raise DecompositionError("factor product does not reconstruct the input")
     return FactorList(merged, block_count_of(merged), route, pat)

@@ -15,7 +15,7 @@ import random
 
 from sp4lab.exactfield import EQUAL
 from sp4lab.sp4 import cartan_invariants
-from sp4lab.verifiers.reports import Stopwatch, VerificationReport
+from sp4lab.verifiers.reports import VerificationReport
 from sp4lab.verifiers.sampling import (
     enumerate_symplectic_residue,
     lift_symplectic,
@@ -58,45 +58,36 @@ def parity_volumes(g, depth, mode="exhaustive", sample_n=10000, seed=0):
         raise ValueError("parity volumes are a characteristic-2 quantity")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    sw = Stopwatch()
     (i, _j), _, _ = cartan_invariants(g)
     report = VerificationReport(
         task=f"parity:{spec}:depth{depth}:{mode}",
         params={"field": str(spec), "depth": depth, "mode": mode,
                 "cell_i": i},
         seed=seed)
-    even = odd = undecided = 0
     if mode == "exhaustive":
-        total = symplectic_group_order(spec.q, depth)
-        if total > EXHAUSTIVE_LIMIT:
-            raise ValueError(f"{total} classes exceed the exhaustive limit; sample instead")
-        for reps in enumerate_symplectic_residue(spec, depth):
-            k_elem = lift_symplectic(spec, depth, reps)
-            decided, parity = _classify(g, k_elem, depth, i)
-            if not decided:
-                undecided += 1
-            elif parity == 0:
-                even += 1
-            else:
-                odd += 1
-        n = total
+        n = symplectic_group_order(spec.q, depth)
+        if n > EXHAUSTIVE_LIMIT:
+            raise ValueError(f"{n} classes exceed the exhaustive limit; sample instead")
+        classes = enumerate_symplectic_residue(spec, depth)
+    else:
+        n = sample_n
+        rng = random.Random(seed)
+        classes = (sample_symplectic_residue(spec, depth, rng) for _ in range(n))
+    even = odd = undecided = 0
+    for reps in classes:
+        decided, parity = _classify(g, lift_symplectic(spec, depth, reps), depth, i)
+        if not decided:
+            undecided += 1
+        elif parity == 0:
+            even += 1
+        else:
+            odd += 1
+    if mode == "exhaustive":
         alpha = (Fraction(even, n), Fraction(n - odd, n))
         beta = (Fraction(odd, n), Fraction(n - even, n))
         report.margins["alpha_interval"] = [str(alpha[0]), str(alpha[1])]
         report.margins["beta_interval"] = [str(beta[0]), str(beta[1])]
     else:
-        rng = random.Random(seed)
-        for _ in range(sample_n):
-            reps = sample_symplectic_residue(spec, depth, rng)
-            k_elem = lift_symplectic(spec, depth, reps)
-            decided, parity = _classify(g, k_elem, depth, i)
-            if not decided:
-                undecided += 1
-            elif parity == 0:
-                even += 1
-            else:
-                odd += 1
-        n = sample_n
         radius = 1.96 * math.sqrt(0.25 / n)
         alpha = (even / n, 1 - odd / n)
         beta = (odd / n, 1 - even / n)
@@ -108,10 +99,11 @@ def parity_volumes(g, depth, mode="exhaustive", sample_n=10000, seed=0):
     report.margins["decided_even"] = even
     report.margins["decided_odd"] = odd
     report.margins["undecided"] = undecided
+    # every class walked is counted once: in exhaustive mode this checks
+    # the enumeration against the group-order formula
     if even + odd + undecided != n:
         report.record_violation({"check": "mass-conservation"})
-    report.elapsed_ms = sw.ms()
-    return report
+    return report.done()
 
 
 def parity_depth_profile(g, max_depth, sample_n=2000, seed=0):

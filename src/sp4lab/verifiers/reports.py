@@ -32,6 +32,12 @@ class VerificationReport:
     margins: dict = field(default_factory=dict)
     elapsed_ms: float = 0.0
     seed: object = None
+    opened: float = field(default_factory=time.perf_counter, compare=False, repr=False)
+
+    def done(self):
+        """Stamp ``elapsed_ms`` with the time since the report was opened; returns the report."""
+        self.elapsed_ms = round((time.perf_counter() - self.opened) * 1000.0, 3)
+        return self
 
     def record_violation(self, info):
         self.status = VIOLATED
@@ -78,11 +84,3 @@ def merge_reports(a, b):
     out.elapsed_ms = a.elapsed_ms + b.elapsed_ms
     out.seed = a.seed if a.seed is not None else b.seed
     return out
-
-
-class Stopwatch:
-    def __init__(self):
-        self.start = time.perf_counter()
-
-    def ms(self):
-        return round((time.perf_counter() - self.start) * 1000.0, 3)

@@ -17,7 +17,7 @@ on K at finite depth.
 import itertools
 
 from sp4lab.exactfield import residue_ring
-from sp4lab.sp4 import GroupElement
+from sp4lab.sp4 import GroupElement, pairing
 
 
 def _pair_ring(ring, u, v):
@@ -25,10 +25,6 @@ def _pair_ring(ring, u, v):
     a = ring.add(ring.mul(u[0], v[3]), ring.mul(u[1], v[2]))
     b = ring.add(ring.mul(u[2], v[1]), ring.mul(u[3], v[0]))
     return ring.sub(a, b)
-
-
-def _pair_exact(u, v):
-    return u[0] * v[3] + u[1] * v[2] - u[2] * v[1] - u[3] * v[0]
 
 
 def _form_covector(ring, c):
@@ -77,10 +73,6 @@ def _columns_to_rows(cols):
     return tuple(tuple(cols[c][r] for c in range(4)) for r in range(4))
 
 
-def _assemble(ring, c1, c2, c3, c4):
-    return _columns_to_rows((c1, c2, c3, c4))
-
-
 def _complete_columns(ring, c1, c4_free, uv, r_free):
     w1 = _form_covector(ring, c1)
     c4 = _solve_pairing_one(ring, w1, c4_free)
@@ -97,7 +89,7 @@ def _complete_columns(ring, c1, c4_free, uv, r_free):
         t = r_free
         s = ring.mul(ring.inv(v), ring.sub(ring.mul(u, r_free), beta_inv))
     c3 = tuple(ring.add(ring.mul(s, k_s[k]), ring.mul(t, k_t[k])) for k in range(4))
-    return _assemble(ring, c1, c2, c3, c4)
+    return _columns_to_rows((c1, c2, c3, c4))
 
 
 def sample_symplectic_residue(spec, n, rng):
@@ -143,17 +135,17 @@ def lift_symplectic(spec, n, reps):
     ring = residue_ring(spec, n)
     cols = [[ring.section(reps[r][c]) for r in range(4)] for c in range(4)]
     c1, c2, c3, c4 = cols
-    u = _pair_exact(c1, c4)
+    u = pairing(c1, c4)
     if not u.is_unit():
         raise ValueError("input is not symplectic at the given depth")
     c4 = [x / u for x in c4]
-    mu = -_pair_exact(c1, c2)
-    lam = _pair_exact(c4, c2)
+    mu = -pairing(c1, c2)
+    lam = pairing(c4, c2)
     c2 = [c2[k] + lam * c1[k] + mu * c4[k] for k in range(4)]
-    mu2 = -_pair_exact(c1, c3)
-    lam2 = _pair_exact(c4, c3)
+    mu2 = -pairing(c1, c3)
+    lam2 = pairing(c4, c3)
     c3 = [c3[k] + lam2 * c1[k] + mu2 * c4[k] for k in range(4)]
-    u2 = _pair_exact(c2, c3)
+    u2 = pairing(c2, c3)
     if not u2.is_unit():
         raise ValueError("input is not symplectic at the given depth")
     c3 = [x / u2 for x in c3]

@@ -49,6 +49,16 @@ class Regime:
         if self.k < 0:
             raise ValueError("congruence level must be >= 0")
 
+    @classmethod
+    def named(cls, name, v0, k):
+        """The regime a suite or CLI names: "char2", or "char-ne2" with
+        2-valuation v0 (v0 plays no role in characteristic 2)."""
+        if name == "char2":
+            return cls(CHAR_2, k=k)
+        if name == "char-ne2":
+            return cls(CHAR_NE2, v0=v0, k=k)
+        raise ValueError(f"unknown regime name {name!r}")
+
     def up_delta(self):
         return UP2 if self.kind == CHAR_2 else UP1
 
@@ -298,27 +308,29 @@ TAIL_CHAR2 = (((RIGHT, False), (RIGHT, False), (UP2, False), (RIGHT, False),
                (RIGHT, False), (UP2, False), (RIGHT, False)))
 
 
-def _tail_target(regime, diag):
-    j = diag[1]
-    if regime.kind == CHAR_2:
-        return (2 * j + 4, j + 2)
-    return (2 * j + 2, j + 1)
+def _tail_route(regime, diag):
+    """(steps, bfs_used) of the composite diagonal step from diag, or None.
 
-
-def _append_tail(b):
-    regime = b.regime
-    diag = b.cur
+    The reference templates are tried first, then a bounded search for
+    the cell one composite step up the diagonal.
+    """
     templates = TAIL_CHAR2 if regime.kind == CHAR_2 else TAIL_NE2
     for steps in templates:
         if all(_steps_legal(regime, diag, steps)):
-            b.push_many(steps)
-            return len(steps), False
-    target = _tail_target(regime, diag)
+            return steps, False
+    j = diag[1]
+    target = (2 * j + 4, j + 2) if regime.kind == CHAR_2 else (2 * j + 2, j + 1)
     route = _bfs_route(regime, diag, lambda c: c == target, target[0] + 4)
-    if route is None:
-        raise PlannerError(diag, "diagonal step blocked (cell too close to the walls)")
-    b.push_many(route)
-    return len(route), True
+    return None if route is None else (route, True)
+
+
+def _append_tail(b):
+    tail = _tail_route(b.regime, b.cur)
+    if tail is None:
+        raise PlannerError(b.cur, "diagonal step blocked (cell too close to the walls)")
+    steps, bfs_used = tail
+    b.push_many(steps)
+    return len(steps), bfs_used
 
 
 def plan_path(start, regime):
@@ -371,12 +383,7 @@ def plan_path(start, regime):
 
 
 def _tail_exists(regime, diag):
-    templates = TAIL_CHAR2 if regime.kind == CHAR_2 else TAIL_NE2
-    for steps in templates:
-        if all(_steps_legal(regime, diag, steps)):
-            return True
-    target = _tail_target(regime, diag)
-    return _bfs_route(regime, diag, lambda c: c == target, target[0] + 4) is not None
+    return _tail_route(regime, diag) is not None
 
 
 def validate_path(path):

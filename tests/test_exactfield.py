@@ -253,6 +253,15 @@ def test_padic_hash_is_the_hash_of_its_value(fields):
                 assert hash(x) == hash(int(fr))
 
 
+def test_padic_equality_is_transitive_across_fields(fields):
+    a, b = fields["Q3"].integer(5), fields["Q5"].integer(5)
+    assert a == 5 and 5 == b and a == b
+    assert len({a, b, 5}) == len({5, a, b}) == 1
+    assert fields["Q3"].rational(7, 3) == fields["Q2"].rational(7, 3) != a
+    with pytest.raises(TypeError, match="different fields"):
+        a + b
+
+
 def test_laurent_never_equals_an_int(fields):
     f2 = fields["F2((t))"]
     one = f2.one()

@@ -276,3 +276,16 @@ def test_each_pairing_violation_is_named(fields, name):
         for rows in (base, sp4.mat_mul(g.rows, base)):
             assert [d[:2] for d in _defects(spec, rows)] == [(a, b), (b, a)]
             assert _assert_certified_like_oracle(spec, rows)
+
+
+@pytest.mark.parametrize("name", ["Q2", "Q3", "F2((t))", "F4((t))"])
+def test_inverse_is_minus_j_transpose_j(fields, name):
+    spec = fields[name]
+    rnd = random.Random(0x1F + len(name))
+    j = sp4.j_rows(spec)
+    one = sp4.identity(spec)
+    for _ in range(15):
+        g = _random_product(spec, rnd)
+        oracle = sp4.mat_mul(j, sp4.mat_mul(tuple(zip(*g.rows)), j))
+        assert g.inverse().rows == tuple(tuple(-e for e in row) for row in oracle)
+        assert g * g.inverse() == one

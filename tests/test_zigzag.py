@@ -12,6 +12,14 @@ R1 = zz.Regime(zz.CHAR_NE2, v0=1)
 RC2 = zz.Regime(zz.CHAR_2)
 
 
+def test_regime_named():
+    assert zz.Regime.named("char-ne2", 1, 0) == R1
+    assert zz.Regime.named("char2", 1, 0) == RC2  # v0 plays no role in char 2
+    assert zz.Regime.named("char-ne2", 0, 2) == zz.Regime(zz.CHAR_NE2, k=2)
+    with pytest.raises(ValueError, match="unknown regime"):
+        zz.Regime.named("char-2", 0, 0)
+
+
 def test_reference_route_9_2():
     path = zz.plan_path((9, 2), R0)
     assert path.cells[:6] == [(9, 2), (9, 3), (9, 4), (10, 3), (10, 4), (10, 5)]
