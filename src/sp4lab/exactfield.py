@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from sp4lab.gfq import (
+    ONE_POLY,
     gf,
     is_prime,
     poly_add,
@@ -378,6 +379,12 @@ class LaurentElem(_FieldElem):
     den to constant term 1, so every element is kept in lowest terms.
     ``normalize=False`` skips that work for callers whose inputs already
     meet the invariant.
+
+    Polynomial elements (den == (1,)) take a fast path: a sum skips the
+    cross products with the denominators, and a product of two is built
+    without normalising, since the product of two numerators with nonzero
+    constant terms has a nonzero constant term over den (1,), which is
+    already in lowest terms.  In characteristic 2, -x is x.
     """
 
     __slots__ = ()
@@ -424,20 +431,23 @@ class LaurentElem(_FieldElem):
             return self
         k = self.spec.residue_gf
         v = min(self.v, other.v)
-        a = poly_mul(k, self.num, other.den)
+        polynomial = self.den == ONE_POLY == other.den
+        a = self.num if polynomial else poly_mul(k, self.num, other.den)
         if self.v > v:
             a = (0,) * (self.v - v) + a
-        b = poly_mul(k, other.num, self.den)
+        b = other.num if polynomial else poly_mul(k, other.num, self.den)
         if other.v > v:
             b = (0,) * (other.v - v) + b
         num = poly_add(k, a, b)
-        den = poly_mul(k, self.den, other.den)
+        den = ONE_POLY if polynomial else poly_mul(k, self.den, other.den)
         return LaurentElem(self.spec, v, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
         k = self.spec.residue_gf
+        if k.p == 2:
+            return self
         return LaurentElem(self.spec, self.v, poly_neg(k, self.num), self.den,
                            normalize=False)
 
@@ -446,6 +456,12 @@ class LaurentElem(_FieldElem):
         if not self.num or not other.num:
             return self.spec.zero()
         k = self.spec.residue_gf
+        if self.den == ONE_POLY == other.den:
+            # both constant terms are nonzero, so the product's is too, and
+            # num/1 with num[0] != 0 is already in lowest terms
+            return LaurentElem(self.spec, self.v + other.v,
+                               poly_mul(k, self.num, other.num), ONE_POLY,
+                               normalize=False)
         return LaurentElem(self.spec, self.v + other.v,
                            poly_mul(k, self.num, other.num),
                            poly_mul(k, self.den, other.den))

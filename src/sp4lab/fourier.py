@@ -251,7 +251,7 @@ def _index_map(elems):
     return {e: k for k, e in enumerate(elems)}
 
 
-def line_operator(spec, n, chi_row, table):
+def line_operator(spec, n, chi_row):
     """Matrix of xi -> E_{x, eps} chi(eps) xi_{x, a x + b + pi^(n-1) eps},
     acting (a,b)-indexed <- (x,y)-indexed."""
     ring = residue_ring(spec, n)
@@ -335,7 +335,7 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
     if k == 0:
         table1 = characters_pairing(spec, 1)
         chi_row = table1.matrix[table1.nontrivial_index()]
-        mat = line_operator(spec, n, chi_row, table1)
+        mat = line_operator(spec, n, chi_row)
         size = residue_ring(spec, n).size
         scale = size * size  # both sides are means over size^2 index pairs
     else:

@@ -5,7 +5,12 @@ Field elements are encoded as integers in ``range(q)``: the code
 coordinates ``(c0, .., c_{f-1})`` with respect to a fixed irreducible
 modulus.  For prime q the code is just the residue itself.  Polynomials
 over F_q are tuples of codes, little-endian, with no trailing zeros
-(``()`` is the zero polynomial).
+(``()`` is the zero polynomial); every function here takes and returns
+that shape.  The kernels read whole rows of the multiplication table
+and add by XOR in characteristic 2; ``poly_mul`` by a constant is one
+table row.  For q = 2 alone, ``poly_gcd`` packs its operands into ints
+and runs Euclid by shift-and-XOR, so its steps make no ``poly_divmod``
+calls.
 
 Only the handful of small fields the verifiers need are supported; the
 modulus table below pins one irreducible per (p, f) so that arithmetic
@@ -205,13 +210,31 @@ def poly_sub(k, a, b):
 def poly_mul(k, a, b):
     if not a or not b:
         return ZERO_POLY
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        # a constant factor maps a through one row of the table
+        c = b[0]
+        if c == 1:
+            return a
+        row = k._mul[c]
+        return tuple([row[x] for x in a])
     out = [0] * (len(a) + len(b) - 1)
-    mul, add = k.mul, k.add
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = add(out[i + j], mul(x, y))
+    table = k._mul
+    if k.p == 2:
+        for i, x in enumerate(a):
+            if x:
+                row = table[x]
+                for j, y in enumerate(b):
+                    out[i + j] ^= row[y]
+    else:
+        add = k.add
+        for i, x in enumerate(a):
+            if x:
+                row = table[x]
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = add(out[i + j], row[y])
     return tuple(out)
 
 
@@ -225,26 +248,67 @@ def poly_divmod(k, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
+    table = k._mul
     inv_lead = k.inv(b[-1])
     db = len(b) - 1
     quot = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = k.mul(a[-1], inv_lead)
+    char2 = k.p == 2
+    while len(a) > db:
+        c = table[a[-1]][inv_lead]
         pos = len(a) - 1 - db
         quot[pos] = c
-        for i in range(db + 1):
-            a[pos + i] = k.sub(a[pos + i], k.mul(c, b[i]))
+        row = table[c]
+        if char2:
+            for i, y in enumerate(b):
+                a[pos + i] ^= row[y]
+        else:
+            for i, y in enumerate(b):
+                a[pos + i] = k.sub(a[pos + i], row[y])
         while a and a[-1] == 0:
             a.pop()
     return poly_trim(quot), poly_trim(a)
 
 
 def poly_gcd(k, a, b):
+    """Monic gcd of a and b; the zero polynomial only when both are zero."""
+    if k.q == 2:
+        return _unpack2(_gcd2(_pack2(a), _pack2(b)))
     while b:
         _, a = poly_divmod(k, a, b)
         a, b = b, a
     if a:
         a = poly_scale(k, a, k.inv(a[-1]))  # monic
+    return a
+
+
+# F2[t] packed into ints (bit i is the coefficient of t^i), used only
+# inside poly_gcd: Euclid by shift-and-XOR (Brent, Gaudry, Thome and
+# Zimmermann, "Faster multiplication in GF(2)[x]", ANTS 2008).
+
+_UNPACK2 = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack2(a):
+    n = 0
+    for c in reversed(a):
+        n = (n << 1) | c
+    return n
+
+
+def _unpack2(n):
+    if n <= 1:
+        return ONE_POLY if n else ZERO_POLY
+    return tuple(bin(n)[:1:-1].encode().translate(_UNPACK2))  # digits, low first
+
+
+def _gcd2(a, b):
+    while b:
+        db = b.bit_length()
+        da = a.bit_length()
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b = b, a
     return a
 
 

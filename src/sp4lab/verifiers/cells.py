@@ -84,7 +84,7 @@ def _check_tuple(report, lemma, spec, i, j, k_level, a, b, x, eps, target,
                 desc = {"check": "cell", "observed": list(cell),
                         "expected": list(wit.expected_cell)}
         if desc is None and wit.k1 is not None:
-            desc = _check_compensator(wit, k_level, target, mutation)
+            desc = _check_compensator(wit, k_level, target)
     except SymplecticError as exc:
         desc = {"check": "symplectic-certification", "detail": str(exc)}
     except lw.LemmaPreconditionError as exc:
@@ -96,7 +96,7 @@ def _check_tuple(report, lemma, spec, i, j, k_level, a, b, x, eps, target,
         report.record_violation(desc)
 
 
-def _check_compensator(wit, k_level, target, mutation):
+def _check_compensator(wit, k_level, target):
     spec = wit.field
     k1 = wit.k1
     if not (k1.is_integral() and is_symplectic(spec, k1.rows)):

@@ -13,7 +13,9 @@ the antidiagonal Weyl element, which is itself a w21/w32 word.  Both
 routes reconstruct g exactly and stay within 30 alternating blocks.
 """
 
+import functools
 import itertools
+import types
 from dataclasses import dataclass
 
 from sp4lab.exactfield import residue_ring
@@ -164,12 +166,17 @@ def _pattern(rows):
     return tuple(pat)
 
 
+@functools.lru_cache(maxsize=None)
 def weyl_reps(field):
-    """pattern -> (element, word) for the eight Weyl permutations."""
+    """pattern -> (element, word) for the eight Weyl permutations.
+
+    Built once per field; the mapping is read-only and the words are
+    tuples, so callers share it.
+    """
     gens = ((K1, weyl_w21(field)), (K2, weyl_w32(field)))
     reps = {}
-    frontier = [(identity(field), [])]
-    reps[(0, 1, 2, 3)] = (identity(field), [])
+    frontier = [(identity(field), ())]
+    reps[(0, 1, 2, 3)] = (identity(field), ())
     for _ in range(4):
         nxt = []
         for g, word in frontier:
@@ -177,11 +184,11 @@ def weyl_reps(field):
                 g2 = g * h
                 pat = _pattern(g2.rows)
                 if pat not in reps:
-                    reps[pat] = (g2, word + [(tag, h)])
-                    nxt.append((g2, word + [(tag, h)]))
+                    reps[pat] = (g2, word + ((tag, h),))
+                    nxt.append(reps[pat])
         frontier = nxt
     assert len(reps) == 8, "Weyl representative search must find 8 patterns"
-    return reps
+    return types.MappingProxyType(reps)
 
 
 def j_word(field):

@@ -69,10 +69,12 @@ def parity_volumes(g, depth, mode="exhaustive", sample_n=10000, seed=0):
         if n > EXHAUSTIVE_LIMIT:
             raise ValueError(f"{n} classes exceed the exhaustive limit; sample instead")
         classes = enumerate_symplectic_residue(spec, depth)
-    else:
+    elif mode == "sample":
         n = sample_n
         rng = random.Random(seed)
         classes = (sample_symplectic_residue(spec, depth, rng) for _ in range(n))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     even = odd = undecided = 0
     for reps in classes:
         decided, parity = _classify(g, lift_symplectic(spec, depth, reps), depth, i)

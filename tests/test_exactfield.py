@@ -22,8 +22,9 @@ from sp4lab.exactfield import (
     residue_ring,
     two_valuation,
 )
-from sp4lab.gfq import gf, poly_gcd, poly_mul, poly_trim
+from sp4lab.gfq import gf, poly_mul, poly_trim
 from conftest import FIELD_NAMES, random_element
+from test_gfq import oracle_add, oracle_gcd, oracle_mul
 
 INF = math.inf
 
@@ -195,7 +196,7 @@ def _assert_lowest_terms(x):
         return
     assert x.num[0] != 0 and x.num[-1] != 0
     assert x.den[0] == 1 and x.den[-1] != 0
-    assert poly_gcd(x.spec.residue_gf, x.num, x.den) == (1,)
+    assert oracle_gcd(x.spec.residue_gf, x.num, x.den) == (1,)
 
 
 @st.composite
@@ -229,7 +230,52 @@ def test_laurent_lowest_terms_hypothesis(triple):
             if a == b:
                 assert hash(a) == hash(b)
     assert (x + y) - y == x
+    if not y.is_zero():
+        assert (x * y) / y == x
     assert parse_element(spec, x.to_str()) == x
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomial elements (den == (1,)) of one F_q((t))."""
+    spec = parse_field(draw(st.sampled_from(["F2((t))", "F3((t))", "F4((t))"])))
+    k = spec.residue_gf
+    poly = st.lists(st.integers(0, k.q - 1), max_size=12).map(poly_trim)
+
+    def element():
+        num = draw(poly)
+        if not num:
+            return spec.zero()
+        return LaurentElem(spec, draw(st.integers(-3, 3)), num, (1,))
+
+    return spec, element(), element()
+
+
+def _fields(x):
+    return x.v, x.num, x.den
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_pairs())
+def test_polynomial_fast_path_matches_normalised(pair):
+    spec, x, y = pair
+    k = spec.residue_gf
+
+    def shifted(z, v):
+        return (0,) * (z.v - v) + z.num
+
+    def normalised(v, num):
+        return LaurentElem(spec, v, num, (1,)) if num else spec.zero()
+
+    assert _fields(-x) == _fields(normalised(x.v, tuple(k.neg(c) for c in x.num)))
+    if x.is_zero() or y.is_zero():
+        return
+    assert _fields(x * y) == _fields(normalised(x.v + y.v, oracle_mul(k, x.num, y.num)))
+    v = min(x.v, y.v)
+    neg_y = tuple(k.neg(c) for c in shifted(y, v))
+    assert _fields(x + y) == _fields(normalised(v, oracle_add(k, shifted(x, v),
+                                                              shifted(y, v))))
+    assert _fields(x - y) == _fields(normalised(v, oracle_add(k, shifted(x, v), neg_y)))
 
 
 # ---------------------------------------------------------------------------

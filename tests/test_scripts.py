@@ -1,0 +1,35 @@
+"""Every script under scripts/ runs to exit 0 at its smallest size."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+SMALLEST_ARGS = {
+    "fourier_norm_sweep.py": ["--fields", "Q2", "--h-values", "1",
+                              "--exponents", "2.0", "--dim", "1"],
+    "parity_depth_scan.py": ["--max-depth", "2", "--samples", "5"],
+    "run_suite.py": ["--profile", "quick", "--tasks", "c2:Q3", "--threads", "1"],
+    "zigzag_ledger_sweep.py": ["--grid", "20", "--h-values", "1",
+                               "--alphas", "3/10", "--beta-fractions", "0"],
+}
+
+
+def test_every_script_has_a_smoke_run():
+    assert sorted(p.name for p in SCRIPTS.glob("*.py")) == sorted(SMALLEST_ARGS)
+
+
+@pytest.mark.parametrize("script", sorted(SMALLEST_ARGS))
+def test_script_runs(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script)] + SMALLEST_ARGS[script],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

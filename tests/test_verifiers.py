@@ -28,6 +28,7 @@ from sp4lab.verifiers import (
     verify_cell_lemma,
     verify_witness_identities,
     wedge_valuation,
+    weyl_reps,
 )
 
 
@@ -154,6 +155,26 @@ def test_decompose_sweep_sp4_f2(fields):
         assert fl.block_count <= 30
         count += 1
     assert count == 720
+
+
+def test_weyl_reps_cached_per_field(fields):
+    names = ("F2((t))", "F4((t))", "Q3")
+    first = {name: weyl_reps(fields[name]) for name in names}
+    for name in names + names[::-1]:
+        spec = fields[name]
+        reps = weyl_reps(spec)
+        assert reps is first[name]
+        assert len(reps) == 8
+        for pat, (elem, word) in reps.items():
+            assert isinstance(word, tuple)
+            assert elem.field == spec
+            acc = sp4.identity(spec)
+            for _, h in word:
+                assert h.field == spec
+                acc = acc * h
+            assert acc == elem
+            assert [[not e.is_zero() for e in row] for row in elem.rows] == \
+                [[c == pat[r] for c in range(4)] for r in range(4)]
 
 
 def test_decompose_random_corpus(fields, rng):
@@ -284,6 +305,12 @@ def test_parity_identity_depth1_exact(fields):
 def test_parity_rejects_wrong_characteristic(fields):
     with pytest.raises(ValueError):
         parity_volumes(sp4.identity(fields["Q3"]), 1)
+
+
+def test_parity_rejects_unknown_mode(fields):
+    with pytest.raises(ValueError, match="unknown mode 'exhaustve'"):
+        parity_volumes(sp4.identity(fields["F2((t))"]), 1, mode="exhaustve",
+                       sample_n=5)
 
 
 def test_parity_depth_monotone(fields):
