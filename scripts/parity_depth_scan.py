@@ -4,8 +4,10 @@
 For a family of diagonal elements over F2((t)), samples Haar-uniform
 classes at the deepest level and reports, per depth, how much mass is
 decided even/odd and how wide the resulting alpha/beta intervals are.
-Refinement must never undecide a class, so the decided column is
-monotone down each row block.
+Each class is classified once, at the deepest level, in the residue
+ring by the same classifier ``parity_depth_profile`` uses; it is decided
+at every depth above its capped wedge valuation.  Refinement must never
+undecide a class, so the decided column is monotone down each row block.
 """
 
 import argparse
@@ -13,8 +15,8 @@ import random
 
 from sp4lab.exactfield import parse_field
 from sp4lab.sp4 import cartan_invariants, d_matrix
-from sp4lab.verifiers.parity import wedge_valuation
-from sp4lab.verifiers.sampling import lift_symplectic, sample_symplectic_residue
+from sp4lab.verifiers.parity import residue_wedge
+from sp4lab.verifiers.sampling import sample_symplectic_residue
 
 
 def scan(field_name, cells, max_depth, samples, seed):
@@ -23,16 +25,13 @@ def scan(field_name, cells, max_depth, samples, seed):
     for (i, j) in cells:
         g = d_matrix(spec, i, j)
         (ci, cj), _, _ = cartan_invariants(g)
-        vals = []
-        for _ in range(samples):
-            reps = sample_symplectic_residue(spec, max_depth, rng)
-            k_elem = lift_symplectic(spec, max_depth, reps)
-            vals.append(wedge_valuation((g * k_elem).rows))
+        wedge = residue_wedge(g, ci, max_depth)
+        vals = [wedge(sample_symplectic_residue(spec, max_depth, rng))
+                for _ in range(samples)]
         print(f"g = D({i},{j})  cell ({ci},{cj})")
         for depth in range(1, max_depth + 1):
-            threshold = depth - 2 * ci
-            even = sum(1 for v in vals if v < threshold and v % 2 == 0)
-            odd = sum(1 for v in vals if v < threshold and v % 2 == 1)
+            even = sum(1 for v in vals if v < depth and v % 2 == 0)
+            odd = sum(1 for v in vals if v < depth and v % 2 == 1)
             und = samples - even - odd
             print(f"  depth {depth}: decided {(even + odd) / samples:6.3f}"
                   f"  alpha in [{even / samples:.3f}, {1 - odd / samples:.3f}]"

@@ -254,8 +254,9 @@ def poly_divmod(k, a, b):
     quot = [0] * max(0, len(a) - db)
     char2 = k.p == 2
     while len(a) > db:
-        c = table[a[-1]][inv_lead]
-        pos = len(a) - 1 - db
+        top = len(a) - 1
+        c = table[a[top]][inv_lead]
+        pos = top - db
         quot[pos] = c
         row = table[c]
         if char2:
@@ -264,6 +265,10 @@ def poly_divmod(k, a, b):
         else:
             for i, y in enumerate(b):
                 a[pos + i] = k.sub(a[pos + i], row[y])
+        if a[top]:
+            # a faulty table or sub would otherwise repeat this step forever
+            raise AssertionError(f"poly_divmod: the step at degree {top} left "
+                                 f"leading coefficient {a[top]}, not 0")
         while a and a[-1] == 0:
             a.pop()
     return poly_trim(quot), poly_trim(a)

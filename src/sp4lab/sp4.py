@@ -69,9 +69,6 @@ class GroupElement:
             tuple(-g[3 - c][3 - r] if (r >= 2) != (c >= 2) else g[3 - c][3 - r]
                   for c in ROWS) for r in ROWS), certify=False)
 
-    def transpose(self):
-        return GroupElement(self.field, tuple(zip(*self.rows)), certify=True)
-
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
@@ -98,25 +95,26 @@ class GroupElement:
 
 
 def mat_mul(a, b):
+    """Product of two 4x4 matrices of elements of one field.
+
+    The nonzero entries of each row of b are collected once, and a term
+    whose factor is the field's memoised one is the other factor itself.
+    Each entry starts as the memoised zero, which its first term replaces.
+    """
+    spec = a[0][0].spec
+    zero, one = spec.zero(), spec.one()
+    b_rows = [[(c, y) for c, y in enumerate(row) if not y.is_zero()] for row in b]
     out = []
-    for r in ROWS:
-        row = []
-        ar = a[r]
-        for c in ROWS:
-            acc = None
-            for k in ROWS:
-                x = ar[k]
-                if x.is_zero():
-                    continue
-                y = b[k][c]
-                if y.is_zero():
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = ar[0].spec.zero()
-            row.append(acc)
-        out.append(tuple(row))
+    for ar in a:
+        acc = [zero] * 4
+        for x, b_row in zip(ar, b_rows):
+            if x.is_zero():
+                continue
+            for c, y in b_row:
+                term = y if x is one else x if y is one else x * y
+                prev = acc[c]
+                acc[c] = term if prev is zero else prev + term
+        out.append(tuple(acc))
     return tuple(out)
 
 

@@ -54,20 +54,23 @@ class FactorList:
 
 def _word_product(field, word):
     """Exact product of the elements of a [(tag, GroupElement)] word."""
-    acc = identity(field)
-    for _, g in word:
+    if not word:
+        return identity(field)
+    acc = word[0][1]
+    for _, g in word[1:]:
         acc = acc * g
     return acc
 
 
 def _merge_factors(field, factors):
+    one = identity(field)
     merged = []
     for tag, g in factors:
-        if g == identity(field):
+        if g == one:
             continue
         if merged and merged[-1][0] == tag:
             merged[-1] = (tag, merged[-1][1] * g)
-            if merged[-1][1] == identity(field):
+            if merged[-1][1] == one:
                 merged.pop()
         else:
             merged.append((tag, g))

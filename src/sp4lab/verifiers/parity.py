@@ -6,6 +6,20 @@ valuation.  At finite depth n only classes whose wedge valuation is
 below n - 2i are decided (perturbing a depth-n class moves each minor
 by at most q^(2i - n)); everything else is reported as undecided mass,
 so the result is a pair of intervals rather than point values.
+
+Each class is decided in the residue ring O/pi^n, without lifting it.
+Let i be the Cartan cell of g, so i = -min v(g_rc) and g' = pi^i g is
+integral.  A 2x2 minor of the first two columns of g' k is pi^(2i)
+times the same minor of g k, so v(g' k) = v(g k) + 2i for the wedge
+valuations, and v(g k) < n - 2i iff v(g' k) < n, with the same parity.
+Since g' and k are integral, k mod pi^n fixes g' k mod pi^n and hence
+each minor mod pi^n; a minor of valuation below n has that valuation
+in O/pi^n, and one of valuation n or more is the zero class.  So the
+least valuation v of the six minors of (g' mod pi^n)(k mod pi^n),
+capped at n as ``ResidueRing.valuation`` caps it, decides the class
+iff v < n, and its parity is then v mod 2.  Every lift of the class
+gets the same answer, in particular the exact lift the oracle route
+``_classify(g, lift_symplectic(...))`` assesses.
 """
 
 from fractions import Fraction
@@ -13,12 +27,11 @@ from fractions import Fraction
 import math
 import random
 
-from sp4lab.exactfield import EQUAL
-from sp4lab.sp4 import cartan_invariants
+from sp4lab.exactfield import EQUAL, residue_ring
+from sp4lab.sp4 import PAIRS, cartan_invariants
 from sp4lab.verifiers.reports import VerificationReport
 from sp4lab.verifiers.sampling import (
     enumerate_symplectic_residue,
-    lift_symplectic,
     sample_symplectic_residue,
     symplectic_group_order,
 )
@@ -39,11 +52,49 @@ def wedge_valuation(rows):
 
 
 def _classify(g, k_elem, depth, i):
-    """(decided?, parity) for one exactly lifted class."""
+    """(decided?, parity) for one exactly lifted class: the oracle route."""
     val = wedge_valuation((g * k_elem).rows)
     if val is math.inf or val >= depth - 2 * i:
         return False, None
     return True, int(val) % 2
+
+
+def residue_wedge(g, i, depth):
+    """Classifier of Sp4(O/pi^depth) classes k by the wedge of g k.
+
+    Returns a function of a class (a 4x4 tuple of residues) that gives
+    the least valuation of the six minors of the first two columns of
+    g' k in O/pi^depth, capped at depth, where g' = pi^i g and i is g's
+    Cartan cell.  The class is decided iff that value is below depth,
+    with its parity (see the module docstring).
+    """
+    ring = residue_ring(g.field, depth)
+    mul, add, sub, valuation = ring.mul, ring.add, ring.sub, ring.valuation
+    zero = ring.zero
+    # nonzero entries (column, residue) of each row of g' mod pi^depth
+    rows = tuple(tuple((c, r) for c, r in enumerate(e.shift(i).reduce(ring) for e in row)
+                       if r != zero)
+                 for row in g.rows)
+
+    def wedge(reps):
+        col0, col1 = [], []
+        for row in rows:
+            a = b = zero
+            for c, x in row:
+                a = add(a, mul(x, reps[c][0]))
+                b = add(b, mul(x, reps[c][1]))
+            col0.append(a)
+            col1.append(b)
+        best = depth
+        for r1, r2 in PAIRS:
+            v = valuation(sub(mul(col0[r1], col1[r2]), mul(col1[r1], col0[r2])))
+            if v < best:
+                if v == 0:
+                    return 0
+                best = v
+        return best
+
+    return wedge
 
 
 def parity_volumes(g, depth, mode="exhaustive", sample_n=10000, seed=0):
@@ -75,12 +126,13 @@ def parity_volumes(g, depth, mode="exhaustive", sample_n=10000, seed=0):
         classes = (sample_symplectic_residue(spec, depth, rng) for _ in range(n))
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    wedge = residue_wedge(g, i, depth)
     even = odd = undecided = 0
     for reps in classes:
-        decided, parity = _classify(g, lift_symplectic(spec, depth, reps), depth, i)
-        if not decided:
+        v = wedge(reps)
+        if v == depth:
             undecided += 1
-        elif parity == 0:
+        elif v % 2 == 0:
             even += 1
         else:
             odd += 1
@@ -109,21 +161,21 @@ def parity_volumes(g, depth, mode="exhaustive", sample_n=10000, seed=0):
 
 
 def parity_depth_profile(g, max_depth, sample_n=2000, seed=0):
-    """Per-sample decidedness across depths 1..max_depth with shared lifts.
+    """Per-sample decidedness across depths 1..max_depth from one residue pass.
 
-    Each class is drawn at max_depth and the same exact lift is assessed
-    at every shallower depth, so decided sets are nested by construction
-    and the reported decided masses are monotone in the depth.
+    Each class is drawn at max_depth and its capped wedge valuation v of
+    pi^i g k is taken once there.  A class at depth d <= max_depth is the
+    reduction of the one drawn, and it is decided iff v < d, so decided
+    sets are nested by construction and the reported decided masses are
+    monotone in the depth.
     """
     spec = g.field
     (i, _j), _, _ = cartan_invariants(g)
     rng = random.Random(seed)
+    wedge = residue_wedge(g, i, max_depth)
     decided_counts = [0] * (max_depth + 1)
     for _ in range(sample_n):
-        reps = sample_symplectic_residue(spec, max_depth, rng)
-        k_elem = lift_symplectic(spec, max_depth, reps)
-        val = wedge_valuation((g * k_elem).rows)
-        for depth in range(1, max_depth + 1):
-            if val is not math.inf and val < depth - 2 * i:
-                decided_counts[depth] += 1
+        v = wedge(sample_symplectic_residue(spec, max_depth, rng))
+        for depth in range(v + 1, max_depth + 1):
+            decided_counts[depth] += 1
     return [c / sample_n for c in decided_counts[1:]]

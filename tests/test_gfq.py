@@ -5,10 +5,14 @@ The oracles below are plain coefficient loops through ``GF.mul``,
 kernels under test (table rows, XOR, the packed F2[t] gcd).
 """
 
+import contextlib
+import signal
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp4lab.gfq import gf, poly_divmod, poly_gcd, poly_mul, poly_trim
+from sp4lab.gfq import GF, gf, poly_divmod, poly_gcd, poly_mul, poly_trim
 
 FIELDS = [gf(2), gf(2, 2), gf(2, 3), gf(3), gf(5)]
 
@@ -129,3 +133,47 @@ def test_kernel_edge_cases():
             if a:
                 assert poly_divmod(k, a, a) == ((1,), ())
                 assert poly_divmod(k, (), a) == ((), ())
+
+
+# ---------------------------------------------------------------------------
+# a faulty field kernel must make division fail, not loop
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the main thread once seconds have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class _SubAdds(GF):
+    """F_p whose sub adds, so no division step cancels a leading term."""
+
+    __slots__ = ()
+
+    def sub(self, a, b):
+        return self.add(a, b)
+
+
+def _table_without_row_one(p, f):
+    """A copy of F_q whose multiplication table sends 1 * y to 0."""
+    k = GF(p, f)
+    k._mul = (k._mul[0], (0,) * k.q) + k._mul[2:]
+    return k
+
+
+@pytest.mark.parametrize("k", [_SubAdds(3, 1), _SubAdds(5, 1),
+                               _table_without_row_one(2, 2), _table_without_row_one(2, 1)])
+def test_divmod_fails_on_a_faulty_kernel(k):
+    # t^2 divided by t + 1: the first step's leading coefficient is 1
+    with _deadline(5):
+        with pytest.raises(AssertionError, match="step at degree 2"):
+            poly_divmod(k, (0, 0, 1), (1, 1))

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sp4lab import sp4
+from sp4lab.exactfield import LaurentElem, PadicElem
 from sp4lab.sp4 import (
     GroupElement,
     InternalSoundnessError,
@@ -289,3 +292,48 @@ def test_inverse_is_minus_j_transpose_j(fields, name):
         oracle = sp4.mat_mul(j, sp4.mat_mul(tuple(zip(*g.rows)), j))
         assert g.inverse().rows == tuple(tuple(-e for e in row) for row in oracle)
         assert g * g.inverse() == one
+
+
+# ---------------------------------------------------------------------------
+# matrix product against a schoolbook oracle
+
+
+def _schoolbook(spec, a, b):
+    """Every entry as the full sum of its four products, zeros and ones included."""
+    return tuple(tuple(sum((a[r][k] * b[k][c] for k in range(4)), spec.zero())
+                       for c in range(4)) for r in range(4))
+
+
+def _fresh_one(spec):
+    """An element equal to 1 that is not the field's memoised one."""
+    if spec.kind == "mixed":
+        x = PadicElem(spec, 0, 1, 1)
+    else:
+        x = LaurentElem(spec, 0, (1,), (1,))
+    assert x == spec.one() and x is not spec.one()
+    return x
+
+
+_ENTRY = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(["Q2", "Q3", "F2((t))", "F4((t))"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       factors=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       zero_rows=st.tuples(st.sampled_from((None, 0, 1, 2, 3)),
+                           st.sampled_from((None, 0, 1, 2, 3))),
+       fresh_ones=st.tuples(st.lists(_ENTRY, max_size=5), st.lists(_ENTRY, max_size=5)))
+def test_mat_mul_matches_schoolbook(fields, name, seed, factors, zero_rows, fresh_ones):
+    spec = fields[name]
+    rnd = random.Random(seed)
+    mats = []
+    for n_factors, zero_row, ones in zip(factors, zero_rows, fresh_ones):
+        rows = [list(row) for row in _random_product(spec, rnd, factors=n_factors).rows]
+        for r, c in ones:
+            rows[r][c] = _fresh_one(spec)
+        if zero_row is not None:
+            rows[zero_row] = [spec.zero()] * 4
+        mats.append(tuple(map(tuple, rows)))
+    a, b = mats
+    assert sp4.mat_mul(a, b) == _schoolbook(spec, a, b)

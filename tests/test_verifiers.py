@@ -30,6 +30,7 @@ from sp4lab.verifiers import (
     wedge_valuation,
     weyl_reps,
 )
+from sp4lab.verifiers.parity import _classify
 
 
 def test_cell_suite_passes_spher01(fields):
@@ -320,6 +321,60 @@ def test_parity_depth_monotone(fields):
     assert all(b >= a for a, b in zip(profile, profile[1:]))
     # depth 1 cannot decide anything for i = 1 (threshold 1 - 2 < 0)
     assert profile[0] == 0.0
+
+
+def _lift_route_counts(g, depth, classes):
+    """(even, odd, undecided) from exact lifts: the oracle route."""
+    spec = g.field
+    (i, _j), _, _ = sp4.cartan_invariants(g)
+    counts = [0, 0, 0]
+    for reps in classes:
+        decided, parity = _classify(g, lift_symplectic(spec, depth, reps), depth, i)
+        counts[parity if decided else 2] += 1
+    return tuple(counts)
+
+
+def _differential_elements(spec):
+    return (("identity", sp4.identity(spec)), ("D(1,0)", sp4.d_matrix(spec, 1, 0)),
+            ("D(2,1)", sp4.d_matrix(spec, 2, 1)))
+
+
+@pytest.mark.parametrize("name", ["F2((t))", "F4((t))"])
+def test_parity_residue_route_matches_lift_route(fields, name):
+    spec = fields[name]
+    for label, g in _differential_elements(spec):
+        for depth in range(1, 6):
+            if spec.q == 2 and depth == 1:
+                rep = parity_volumes(g, depth, mode="exhaustive")
+                classes = enumerate_symplectic_residue(spec, depth)
+            else:
+                seed = 100 * depth + spec.q
+                rep = parity_volumes(g, depth, mode="sample", sample_n=24, seed=seed)
+                rng = random.Random(seed)
+                classes = [sample_symplectic_residue(spec, depth, rng) for _ in range(24)]
+            m = rep.margins
+            assert (m["decided_even"], m["decided_odd"], m["undecided"]) == \
+                _lift_route_counts(g, depth, classes), (label, depth)
+
+
+@pytest.mark.parametrize("name", ["F2((t))", "F4((t))"])
+def test_parity_profile_residue_route_matches_lift_route(fields, name):
+    spec = fields[name]
+    sample_n = 16
+    for label, g in _differential_elements(spec):
+        (i, _j), _, _ = sp4.cartan_invariants(g)
+        for max_depth in (1, 3, 5):
+            seed = 7 * max_depth + spec.q
+            rng = random.Random(seed)
+            vals = []
+            for _ in range(sample_n):
+                k_elem = lift_symplectic(spec, max_depth,
+                                         sample_symplectic_residue(spec, max_depth, rng))
+                vals.append(wedge_valuation((g * k_elem).rows))
+            expected = [sum(1 for v in vals if v < depth - 2 * i) / sample_n
+                        for depth in range(1, max_depth + 1)]
+            assert parity_depth_profile(g, max_depth, sample_n=sample_n,
+                                        seed=seed) == expected, (label, max_depth)
 
 
 def test_wedge_valuation_example(fields):
