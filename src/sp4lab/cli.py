@@ -1,7 +1,8 @@
 """Command-line front end: single verifications, suites, JSON report streams.
 
 Exit codes: 0 when everything passed, 1 when any check was violated or
-left undecided, 2 on usage or configuration errors.  Reports stream as
+left undecided (a suite task that raises counts as violated), 2 on usage
+or configuration errors.  Reports stream as
 JSON lines; --format text renders one human-readable line per report.
 Global options may also come from a key=value config file and, for the
 worker count, the SP4LAB_THREADS environment variable; command-line
@@ -321,10 +322,10 @@ def cmd_suite(args, emitter, field, seed, threads):
             # one task per dispatch: task costs differ by orders of magnitude,
             # and multi-task chunks leave one worker idle behind the last chunk
             reports = pool.starmap(
-                suite_mod.run_task,
+                suite_mod.run_task_reported,
                 [(t, seed, args.mutation) for t in tasks], chunksize=1)
     else:
-        reports = [suite_mod.run_task(t, seed, args.mutation) for t in tasks]
+        reports = [suite_mod.run_task_reported(t, seed, args.mutation) for t in tasks]
     reports.sort(key=lambda r: r.task)
     worst = PASS
     counts = {"pass": 0, "violated": 0, "undecided": 0}

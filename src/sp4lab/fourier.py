@@ -178,16 +178,6 @@ def transform_upper_bound(spec, h, space):
     return spec.q ** (-h / p)
 
 
-def _transform_ratio(mat, fam, p):
-    """||T f|| / ||f|| in the expectation-normalized l2(., l_p^d) norms."""
-    out = mat @ fam
-    num = float(np.mean(lp_norms(out, p) ** 2))
-    den = float(np.mean(lp_norms(fam, p) ** 2))
-    if den == 0.0:
-        return 0.0
-    return math.sqrt(num / den)
-
-
 def transform_norm(spec, h, space, strategy="exact", iters=2000, seed=0):
     """[lower, upper] bracket for ||T (x) 1_E|| with a certificate kind.
 
@@ -213,11 +203,11 @@ def transform_norm(spec, h, space, strategy="exact", iters=2000, seed=0):
         fam[a % size, a % space.d] = 1.0
         starts.append(fam)
     for fam in starts:
-        best = max(best, _transform_ratio(mat, fam, space.p))
+        best = max(best, math.sqrt(_fft_ratio(mat, fam, space.p, 1.0)))
     fam_best = None
     for _ in range(max(1, iters // 50)):
         fam = rng.standard_normal((size, space.d)) + 1j * rng.standard_normal((size, space.d))
-        r = _transform_ratio(mat, fam, space.p)
+        r = math.sqrt(_fft_ratio(mat, fam, space.p, 1.0))
         if r > best:
             best, fam_best = r, fam
     if fam_best is None:
@@ -229,7 +219,7 @@ def transform_norm(spec, h, space, strategy="exact", iters=2000, seed=0):
         delta = step * (rng.standard_normal() + 1j * rng.standard_normal())
         cand = fam_best.copy()
         cand[idx] += delta
-        r = _transform_ratio(mat, cand, space.p)
+        r = math.sqrt(_fft_ratio(mat, cand, space.p, 1.0))
         if r > best * (1 + 1e-12):
             best, fam_best = r, cand
             last_improvement = it
@@ -392,6 +382,7 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
 
 
 def _fft_ratio(mat, fam, p, coeff):
+    """||T f||^2 / (coeff ||f||^2) in the expectation-normalized l2(., l_p^d) norms."""
     out = mat @ fam
     lhs = float(np.mean(lp_norms(out, p) ** 2))
     den = float(np.mean(lp_norms(fam, p) ** 2))

@@ -102,6 +102,22 @@ def lemma_depth(lemma, spec, i, j):
     return m - j - 1
 
 
+def anchor_bounds(lemma, k, v0):
+    """(least i - j, least j) of an anchor cell where the lemma's move is
+    licensed, at congruence level k with v0 = v(2).
+
+    This is the one statement of the move lemmas' cell hypotheses:
+    ``check_preconditions`` and the zig-zag planner both read it.
+    """
+    return {
+        SPHER01: (v0 + 1, 0),
+        NONSPHER01: (2 * k + v0, 0),
+        CHAR2_02: (2 if k == 0 else 4 * k + 2, 0),
+        SPHER1M1: (0, 2),
+        NONSPHER1M1: (-1, 2 * k + 2),
+    }[lemma]
+
+
 def check_preconditions(lemma, spec, i, j, k_level):
     if lemma not in LEMMA_IDS:
         raise LemmaPreconditionError(f"unknown lemma id {lemma!r}")
@@ -115,26 +131,12 @@ def check_preconditions(lemma, spec, i, j, k_level):
         raise LemmaPreconditionError(f"{lemma} needs a congruence level k >= 1")
     if k_level > 0 and lemma in (SPHER01, SPHER1M1):
         raise LemmaPreconditionError(f"{lemma} is the k = 0 case; use the non-spherical variant")
-    if lemma in (SPHER01, NONSPHER01):
-        v0 = two_valuation(spec)
-        need = v0 + 1 if lemma == SPHER01 else 2 * k_level + v0
-        if i - j < need:
-            raise LemmaPreconditionError(f"{lemma}: i-j = {i - j} < {need}")
-        if j < 0:
-            raise LemmaPreconditionError("cell must lie in the dominant cone")
-    elif lemma in (SPHER1M1, NONSPHER1M1):
-        need = 2 if lemma == SPHER1M1 else 2 * k_level + 2
-        if j < need:
-            raise LemmaPreconditionError(f"{lemma}: j = {j} < {need}")
-        min_i = j if lemma == SPHER1M1 else j - 1
-        if i < min_i:
-            raise LemmaPreconditionError(f"{lemma}: i = {i} < {min_i}")
-    else:
-        need = 2 if k_level == 0 else 4 * k_level + 2
-        if i - j < need:
-            raise LemmaPreconditionError(f"{lemma}: i-j = {i - j} < {need}")
-        if j < 0:
-            raise LemmaPreconditionError("cell must lie in the dominant cone")
+    v0 = two_valuation(spec) if lemma in (SPHER01, NONSPHER01) else 0
+    least_diff, least_j = anchor_bounds(lemma, k_level, v0)
+    if j < least_j:
+        raise LemmaPreconditionError(f"{lemma}: j = {j} < {least_j}")
+    if i - j < least_diff:
+        raise LemmaPreconditionError(f"{lemma}: i-j = {i - j} < {least_diff}")
     depth = lemma_depth(lemma, spec, i, j)
     if depth < 1:
         raise LemmaPreconditionError(
@@ -179,7 +181,7 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
             raise LemmaPreconditionError("congruence layer needs a, x in pi^k O/pi^depth")
         if lemma in (NONSPHER01, CHAR2_02) and ring.valuation(b) < min(2 * k_level, depth):
             raise LemmaPreconditionError("congruence layer needs b in pi^2k O/pi^depth")
-    eps_ring = ring.embed_residue_code(eps_code) if not isinstance(eps_code, tuple) else eps_code
+    eps_ring = ring.embed_residue_code(eps_code)
     if y_override is not None:
         y = y_override
     else:
@@ -221,7 +223,7 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
         wit = LemmaWitness(lemma, spec, i, j, k_level, depth, m, a, b, x, y,
                            eps_code, beta_inv, alpha_mat, merged, expected)
         if lemma == NONSPHER01:
-            _attach_nonspher01(wit, t, sa, sb, sx, sy, mutation)
+            _attach_nonspher01(wit, t, sa, sb, sx, sy)
         return wit
 
     if lemma in (SPHER1M1, NONSPHER1M1):
@@ -251,7 +253,6 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
             expected = (i + 1, j - 1)
         wit = LemmaWitness(lemma, spec, i, j, k_level, depth, None, a, b, x, y,
                            eps_code, beta_inv, alpha_mat, merged, expected, a1=a1)
-        wit.extras["s"] = s
         if lemma == NONSPHER1M1:
             _attach_nonspher1m1(wit, s, sx, mutation)
         return wit
@@ -287,7 +288,7 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
         expected = None  # only record the observed cell for other residues
     wit = LemmaWitness(CHAR2_02, spec, i, j, k_level, depth, m, a, b, x, y,
                        eps_code, beta_inv, alpha_mat, merged, expected)
-    _attach_char2(wit, a1_den, full, sa, sb, sx, sy, mutation)
+    _attach_char2(wit, a1_den, full, sa, sb, sx, sy)
     return wit
 
 
@@ -307,7 +308,7 @@ def _diag_times_diag(dl, u, dr):
     return tuple(tuple(dl[r] * u[r][c] * dr[c] for c in range(4)) for r in range(4))
 
 
-def _attach_nonspher01(wit, t, sa, sb, sx, sy, mutation):
+def _attach_nonspher01(wit, t, sa, sb, sx, sy):
     spec = wit.field
     pi, z, one = spec.pi, spec.zero(), spec.one()
     i, j, m = wit.i, wit.j, wit.m
@@ -384,7 +385,7 @@ def _attach_nonspher1m1(wit, s, sx, mutation):
     wit.extras["g1_reference"] = g1_reference
 
 
-def _attach_char2(wit, a1_den, full, sa, sb, sx, sy, mutation):
+def _attach_char2(wit, a1_den, full, sa, sb, sx, sy):
     spec = wit.field
     pi, z, one = spec.pi, spec.zero(), spec.one()
     i, j, m = wit.i, wit.j, wit.m

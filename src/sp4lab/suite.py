@@ -8,6 +8,7 @@ suite with the same seed reproduces every report byte for byte apart
 from timing fields.
 """
 
+import traceback
 import zlib
 from fractions import Fraction
 
@@ -234,15 +235,11 @@ def run_zigzag_plan(params, seed, mutation):
             if i + j > budget:
                 break
             try:
-                path = zz.plan_path((i, j), regime)
+                zz.plan_path((i, j), regime)
             except zz.PlannerError as exc:
                 blocked.append(((i, j), exc.hypothesis))
                 continue
-            zz.validate_path(path)
             planned += 1
-            if regime.kind == zz.CHAR_2:
-                if len({(a + b) % 2 for a, b in path.cells}) != 1:
-                    report.record_violation({"check": "parity", "start": [i, j]})
     allowed = {tuple(c) for c in params.get("allowed_blocked", [])}
     for cell, why in blocked:
         if cell not in allowed:
@@ -306,11 +303,11 @@ def _cells_grid(lemma, fields, pairs, k=0, cap=QUICK_EXHAUSTIVE_CAP, sample_n=15
 
 def spher01_pairs(field_name, max_len=8):
     spec = parse_field(field_name)
-    v0 = two_valuation(spec)
+    least_diff, least_j = lw.anchor_bounds(lw.SPHER01, 0, two_valuation(spec))
     out = []
     for i in range(0, max_len + 1):
-        for j in range(0, i + 1):
-            if i + j > max_len or i - j < v0 + 1:
+        for j in range(least_j, i + 1):
+            if i + j > max_len or i - j < least_diff:
                 continue
             if lw.lemma_depth(lw.SPHER01, spec, i, j) >= 1:
                 out.append((i, j))
@@ -424,22 +421,21 @@ def full_profile():
                              cap=FULL_EXHAUSTIVE_CAP, sample_n=2000)
     # non-spherical congruence layers at their hypothesis thresholds
     for f in ("Q3", "Q5", "Q2"):
-        spec = parse_field(f)
-        v0 = two_valuation(spec)
+        v0 = two_valuation(parse_field(f))
         for k in (1, 2):
             j = 1
-            i = j + 2 * k + v0
+            i = j + lw.anchor_bounds(lw.NONSPHER01, k, v0)[0]
             tasks += _cells_grid(lw.NONSPHER01, [f], [(i, j)], k=k,
                                  cap=FULL_EXHAUSTIVE_CAP, sample_n=2000)
     for f in ("Q2", "Q3", "Q5", "F2((t))", "F4((t))"):
         for k in (1, 2):
-            j = 2 * k + 2
-            tasks += _cells_grid(lw.NONSPHER1M1, [f], [(j, j), (j - 1, j)], k=k,
-                                 cap=FULL_EXHAUSTIVE_CAP, sample_n=2000)
+            least_diff, j = lw.anchor_bounds(lw.NONSPHER1M1, k, 0)  # v0-free
+            tasks += _cells_grid(lw.NONSPHER1M1, [f], [(j, j), (j + least_diff, j)],
+                                 k=k, cap=FULL_EXHAUSTIVE_CAP, sample_n=2000)
     for f in ("F2((t))", "F4((t))"):
         for k in (1, 2):
             j = 1
-            i = j + 4 * k + 2
+            i = j + lw.anchor_bounds(lw.CHAR2_02, k, 0)[0]
             if lw.lemma_depth(lw.CHAR2_02, parse_field(f), i, j) >= 1:
                 tasks += _cells_grid(lw.CHAR2_02, [f], [(i, j)], k=k,
                                      cap=FULL_EXHAUSTIVE_CAP, sample_n=2000)
@@ -543,3 +539,26 @@ def run_task(task, global_seed, mutation=None):
         report.params = dict(report.params)
         report.params["mutation"] = mutation
     return report
+
+
+def run_task_reported(task, global_seed, mutation=None):
+    """``run_task``, with an exception turned into a violated report.
+
+    The suite command runs every task through this, serially or in a
+    worker pool, so a task that raises costs its own report only: the
+    report carries cases_run 0 and one counterexample naming the
+    exception, and the traceback goes to stderr.  ``run_task`` itself
+    still raises.
+    """
+    try:
+        return run_task(task, global_seed, mutation)
+    except Exception as exc:
+        traceback.print_exc()
+        tid, _, params = task
+        report = VerificationReport(task=tid, params=dict(params),
+                                    seed=task_seed(global_seed, tid))
+        if mutation:
+            report.params["mutation"] = mutation
+        report.record_violation({"check": "exception", "type": type(exc).__name__,
+                                 "detail": str(exc)})
+        return report.done()

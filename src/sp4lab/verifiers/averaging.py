@@ -147,9 +147,9 @@ def verify_averaging(group, subgroup_names=("K1", "K2"), repeats=2,
             report.record_violation({"check": "averaging-inequality",
                                      "trial": trial, "lhs": lhs, "rhs": rhs})
     # forcing all y_i = x would force x invariant under every K_i, hence
-    # under the covered group, hence zero: verified on the zero vector
-    zero = np.zeros(d, dtype=complex)
-    if float(np.linalg.norm(zero)) > 0.0:
+    # under the covered group, hence zero: the joint fixed space of the
+    # K_i-averaging operators must be trivial
+    if not invariance_forces_zero(group, subgroup_names):
         report.record_violation({"check": "zero-case"})
     report.cases_total = trials + 1
     report.cases_run = trials + 1

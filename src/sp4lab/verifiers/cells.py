@@ -65,7 +65,7 @@ def _tuples(domains, mode, sample_n, seed, partition=None):
 
 
 def _check_tuple(report, lemma, spec, i, j, k_level, a, b, x, eps, target,
-                 mutation, record_cells=None):
+                 mutation, record_cells):
     desc = None
     try:
         wit = lw.build_witness(lemma, spec, i, j, k_level, a, b, x, eps,
@@ -78,8 +78,7 @@ def _check_tuple(report, lemma, spec, i, j, k_level, a, b, x, eps, target,
         else:
             cell = cartan_invariants(prod)[0]
             if wit.expected_cell is None:
-                if record_cells is not None:
-                    record_cells.add((eps if isinstance(eps, int) else str(eps), cell))
+                record_cells.add((eps, cell))
             elif cell != wit.expected_cell:
                 desc = {"check": "cell", "observed": list(cell),
                         "expected": list(wit.expected_cell)}

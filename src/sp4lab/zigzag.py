@@ -10,11 +10,20 @@ i = 2j inside the wider strip, then append one composite diagonal step;
 the bound ledger turns each move into an exponential decay term and
 compares the summed path weight, plus the closed-form geometric tail,
 against the claimed aggregate decay.
+
+A move is legal when its anchor meets the hypotheses of its lemma: the
+least i - j and the least j that ``lemma_witnesses.anchor_bounds``
+states, which each ``Regime`` reads once.  ``_Builder.push`` is the
+planner's only legality gate: every move of a planned path has passed
+it.  ``validate_path`` re-checks a finished path from scratch,
+independently of the planner.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from sp4lab import lemma_witnesses as lw
 
 UP1 = (0, 1)
 RIGHT = (1, -1)
@@ -33,6 +42,15 @@ class PlannerError(ValueError):
         super().__init__(f"blocked at {cell}: {hypothesis}")
 
 
+def move_lemma(delta, k):
+    """The lemma that licenses a move with this delta at congruence level k."""
+    if delta == UP1:
+        return lw.SPHER01 if k == 0 else lw.NONSPHER01
+    if delta == UP2:
+        return lw.CHAR2_02
+    return lw.SPHER1M1 if k == 0 else lw.NONSPHER1M1
+
+
 @dataclass(frozen=True)
 class Regime:
     """Move-legality context: characteristic branch, valuation of 2, level."""
@@ -40,6 +58,8 @@ class Regime:
     kind: str
     v0: int = 0
     k: int = 0
+    # delta -> (least i - j, least j) at the anchor of a legal move
+    bounds: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (CHAR_NE2, CHAR_2):
@@ -48,6 +68,9 @@ class Regime:
             raise ValueError("v0 plays no role in characteristic 2")
         if self.k < 0:
             raise ValueError("congruence level must be >= 0")
+        object.__setattr__(self, "bounds", {
+            delta: lw.anchor_bounds(move_lemma(delta, self.k), self.k, self.v0)
+            for delta in (self.up_delta(), RIGHT)})
 
     @classmethod
     def named(cls, name, v0, k):
@@ -62,16 +85,6 @@ class Regime:
     def up_delta(self):
         return UP2 if self.kind == CHAR_2 else UP1
 
-    def up_threshold(self):
-        """Minimal i - j at the anchor for the vertical move."""
-        if self.kind == CHAR_2:
-            return 2 if self.k == 0 else 4 * self.k + 2
-        return self.v0 + 1 if self.k == 0 else 2 * self.k + self.v0
-
-    def right_threshold(self):
-        """Minimal j at the anchor for the (1,-1) move."""
-        return 2 if self.k == 0 else 2 * self.k + 2
-
 
 @dataclass(frozen=True)
 class Move:
@@ -80,11 +93,7 @@ class Move:
     reversed_: bool = False
 
     def lemma(self, regime):
-        if self.delta == UP1:
-            return "SPHER01" if regime.k == 0 else "NONSPHER01"
-        if self.delta == UP2:
-            return "CHAR2_02"
-        return "SPHER1M1" if regime.k == 0 else "NONSPHER1M1"
+        return move_lemma(self.delta, regime.k)
 
 
 @dataclass
@@ -121,23 +130,17 @@ def move_legal(regime, src, delta, reversed_=False):
             return False, anchor, "(0,1) moves need characteristic != 2"
         if delta == UP2 and regime.kind != CHAR_2:
             return False, anchor, "(0,2) moves need characteristic 2"
-        ai, aj = anchor
-        need = regime.up_threshold()
-        if ai - aj < need:
-            return False, anchor, f"i-j = {ai - aj} < {need}"
-        return True, anchor, ""
-    if delta == RIGHT:
+    elif delta == RIGHT:
         anchor = src if not reversed_ else (i - 1, j + 1)
-        ai, aj = anchor
-        need = regime.right_threshold()
-        if aj < need:
-            return False, anchor, f"j = {aj} < {need}"
-        if regime.k == 0 and ai < aj:
-            return False, anchor, f"anchor ({ai},{aj}) outside the dominant cone"
-        if regime.k > 0 and ai < aj - 1:
-            return False, anchor, f"anchor i = {ai} below the admitted boundary j-1"
-        return True, anchor, ""
-    raise ValueError(f"unknown move delta {delta!r}")
+    else:
+        raise ValueError(f"unknown move delta {delta!r}")
+    ai, aj = anchor
+    least_diff, least_j = regime.bounds[delta]
+    if aj < least_j:
+        return False, anchor, f"j = {aj} < {least_j}"
+    if ai - aj < least_diff:
+        return False, anchor, f"i-j = {ai - aj} < {least_diff}"
+    return True, anchor, ""
 
 
 def apply_move(cell, delta, reversed_=False):
@@ -378,7 +381,6 @@ def plan_path(start, regime):
         parities = {(i + j) % 2 for i, j in b.cells}
         if len(parities) != 1:
             raise PlannerError(start, "parity of i+j drifted along the path")
-    validate_path(path)
     return path
 
 
@@ -429,14 +431,18 @@ def _check_rates(regime, alpha, h, beta):
 
 
 def move_exponent(move, alpha, h, beta, c):
-    """Exact exponent of the decay term contributed by one move."""
+    """Exact exponent of the decay term contributed by one move.
+
+    alpha, beta and c are Fractions or ints and h a positive int;
+    ``bound_ledger`` converts decimal strings once at its boundary.
+    """
     i, j = move.anchor
-    a, hh, b, cc = map(Fraction, (alpha, h, beta, c))
+    w = Fraction(alpha, h)
     if move.delta == UP1:
-        return 2 * cc - (2 * a / hh - 2 * b) * i + (2 * a / hh) * j
+        return 2 * c - (2 * w - 2 * beta) * i + 2 * w * j
     if move.delta == UP2:
-        return 2 * cc - (a / hh - 2 * b) * i + (a / hh) * j
-    return 2 * cc + b * i - (2 * a / hh - b) * j
+        return 2 * c - (w - 2 * beta) * i + w * j
+    return 2 * c + beta * i - (2 * w - beta) * j
 
 
 def decay_rate(regime, alpha, h, beta):
@@ -451,11 +457,11 @@ def bound_ledger(path, alpha, h, beta, c=0):
     """Sum the per-move decay terms plus the geometric diagonal tail and
     compare with the claimed closed form.
 
-    alpha, h, beta, c may be ints, Fractions, or decimal strings; the
-    exponents are computed in exact rational arithmetic and only the
-    final exponentials are floating point.  Returns the ledger rows, the
-    total, the closed form exp(2c - rate * i_start) and the implied
-    constant total / closed_form.
+    alpha, beta, c may be ints, Fractions, or decimal strings, and h a
+    positive int; the exponents are computed in exact rational arithmetic
+    and only the final exponentials are floating point.  Returns the
+    ledger rows, the total, the closed form exp(2c - rate * i_start) and
+    the implied constant total / closed_form.
     """
     alpha = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
     beta = Fraction(beta) if not isinstance(beta, Fraction) else beta

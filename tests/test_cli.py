@@ -158,3 +158,30 @@ def test_suite_subset_deterministic_and_thread_invariant():
 
     assert strip(base.stdout) == strip(again.stdout) == strip(threaded.stdout)
     assert base.returncode == 0
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_suite_reports_a_raising_task_as_violated(monkeypatch, tmp_path, threads):
+    from sp4lab import cli, suite
+
+    def boom(params, seed, mutation):
+        raise ValueError("injected fault")
+
+    monkeypatch.setitem(suite.RUNNERS, "c2", boom)
+    out = tmp_path / "rep.jsonl"
+    code = cli.main(["suite", "--profile", "quick", "--seed", "3", "--tasks", "[ac][v2]*",
+                     "--threads", threads, "--out", str(out)])
+    assert code == 1
+    rows = jsonl(out.read_text())
+    summary = rows.pop()
+    assert summary["summary"] == {"pass": 2, "violated": 2, "undecided": 0}
+    assert summary["status"] == "violated"
+    assert [(r["task"], r["status"]) for r in rows] == [
+        ("averaging:D4", "pass"), ("averaging:S3", "pass"),
+        ("c2:F4((t))", "violated"), ("c2:Q3", "violated")]
+    for r in rows[2:]:
+        assert r["cases_run"] == 0
+        assert r["counterexamples"] == [
+            {"check": "exception", "type": "ValueError", "detail": "injected fault"}]
+    # a usage error is still a usage error
+    assert cli.main(["suite", "--profile", "nonexistent", "--out", str(out)]) == 2

@@ -10,10 +10,47 @@ from sp4lab import sp4
 from sp4lab import zigzag as zz
 from sp4lab.exactfield import parse_field, residue_ring
 from sp4lab.sp4 import cartan_invariants
-from sp4lab.verifiers import decompose_k1k2, lower_from_params, random_k_element
+from sp4lab.exactfield import LaurentElem
+from sp4lab.gfq import poly_trim
+from sp4lab.verifiers import (
+    decompose_k1k2,
+    expand_lower,
+    lower_from_params,
+    lower_params,
+    random_k_element,
+)
+from sp4lab.verifiers.decompose import _word_product
 
 Q3 = parse_field("Q3")
 F4 = parse_field("F4((t))")
+ROUND_TRIP_FIELDS = tuple(parse_field(n) for n in ("Q2", "Q3", "F2((t))", "F4((t))"))
+
+
+def _integral(data, spec, unit=False):
+    """A random integral element of spec, a unit when unit is set."""
+    if spec.kind == "mixed":
+        num = data.draw(st.integers(-500, 500).filter(lambda n: not unit or n % spec.p))
+        den = data.draw(st.integers(1, 60).filter(lambda n: n % spec.p))
+        return spec.rational(num, den)
+    coef = st.integers(0, spec.q - 1)
+    lead = st.integers(1, spec.q - 1) if unit else coef
+    num = poly_trim((data.draw(lead),) + tuple(data.draw(st.lists(coef, max_size=4))))
+    den = (1,) + tuple(data.draw(st.lists(coef, max_size=3)))
+    if not num:
+        return spec.zero()
+    return LaurentElem(spec, 0, num, poly_trim(den))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_lower_params_round_trip_and_mu_expansion(data):
+    spec = data.draw(st.sampled_from(ROUND_TRIP_FIELDS))
+    params = tuple(_integral(data, spec) for _ in range(4)) + tuple(
+        _integral(data, spec, unit=True) for _ in range(2))
+    g = lower_from_params(spec, *params)
+    assert lower_params(g) == params
+    # the identity the decomposition relies on without re-multiplying
+    assert _word_product(spec, expand_lower(g)) == g
 
 
 @settings(max_examples=60, deadline=None)

@@ -59,6 +59,29 @@ CASES = (
       {"regime": "char-ne2", "v0": 1, "max_length": 24,
        "allowed_blocked": [[0, 0], [1, 0], [1, 1], [2, 0], [2, 1]]}), None),
     (_cells(lw.SPHER1M1, "F4((t))", 3, 2), None),
+    # ledger exponents, planner bounds at k = 1 and averaging counts
+    (("zigzag:ledger:char-ne2", "zigzag-ledger",
+      {"regime": "char-ne2", "v0": 0, "h": 1, "alphas": ["7/10"],
+       "betas": ["0", "9/10"], "max_length": 40}), None),
+    (("zigzag:ledger:char2", "zigzag-ledger",
+      {"regime": "char2", "h": 1, "alphas": ["7/10"],
+       "betas": ["0", "9/10"], "max_length": 40}), None),
+    (("zigzag:plan:char-ne2-k1", "zigzag-plan",
+      {"regime": "char-ne2", "v0": 0, "klevel": 1, "max_length": 24,
+       "allowed_blocked": [[0, 0], [1, 0], [1, 1], [2, 0], [2, 1], [2, 2],
+                           [3, 0], [3, 1], [3, 2], [3, 3],
+                           [4, 0], [4, 1], [4, 2], [4, 3]]}), None),
+    (("zigzag:plan:char2-k1", "zigzag-plan",
+      {"regime": "char2", "klevel": 1, "max_length": 24,
+       "allowed_blocked": [[0, 0], [1, 0], [1, 1], [2, 0], [2, 1], [2, 2],
+                           [3, 0], [3, 1], [3, 2], [3, 3],
+                           [4, 0], [4, 1], [4, 2], [4, 3], [4, 4],
+                           [5, 0], [5, 1], [5, 2], [5, 3], [5, 4], [5, 5],
+                           [6, 0], [6, 1], [6, 2], [6, 3], [6, 4], [6, 5],
+                           [7, 0], [7, 1], [7, 2], [7, 3], [7, 4],
+                           [8, 1], [8, 3]]}), None),
+    (("averaging:S3", "averaging", {"group": "S3", "N": 2, "trials": 40}), None),
+    (("averaging:D4", "averaging", {"group": "D4", "N": 2, "trials": 40}), None),
 )
 
 

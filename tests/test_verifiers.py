@@ -272,6 +272,15 @@ def test_averaging_zero_vector_case():
     assert sv[-1] > 1e-9  # trivial joint fixed space
 
 
+def test_averaging_zero_case_reads_the_joint_fixed_space(monkeypatch):
+    from sp4lab.verifiers import averaging
+    monkeypatch.setattr(averaging, "invariance_forces_zero", lambda *args: False)
+    rep = verify_averaging(symmetric_3_standard(), trials=4, seed=0)
+    assert rep.status == "violated"
+    assert [c["check"] for c in rep.counterexamples] == ["zero-case"]
+    assert rep.cases_run == 5
+
+
 # ---------------------------------------------------------------------------
 # parity volumes
 

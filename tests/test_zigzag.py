@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sp4lab import lemma_witnesses as lw
 from sp4lab import zigzag as zz
 
 
@@ -75,6 +76,35 @@ def test_move_legality_thresholds():
     assert not zz.move_legal(k1, (4, 3), zz.UP1)[0]   # needs i-j >= 2k+v0 = 2
     assert zz.move_legal(k1, (6, 3), zz.UP1)[0]
     assert not zz.move_legal(k1, (6, 3), zz.RIGHT)[0]  # needs j >= 2k+2 = 4
+
+
+def test_move_legality_agrees_with_lemma_hypotheses(fields):
+    # the planner licenses a move exactly where its lemma's witness family
+    # applies, apart from anchors that leave the family no residue content
+    licensed_without_content = set()
+    for kind, v0, field_name in ((zz.CHAR_NE2, 0, "Q3"), (zz.CHAR_NE2, 1, "Q2"),
+                                 (zz.CHAR_2, 0, "F2((t))")):
+        spec = fields[field_name]
+        for k in range(4):
+            regime = zz.Regime(kind, v0=v0, k=k)
+            for delta in (regime.up_delta(), zz.RIGHT):
+                lemma = zz.move_lemma(delta, k)
+                for i in range(30):
+                    for j in range(-1, i + 3):
+                        legal, anchor, _ = zz.move_legal(regime, (i, j), delta)
+                        assert anchor == (i, j)
+                        if lw.lemma_depth(lemma, spec, i, j) < 1:
+                            if legal:
+                                licensed_without_content.add((lemma, k, i - j))
+                            continue
+                        try:
+                            lw.check_preconditions(lemma, spec, i, j, k)
+                            accepted = True
+                        except lw.LemmaPreconditionError:
+                            accepted = False
+                        assert legal == accepted, (regime, delta, (i, j))
+    assert licensed_without_content == {(lw.SPHER01, 0, 1), (lw.CHAR2_02, 0, 2),
+                                        (lw.CHAR2_02, 0, 3)}
 
 
 def test_blocked_cells_exactly(fields):
