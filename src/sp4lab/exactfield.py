@@ -20,6 +20,14 @@ F_q((t)) sends every n congruent mod p to one element, and no hash could
 agree with all of them.  ``FieldSpec.integer`` memoises the image of n,
 so equal small constants are one shared (immutable) object.
 
+Arithmetic skips the normalisation it can prove unnecessary.  Integral
+elements (den == 1, or den == (1,) in equal characteristic) multiply and
+add without a gcd, since their numerators' product and p- (t-) stripped
+sum are already in lowest terms over 1.  A product with a pure power of
+the uniformizer (num == den == 1) is a shift of the other factor,
+``shift(0)`` is the element itself, and a zero product or sum is the
+memoised ``spec.zero()``.
+
 The uniformizer is p respectively t, the residue field has q elements,
 and ``|x| = q^(-v(x))``.  Residue rings O/pi^n carry canonical digit /
 truncation representatives, and the canonical section lifts those
@@ -115,8 +123,8 @@ class FieldSpec:
     def pi(self, k=1):
         """pi^k as a field element."""
         if self.kind == MIXED:
-            return PadicElem(self, k, 1, 1)
-        return LaurentElem(self, k, (1,), (1,))
+            return PadicElem(self, k, 1, 1, normalize=False)
+        return LaurentElem(self, k, ONE_POLY, ONE_POLY, normalize=False)
 
     def from_residue_code(self, code):
         """Embed a residue-field element (integer code) as a canonical lift."""
@@ -213,7 +221,8 @@ def _padic_from_fraction(spec, fr):
     p = spec.p
     vn, num = _strip_p(fr.numerator, p)
     vd, den = _strip_p(fr.denominator, p)
-    return PadicElem(spec, vn - vd, num, den)
+    # a Fraction is in lowest terms with den > 0, and so are its p-free parts
+    return PadicElem(spec, vn - vd, num, den, normalize=False)
 
 
 class _FieldElem:
@@ -239,6 +248,12 @@ class _FieldElem:
 
     def is_unit(self):
         return bool(self.num) and self.v == 0
+
+    def shift(self, k):
+        """Multiply by pi^k."""
+        if not self.num or not k:
+            return self
+        return type(self)(self.spec, self.v + k, self.num, self.den, normalize=False)
 
     def __sub__(self, other):
         return self + (-_coerce(self.spec, other))
@@ -282,16 +297,27 @@ class _FieldElem:
 
 
 class PadicElem(_FieldElem):
-    """num/den * p^v with p-free, coprime num and den > 0; num == 0 encodes zero."""
+    """num/den * p^v with p-free, coprime num and den > 0; num == 0 encodes zero.
+
+    The constructor cancels the gcd of num and den and makes den positive;
+    ``normalize=False`` skips that work for callers whose inputs already
+    meet the invariant.
+
+    Integral elements (den == 1) take a fast path: the product of two
+    p-free integers is p-free over 1, and a sum is the p-stripped sum of
+    the scaled numerators over 1, so neither needs a gcd.  A factor that
+    is a pure power of p (num == den == 1) turns a product into a shift
+    of the other factor, and a zero result is the memoised zero.
+    """
 
     __slots__ = ()
 
     _coercible = (int, Fraction)
 
-    def __init__(self, spec, v, num, den):
+    def __init__(self, spec, v, num, den, normalize=True):
         if num == 0:
             v, num, den = 0, 0, 1
-        else:
+        elif normalize:
             g = math.gcd(num, den)
             if g > 1:
                 num //= g
@@ -303,12 +329,6 @@ class PadicElem(_FieldElem):
         self.num = num
         self.den = den
 
-    def shift(self, k):
-        """Multiply by pi^k."""
-        if self.num == 0:
-            return self
-        return PadicElem(self.spec, self.v + k, self.num, self.den)
-
     def __add__(self, other):
         other = _coerce(self.spec, other)
         if self.num == 0:
@@ -317,23 +337,37 @@ class PadicElem(_FieldElem):
             return self
         p = self.spec.p
         v = min(self.v, other.v)
-        a = self.num * other.den * p ** (self.v - v)
-        b = other.num * self.den * p ** (other.v - v)
+        integral = self.den == 1 == other.den
+        a = self.num if integral else self.num * other.den
+        if self.v > v:
+            a *= p ** (self.v - v)
+        b = other.num if integral else other.num * self.den
+        if other.v > v:
+            b *= p ** (other.v - v)
         s = a + b
         if s == 0:
-            return PadicElem(self.spec, 0, 0, 1)
+            return self.spec.zero()
         dv, s = _strip_p(s, p)
+        if integral:
+            return PadicElem(self.spec, v + dv, s, 1, normalize=False)
         return PadicElem(self.spec, v + dv, s, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PadicElem(self.spec, self.v, -self.num, self.den)
+        return PadicElem(self.spec, self.v, -self.num, self.den, normalize=False)
 
     def __mul__(self, other):
         other = _coerce(self.spec, other)
         if self.num == 0 or other.num == 0:
-            return PadicElem(self.spec, 0, 0, 1)
+            return self.spec.zero()
+        if other.num == 1 == other.den:
+            return self.shift(other.v)
+        if self.num == 1 == self.den:
+            return other.shift(self.v)
+        if self.den == 1 == other.den:
+            return PadicElem(self.spec, self.v + other.v, self.num * other.num, 1,
+                             normalize=False)
         return PadicElem(self.spec, self.v + other.v,
                          self.num * other.num, self.den * other.den)
 
@@ -384,7 +418,10 @@ class LaurentElem(_FieldElem):
     cross products with the denominators, and a product of two is built
     without normalising, since the product of two numerators with nonzero
     constant terms has a nonzero constant term over den (1,), which is
-    already in lowest terms.  In characteristic 2, -x is x.
+    already in lowest terms.  A factor that is a pure power of t
+    (num == den == (1,)) turns a product into a shift of the other
+    factor, and a zero result is the memoised zero.  In characteristic 2,
+    -x is x.
     """
 
     __slots__ = ()
@@ -418,11 +455,6 @@ class LaurentElem(_FieldElem):
         self.num = num
         self.den = den
 
-    def shift(self, k):
-        if not self.num:
-            return self
-        return LaurentElem(self.spec, self.v + k, self.num, self.den, normalize=False)
-
     def __add__(self, other):
         other = _coerce(self.spec, other)
         if not self.num:
@@ -439,6 +471,8 @@ class LaurentElem(_FieldElem):
         if other.v > v:
             b = (0,) * (other.v - v) + b
         num = poly_add(k, a, b)
+        if not num:
+            return self.spec.zero()
         den = ONE_POLY if polynomial else poly_mul(k, self.den, other.den)
         return LaurentElem(self.spec, v, num, den)
 
@@ -455,6 +489,10 @@ class LaurentElem(_FieldElem):
         other = _coerce(self.spec, other)
         if not self.num or not other.num:
             return self.spec.zero()
+        if other.num == ONE_POLY == other.den:
+            return self.shift(other.v)
+        if self.num == ONE_POLY == self.den:
+            return other.shift(self.v)
         k = self.spec.residue_gf
         if self.den == ONE_POLY == other.den:
             # both constant terms are nonzero, so the product's is too, and

@@ -10,12 +10,14 @@ congruence-restricted tuples, plus two diagonal rescalings of
 k1 * beta^-1 * alpha that must land in K.
 
 Everything here is transcription: matrices are assembled entry by entry
-from their reference factor form, and all derived products are recomputed
-independently so the exhaustive verifiers can catch any slip.  The
+from their reference factor form, and the product beta^-1 * alpha is
+multiplied out from the factors (once per witness) independently of the
+stated merged matrix, so the exhaustive verifiers can catch any slip.  The
 ``mutation`` hook deliberately corrupts one formula at a time; the
 verifier suites must detect every catalogued corruption.
 """
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
@@ -71,9 +73,9 @@ class LemmaWitness:
     scaled_branches: tuple = ()
     extras: dict = dataclass_field(default_factory=dict)
 
-    @property
+    @functools.cached_property
     def product(self):
-        """beta_inv * alpha_mat recomputed from the factors."""
+        """beta_inv * alpha_mat multiplied out from the factors, once per witness."""
         return self.beta_inv * self.alpha_mat
 
     def observed_cell(self):
@@ -192,14 +194,14 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
 
     if lemma in (SPHER01, NONSPHER01):
         m = (i + j) // 2
-        d_beta = (pi(m), pi(i - m + j), pi(-i + m - j), pi(-m))
+        d_beta = (m, i - m + j, -i + m - j, -m)
         if mutation == "d-scaling-exponent":
-            d_beta = (pi(m), pi(i - m + j + 1), pi(-i + m - j - 1), pi(-m))
+            d_beta = (m, i - m + j + 1, -i + m - j - 1, -m)
         u_beta = ((one, z, z, z),
                   (z, one, z, z),
                   (sa, one, one, z),
                   (sa * sa - 2 * sb, sa, z, one))
-        beta_inv = GroupElement(spec, _diag_times(d_beta, u_beta))
+        beta_inv = GroupElement(spec, _scale(d_beta, u_beta, _UNSCALED))
         alpha_41 = sx * sx + 2 * sy
         if mutation == "minor-sign-flip":
             # the (4,1) slot is the free parameter of this unipotent shape,
@@ -210,14 +212,14 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
                    (z, one, z, z),
                    (sx, z, one, z),
                    (alpha_41, sx, z, one))
-        d_alpha = (pi(j - m), pi(j - m), pi(m - j), pi(m - j))
-        alpha_mat = GroupElement(spec, _times_diag(u_alpha, d_alpha))
+        d_alpha = (j - m, j - m, m - j, m - j)
+        alpha_mat = GroupElement(spec, _scale(_UNSCALED, u_alpha, d_alpha))
         t = sa + sx
         u_merged = ((one, z, z, z),
                     (z, one, z, z),
                     (t, one, one, z),
                     (sa * sa - 2 * sb + alpha_41, t, z, one))
-        merged = GroupElement(spec, _diag_times_diag(d_beta, u_merged, d_alpha),
+        merged = GroupElement(spec, _scale(d_beta, u_merged, d_alpha),
                               certify=False)
         expected = (i, j) if _eps_is_zero(ring, eps_ring) else (i, j + 1)
         wit = LemmaWitness(lemma, spec, i, j, k_level, depth, m, a, b, x, y,
@@ -228,24 +230,24 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
 
     if lemma in (SPHER1M1, NONSPHER1M1):
         a1 = one + pi(1) * sa
-        d_beta = (pi(i), one, one, pi(-i))
+        d_beta = (i, 0, 0, -i)
         u_beta = ((one, z, z, z),
                   (a1, one, z, z),
                   (z, z, one, z),
                   (-(pi(1) * sb), z, -a1, one))
-        beta_inv = GroupElement(spec, _diag_times(d_beta, u_beta))
+        beta_inv = GroupElement(spec, _scale(d_beta, u_beta, _UNSCALED))
         u_alpha = ((one, z, z, z),
                    (z, one, z, z),
                    (sx, z, one, z),
                    (pi(1) * sy + sx, sx, z, one))
-        d_alpha = (pi(-j), one, one, pi(j))
-        alpha_mat = GroupElement(spec, _times_diag(u_alpha, d_alpha))
+        d_alpha = (-j, 0, 0, j)
+        alpha_mat = GroupElement(spec, _scale(_UNSCALED, u_alpha, d_alpha))
         s = sy - sa * sx - sb
         u_merged = ((one, z, z, z),
                     (a1, one, z, z),
                     (sx, z, one, z),
                     (pi(1) * s, sx, -a1, one))
-        merged = GroupElement(spec, _diag_times_diag(d_beta, u_merged, d_alpha),
+        merged = GroupElement(spec, _scale(d_beta, u_merged, d_alpha),
                               certify=False)
         if _eps_is_zero(ring, eps_ring):
             expected = (max(i, j), min(i, j))
@@ -260,25 +262,25 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
     # CHAR2_02
     m = (i + j) // 2
     a1_den = one + pi(1) * sa
-    d_beta = (pi(m), pi(i - m + j), pi(-i + m - j), pi(-m))
+    d_beta = (m, i - m + j, -i + m - j, -m)
     u_beta = ((one, z, z, z),
               (z, one, z, z),
               (pi(1) * sb, a1_den * a1_den, one, z),
               (z, pi(1) * sb, z, one))
-    beta_inv = GroupElement(spec, _diag_times(d_beta, u_beta))
+    beta_inv = GroupElement(spec, _scale(d_beta, u_beta, _UNSCALED))
     w = sx + pi(1) * sy
     u_alpha = ((one, z, z, z),
                (z, one, z, z),
                (w, z, one, z),
                (sx * sx, w, z, one))
-    d_alpha = (pi(j - m), pi(j - m), pi(m - j), pi(m - j))
-    alpha_mat = GroupElement(spec, _times_diag(u_alpha, d_alpha))
+    d_alpha = (j - m, j - m, m - j, m - j)
+    alpha_mat = GroupElement(spec, _scale(_UNSCALED, u_alpha, d_alpha))
     full = pi(1) * sb + sx + pi(1) * sy
     u_merged = ((one, z, z, z),
                 (z, one, z, z),
                 (full, a1_den * a1_den, one, z),
                 (sx * sx, full, z, one))
-    merged = GroupElement(spec, _diag_times_diag(d_beta, u_merged, d_alpha),
+    merged = GroupElement(spec, _scale(d_beta, u_merged, d_alpha),
                           certify=False)
     if _eps_is_zero(ring, eps_ring):
         expected = (i, j)
@@ -296,16 +298,14 @@ def _eps_is_zero(ring, eps_ring):
     return ring.valuation(eps_ring) >= ring.n
 
 
-def _diag_times(d, u):
-    return tuple(tuple(d[r] * u[r][c] for c in range(4)) for r in range(4))
+_UNSCALED = (0, 0, 0, 0)
 
 
-def _times_diag(u, d):
-    return tuple(tuple(u[r][c] * d[c] for c in range(4)) for r in range(4))
-
-
-def _diag_times_diag(dl, u, dr):
-    return tuple(tuple(dl[r] * u[r][c] * dr[c] for c in range(4)) for r in range(4))
+def _scale(dl, u, dr):
+    """diag(pi^dl) * u * diag(pi^dr); diagonal factors are given by their
+    pi-exponents, so each entry is a shift."""
+    return tuple(tuple(x.shift(dl[r] + dr[c]) for c, x in enumerate(u[r]))
+                 for r in range(4))
 
 
 def _attach_nonspher01(wit, t, sa, sb, sx, sy):

@@ -9,10 +9,10 @@ therefore evaluates only the six pairings a < b (24 products instead of
 two 4x4 matrix products), and the first violated entry in row-major
 order is always one of them.  The Cartan cell of an element is read
 off from the two norms ||g|| (max entry norm) and ||L2 g|| (max norm
-over all 36 2x2 minors): for g in K D(i,j) K they equal q^i and
-q^(i+j), and (i, j) with i >= j >= 0 is the cell.  An independent
-elementary-divisor routine over the valuation ring backs this up in
-the tests.
+over all 36 2x2 minors, most of them decided from entry valuations
+alone): for g in K D(i,j) K they equal q^i and q^(i+j), and (i, j)
+with i >= j >= 0 is the cell.  An independent elementary-divisor
+routine over the valuation ring backs this up in the tests.
 """
 
 import json
@@ -322,15 +322,32 @@ def norm_exponent(rows):
 
 
 def wedge_norm_exponent(rows):
-    """log_q ||L2 g|| over all 36 2x2 minors, computed exactly."""
+    """log_q ||L2 g|| over all 36 2x2 minors, decided exactly.
+
+    A minor ad - bc has valuation at least min(v(ad), v(bc)), and exactly
+    that when v(ad) != v(bc) (ultrametric inequality); v(ad) and v(bc)
+    are sums of entry valuations.  So a minor whose bound cannot beat the
+    best exponent so far is skipped, one with v(ad) != v(bc) is read off
+    its bound, and ad - bc is formed only on a tie that could raise the
+    maximum, where the two terms may cancel.
+    """
+    vals = [[e.valuation() for e in r] for r in rows]
     best = -INF
     for r1, r2 in PAIRS:
-        a, b = rows[r1], rows[r2]
+        va, vb = vals[r1], vals[r2]
         for c1, c2 in PAIRS:
-            m = a[c1] * b[c2] - a[c2] * b[c1]
-            v = m.valuation()
-            if v is not INF and -v > best:
-                best = -v
+            vad = va[c1] + vb[c2]
+            vbc = va[c2] + vb[c1]
+            v = vad if vad < vbc else vbc
+            # INF + n is a new float, so compare to INF with ==
+            if v == INF or -v <= best:
+                continue
+            if vad == vbc:
+                a, b = rows[r1], rows[r2]
+                v = (a[c1] * b[c2] - a[c2] * b[c1]).valuation()
+                if v == INF or -v <= best:
+                    continue
+            best = -v
     return best
 
 

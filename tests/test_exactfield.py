@@ -15,6 +15,7 @@ from sp4lab.exactfield import (
     FieldSpec,
     LaurentElem,
     NonIntegralError,
+    PadicElem,
     make_field,
     parse_element,
     parse_field,
@@ -276,6 +277,65 @@ def test_polynomial_fast_path_matches_normalised(pair):
     assert _fields(x + y) == _fields(normalised(v, oracle_add(k, shifted(x, v),
                                                               shifted(y, v))))
     assert _fields(x - y) == _fields(normalised(v, oracle_add(k, shifted(x, v), neg_y)))
+
+
+@st.composite
+def integral_padic_triples(draw):
+    """Two elements of one Q_p with den == 1, and one with any den."""
+    spec = parse_field(draw(st.sampled_from(["Q2", "Q3", "Q5"])))
+
+    def element(den=1):
+        num = draw(st.integers(-10 ** 6, 10 ** 6))
+        return spec.rational(num, den).shift(draw(st.integers(-4, 4)))
+
+    return spec, element(), element(), element(draw(st.integers(1, 10 ** 4)))
+
+
+def _padic_normalised(spec, fr):
+    """The element of value fr from the normalising constructor, p stripped by hand."""
+    num, den, v = fr.numerator, fr.denominator, 0
+    while num and num % spec.p == 0:
+        num, v = num // spec.p, v + 1
+    while den % spec.p == 0:
+        den, v = den // spec.p, v - 1
+    return PadicElem(spec, v, num, den)
+
+
+def _same(x, y):
+    assert _fields(x) == _fields(y)
+    assert x == y and hash(x) == hash(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integral_padic_triples())
+def test_integral_padic_fast_path_matches_normalised(triple):
+    spec, x, y, w = triple
+    fx, fy, fw = x.as_fraction(), y.as_fraction(), w.as_fraction()
+    _same(x * y, _padic_normalised(spec, fx * fy))
+    _same(x + y, _padic_normalised(spec, fx + fy))
+    _same(x - y, _padic_normalised(spec, fx - fy))
+    _same(-x, _padic_normalised(spec, -fx))
+    _same(x * w, _padic_normalised(spec, fx * fw))
+    _same(x + w, _padic_normalised(spec, fx + fw))
+    if y.num:
+        assert y - y is spec.zero()
+    assert x * spec.zero() is spec.zero() and spec.zero() * w is spec.zero()
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["Q2", "Q3", "Q5", "F2((t))", "F4((t))"]),
+       seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-5, 5))
+def test_monomial_products_are_shifts(name, seed, k):
+    spec = parse_field(name)
+    x = random_element(spec, random.Random(seed))
+    cls = PadicElem if spec.kind == MIXED else LaurentElem
+    expected = cls(spec, x.v + k, x.num, x.den) if x.num else spec.zero()
+    for r in (spec.pi(k) * x, x * spec.pi(k), x.shift(k)):
+        _same(r, expected)
+    assert x.shift(0) is x
+    _same(x * spec.one(), x)
+    _same(spec.one() * x, x)
+    assert x * spec.zero() is spec.zero() and spec.zero() * x is spec.zero()
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,16 @@ CASES = (
                            [8, 1], [8, 3]]}), None),
     (("averaging:S3", "averaging", {"group": "S3", "N": 2, "trials": 40}), None),
     (("averaging:D4", "averaging", {"group": "D4", "N": 2, "trials": 40}), None),
+    # the diagonal exponents of the (0,1) family, the free-y wedge sweep,
+    # NONSPHER01 over Q2 and Q5 and the char-2 identities
+    (_cells(lw.SPHER01, "Q3", 3, 1, cap=0, sample_n=100), "d-scaling-exponent"),
+    (_cells(lw.SPHER01, "Q3", 3, 1, cap=0, sample_n=100), "wrong-n1"),
+    (("identities:SPHER01:Q3:4,1", "identities",
+      {"lemma": lw.SPHER01, "field": "Q3", "i": 4, "j": 1, "n": 40}), None),
+    (_cells(lw.NONSPHER01, "Q2", 5, 1, k=1), None),
+    (_cells(lw.NONSPHER01, "Q5", 3, 1, k=1), None),
+    (("identities:CHAR2_02:F2((t)):6,2", "identities",
+      {"lemma": lw.CHAR2_02, "field": "F2((t))", "i": 6, "j": 2, "n": 30}), None),
 )
 
 

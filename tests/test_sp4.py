@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sp4lab import lemma_witnesses as lw
 from sp4lab import sp4
-from sp4lab.exactfield import LaurentElem, PadicElem
+from sp4lab.exactfield import INF, LaurentElem, PadicElem, residue_ring
 from sp4lab.sp4 import (
     GroupElement,
     InternalSoundnessError,
@@ -18,7 +19,7 @@ from sp4lab.sp4 import (
     subgroup_membership,
 )
 from sp4lab.verifiers import random_k_element
-from conftest import FIELD_NAMES
+from conftest import FIELD_NAMES, random_element
 
 
 def test_j_is_symplectic_and_involution_facts(fields):
@@ -337,3 +338,86 @@ def test_mat_mul_matches_schoolbook(fields, name, seed, factors, zero_rows, fres
         mats.append(tuple(map(tuple, rows)))
     a, b = mats
     assert sp4.mat_mul(a, b) == _schoolbook(spec, a, b)
+
+
+# ---------------------------------------------------------------------------
+# wedge norm against all 36 minors
+
+
+def _wedge_oracle(rows):
+    """log_q ||L2 g|| with every one of the 36 minors formed."""
+    best = -INF
+    for r1, r2 in sp4.PAIRS:
+        for c1, c2 in sp4.PAIRS:
+            minor = rows[r1][c1] * rows[r2][c2] - rows[r1][c2] * rows[r2][c1]
+            if not minor.is_zero():
+                best = max(best, -minor.valuation())
+    return best
+
+
+WEDGE_FIELDS = ["Q2", "Q3", "Q5", "F2((t))", "F4((t))"]
+
+
+def _kdk(spec, rnd):
+    i = rnd.randrange(0, 5)
+    k1, k2 = random_k_element(spec, 2, rnd), random_k_element(spec, 2, rnd)
+    return (k1 * sp4.d_matrix(spec, i, rnd.randrange(0, i + 1)) * k2).rows
+
+
+def _free_y_product(spec, rnd):
+    """beta^-1 alpha of a witness whose y is drawn freely, as the identity sweeps do."""
+    if spec.kind == "equal" and spec.p == 2:
+        lemma, i, j = rnd.choice(((lw.CHAR2_02, 6, 2), (lw.CHAR2_02, 5, 1),
+                                  (lw.SPHER1M1, 3, 2)))
+    else:
+        lemma, i, j = rnd.choice(((lw.SPHER01, 4, 1), (lw.SPHER01, 5, 1),
+                                  (lw.SPHER1M1, 3, 2)))
+    ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
+    a, b, x, y = (rnd.choice(ring.elements()) for _ in range(4))
+    return lw.build_witness(lemma, spec, i, j, 0, a, b, x, 0, y_override=y).product.rows
+
+
+def _near_rank_one(spec, rnd):
+    """Two pairs of rows r and lam*r + pi^n*e.  In a minor of such a pair, ad
+    and bc share the term lam*r[c1]*r[c2]; where it dominates they tie in
+    valuation and cancel down to pi^n times a minor of (r, e), or to 0."""
+    def elem():
+        return random_element(spec, rnd, span=8) if rnd.randrange(5) else spec.zero()
+
+    def unit(shift):
+        u = random_element(spec, rnd, span=8)
+        while u.is_zero():
+            u = random_element(spec, rnd, span=8)
+        return u.shift(shift - u.valuation())
+
+    rows = []
+    for _ in range(2):
+        r = [elem() for _ in range(4)]
+        lam, n = unit(rnd.randrange(-3, 2)), rnd.randrange(0, 5)
+        e = [elem().shift(n) if rnd.randrange(3) else spec.zero() for _ in range(4)]
+        rows += [r, [lam * x + y for x, y in zip(r, e)]]
+    rnd.shuffle(rows)
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(WEDGE_FIELDS), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from((_kdk, _free_y_product, _near_rank_one)))
+def test_wedge_norm_matches_all_minors(fields, name, seed, kind):
+    rows = kind(fields[name], random.Random(seed))
+    assert sp4.wedge_norm_exponent(rows) == _wedge_oracle(rows)
+
+
+@pytest.mark.parametrize("name", WEDGE_FIELDS)
+def test_wedge_norm_sees_cancelling_ties(fields, name):
+    spec = fields[name]
+    z, o, u = spec.zero(), spec.one(), spec.pi(-3)
+    # in the minor of rows and columns 1, 2, ad and bc have valuation -6
+    # and cancel, down to u (valuation -3) and then to 0
+    rows = ((u, u, z, z), (u, u + o, z, z), (z, z, o, z), (z, z, z, o))
+    assert _wedge_oracle(rows) == sp4.wedge_norm_exponent(rows) == 3
+    rows = ((u, u, z, z), (u, u, z, z), (z, z, o, z), (z, z, z, o))
+    assert _wedge_oracle(rows) == sp4.wedge_norm_exponent(rows) == 3
+    for seed in range(40):
+        rows = _near_rank_one(spec, random.Random(seed))
+        assert sp4.wedge_norm_exponent(rows) == _wedge_oracle(rows)
