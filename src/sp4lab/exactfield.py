@@ -20,13 +20,18 @@ F_q((t)) sends every n congruent mod p to one element, and no hash could
 agree with all of them.  ``FieldSpec.integer`` memoises the image of n,
 so equal small constants are one shared (immutable) object.
 
-Arithmetic skips the normalisation it can prove unnecessary.  Integral
-elements (den == 1, or den == (1,) in equal characteristic) multiply and
-add without a gcd, since their numerators' product and p- (t-) stripped
-sum are already in lowest terms over 1.  A product with a pure power of
-the uniformizer (num == den == 1) is a shift of the other factor,
-``shift(0)`` is the element itself, and a zero product or sum is the
-memoised ``spec.zero()``.
+Products and quotients follow one skeleton for both kinds, written once
+in ``_FieldElem``; a kind supplies only its unit numerator (1, or the
+polynomial 1) and ``_times``, the product of two numerators.  A product
+with a zero factor is the memoised ``spec.zero()``; a product with a pure
+power of the uniformizer (num == den == 1) is a shift of the other
+factor, and ``shift(0)`` is the element itself; a product of two integral
+elements (den == 1) is built without normalising, since the product of
+two p-free integers, or of two polynomials with nonzero constant terms,
+is already in lowest terms over 1; every other product and quotient goes
+through the normalising constructor.  Sums stay with each kind: integral
+sums skip the gcd, since a p- (t-) stripped sum over 1 is in lowest
+terms, and a zero sum is the memoised zero.
 
 The uniformizer is p respectively t, the residue field has q elements,
 and ``|x| = q^(-v(x))``.  Residue rings O/pi^n carry canonical digit /
@@ -36,6 +41,7 @@ representatives back into the field.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -229,10 +235,11 @@ class _FieldElem:
     """num/den * pi^v in lowest terms; a false num encodes zero.
 
     Each value has exactly one representation, so equality and hashing
-    within one field compare the fields directly.  Subclasses supply the
-    arithmetic, the serialization, ``_coercible``, the foreign types
-    ``==`` coerces, and ``_eq_across_fields``; a subclass that coerces a
-    type also hashes like it.
+    within one field compare the fields directly.  Subclasses supply
+    ``_unit`` and ``_times`` for the shared product and quotient, the
+    constructor and sum, the serialization, ``_coercible``, the foreign
+    types ``==`` coerces, and ``_eq_across_fields``; a subclass that
+    coerces a type also hashes like it.
     """
 
     __slots__ = ("spec", "v", "num", "den")
@@ -254,6 +261,32 @@ class _FieldElem:
         if not self.num or not k:
             return self
         return type(self)(self.spec, self.v + k, self.num, self.den, normalize=False)
+
+    def __mul__(self, other):
+        other = _coerce(self.spec, other)
+        if not self.num or not other.num:
+            return self.spec.zero()
+        unit = self._unit
+        if other.num == unit == other.den:
+            return self.shift(other.v)
+        if self.num == unit == self.den:
+            return other.shift(self.v)
+        num = self._times(self.num, other.num)
+        if self.den == unit == other.den:
+            return type(self)(self.spec, self.v + other.v, num, unit, normalize=False)
+        return type(self)(self.spec, self.v + other.v, num,
+                          self._times(self.den, other.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _coerce(self.spec, other)
+        if not other.num:
+            raise ZeroDivisionError("division by zero field element")
+        if not self.num:
+            return self
+        return type(self)(self.spec, self.v - other.v, self._times(self.num, other.den),
+                          self._times(self.den, other.num))
 
     def __sub__(self, other):
         return self + (-_coerce(self.spec, other))
@@ -302,17 +335,13 @@ class PadicElem(_FieldElem):
     The constructor cancels the gcd of num and den and makes den positive;
     ``normalize=False`` skips that work for callers whose inputs already
     meet the invariant.
-
-    Integral elements (den == 1) take a fast path: the product of two
-    p-free integers is p-free over 1, and a sum is the p-stripped sum of
-    the scaled numerators over 1, so neither needs a gcd.  A factor that
-    is a pure power of p (num == den == 1) turns a product into a shift
-    of the other factor, and a zero result is the memoised zero.
     """
 
     __slots__ = ()
 
     _coercible = (int, Fraction)
+    _unit = 1
+    _times = staticmethod(operator.mul)
 
     def __init__(self, spec, v, num, den, normalize=True):
         if num == 0:
@@ -357,31 +386,6 @@ class PadicElem(_FieldElem):
     def __neg__(self):
         return PadicElem(self.spec, self.v, -self.num, self.den, normalize=False)
 
-    def __mul__(self, other):
-        other = _coerce(self.spec, other)
-        if self.num == 0 or other.num == 0:
-            return self.spec.zero()
-        if other.num == 1 == other.den:
-            return self.shift(other.v)
-        if self.num == 1 == self.den:
-            return other.shift(self.v)
-        if self.den == 1 == other.den:
-            return PadicElem(self.spec, self.v + other.v, self.num * other.num, 1,
-                             normalize=False)
-        return PadicElem(self.spec, self.v + other.v,
-                         self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(self.spec, other)
-        if other.num == 0:
-            raise ZeroDivisionError("division by zero field element")
-        if self.num == 0:
-            return self
-        return PadicElem(self.spec, self.v - other.v,
-                         self.num * other.den, self.den * other.num)
-
     def _eq_across_fields(self, other):
         # every Q_p is modelled on Q, so elements of two of them are equal
         # when their rational values are, as their hashes say
@@ -412,21 +416,16 @@ class LaurentElem(_FieldElem):
     The constructor cancels t-powers and the gcd of num and den and scales
     den to constant term 1, so every element is kept in lowest terms.
     ``normalize=False`` skips that work for callers whose inputs already
-    meet the invariant.
-
-    Polynomial elements (den == (1,)) take a fast path: a sum skips the
-    cross products with the denominators, and a product of two is built
-    without normalising, since the product of two numerators with nonzero
-    constant terms has a nonzero constant term over den (1,), which is
-    already in lowest terms.  A factor that is a pure power of t
-    (num == den == (1,)) turns a product into a shift of the other
-    factor, and a zero result is the memoised zero.  In characteristic 2,
-    -x is x.
+    meet the invariant.  In characteristic 2, -x is x.
     """
 
     __slots__ = ()
 
     _coercible = ()
+    _unit = ONE_POLY
+
+    def _times(self, a, b):
+        return poly_mul(self.spec.residue_gf, a, b)
 
     def __init__(self, spec, v, num, den, normalize=True):
         if normalize and num:
@@ -484,38 +483,6 @@ class LaurentElem(_FieldElem):
             return self
         return LaurentElem(self.spec, self.v, poly_neg(k, self.num), self.den,
                            normalize=False)
-
-    def __mul__(self, other):
-        other = _coerce(self.spec, other)
-        if not self.num or not other.num:
-            return self.spec.zero()
-        if other.num == ONE_POLY == other.den:
-            return self.shift(other.v)
-        if self.num == ONE_POLY == self.den:
-            return other.shift(self.v)
-        k = self.spec.residue_gf
-        if self.den == ONE_POLY == other.den:
-            # both constant terms are nonzero, so the product's is too, and
-            # num/1 with num[0] != 0 is already in lowest terms
-            return LaurentElem(self.spec, self.v + other.v,
-                               poly_mul(k, self.num, other.num), ONE_POLY,
-                               normalize=False)
-        return LaurentElem(self.spec, self.v + other.v,
-                           poly_mul(k, self.num, other.num),
-                           poly_mul(k, self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(self.spec, other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero field element")
-        if not self.num:
-            return self
-        k = self.spec.residue_gf
-        return LaurentElem(self.spec, self.v - other.v,
-                           poly_mul(k, self.num, other.den),
-                           poly_mul(k, self.den, other.num))
 
     def to_str(self):
         if not self.num:

@@ -13,9 +13,14 @@ over the lines y = a x + b + pi^(n-1) eps and compares it with the
 decay bound q^(2h-2) exp(-2(n/h-1) alpha); the shifted variant for
 congruence level k restricts indices to pi^k and pi^2k multiples,
 replaces the character twist by a difference at a designated residue,
-and carries the character-sum constant C2.  For Hilbert coefficients
-the left-hand supremum is an exact largest singular value; for other
-spaces random families plus coordinate ascent search for violations.
+and carries the character-sum constant C2.  Both operators come from
+one builder, ``_averaging_operator``: row (a, b) averages over x the
+weighted values xi_{x, a x + b + s} at a list of (shift s, weight) taps,
+one tap per eps weighted by chi(eps) for the line operator, and +1 at
+pi^(n-1) eps0 and -1 at 0 for the shifted difference.  For Hilbert
+coefficients the left-hand supremum is an exact largest singular value;
+for other spaces random families plus coordinate ascent search for
+violations.
 """
 
 import cmath
@@ -241,64 +246,59 @@ def _index_map(elems):
     return {e: k for k, e in enumerate(elems)}
 
 
+def _averaging_operator(ring, a_dom, b_dom, x_dom, y_dom, taps):
+    """Matrix of xi -> sum_x sum_(s, w) w xi_{x, a x + b + s} over the
+    (shift, weight) taps, acting (a,b)-indexed <- (x,y)-indexed.
+
+    Each x fills its own block of columns, taps with distinct shifts fill
+    distinct entries, and taps that share a shift are added in tap order,
+    so the order of the loops changes no bit of the matrix.
+    """
+    y_idx = _index_map(y_dom)
+    nb, ny = len(b_dom), len(y_dom)
+    mat = np.zeros((len(a_dom) * nb, len(x_dom) * ny), dtype=complex)
+    for ai, a in enumerate(a_dom):
+        for xi, x in enumerate(x_dom):
+            ax = ring.mul(a, x)
+            for bi, b in enumerate(b_dom):
+                base = ring.add(ax, b)
+                row = ai * nb + bi
+                for shift, weight in taps:
+                    mat[row, xi * ny + y_idx[ring.add(base, shift)]] += weight
+    return mat
+
+
 def line_operator(spec, n, chi_row):
     """Matrix of xi -> E_{x, eps} chi(eps) xi_{x, a x + b + pi^(n-1) eps},
     acting (a,b)-indexed <- (x,y)-indexed."""
     ring = residue_ring(spec, n)
     elems = ring.elements()
-    size = len(elems)
-    idx = _index_map(elems)
+    weight = 1.0 / (len(elems) * spec.q)
     # a level-1 representative is already canonical at level n
-    shifts = [ring.shift(eps, n - 1) for eps in residue_ring(spec, 1).elements()]
-    weight = 1.0 / (size * spec.q)
-    mat = np.zeros((size * size, size * size), dtype=complex)
-    for ai, a in enumerate(elems):
-        for xi, x in enumerate(elems):
-            ax = ring.mul(a, x)
-            for bi, b in enumerate(elems):
-                base = ring.add(ax, b)
-                row = ai * size + bi
-                for ei, shift in enumerate(shifts):
-                    y = ring.add(base, shift)
-                    mat[row, xi * size + idx[y]] += weight * chi_row[ei]
-    return mat
+    taps = [(ring.shift(eps, n - 1), weight * chi)
+            for eps, chi in zip(residue_ring(spec, 1).elements(), chi_row)]
+    return _averaging_operator(ring, elems, elems, elems, elems, taps)
 
 
 def shifted_difference_operator(spec, n, k, eps0_code):
     """Matrix of xi -> E_x (xi_{x, ax+b+pi^(n-1) eps0} - xi_{x, ax+b}) on the
-    congruence-restricted index sets; returns (matrix, x_dom, y_dom, ab_doms)."""
+    congruence-restricted index sets; returns (matrix, x_dom, y_dom)."""
     ring = residue_ring(spec, n)
     x_dom = ring.pi_multiples(k)
     y_dom = ring.pi_multiples(2 * k)
-    a_dom, b_dom = x_dom, y_dom
-    xi_idx = {}
-    for xiv, x in enumerate(x_dom):
-        for yiv, y in enumerate(y_dom):
-            xi_idx[(x, y)] = xiv * len(y_dom) + yiv
-    shift = ring.shift(ring.embed_residue_code(eps0_code), n - 1)
-    rows = len(a_dom) * len(b_dom)
-    cols = len(x_dom) * len(y_dom)
-    mat = np.zeros((rows, cols), dtype=complex)
     weight = 1.0 / len(x_dom)
-    for ai, a in enumerate(a_dom):
-        for bi, b in enumerate(b_dom):
-            row = ai * len(b_dom) + bi
-            for x in x_dom:
-                base = ring.add(ring.mul(a, x), b)
-                plus = ring.add(base, shift)
-                mat[row, xi_idx[(x, plus)]] += weight
-                mat[row, xi_idx[(x, base)]] -= weight
-    return mat, x_dom, y_dom
+    taps = ((ring.shift(ring.embed_residue_code(eps0_code), n - 1), weight),
+            (ring.zero, -weight))
+    return _averaging_operator(ring, x_dom, y_dom, x_dom, y_dom, taps), x_dom, y_dom
 
 
-def fft_rhs_coefficient(spec, h, n, k, space, eps0_code=1, c2=None):
+def fft_rhs_coefficient(spec, h, n, k, space, eps0_code=1):
     """The decay coefficient the averaged left side must stay below."""
     alpha = -math.log(transform_upper_bound(spec, h, space))
     base = spec.q ** (2 * h - 2)
     if k == 0:
         return base * math.exp(-2.0 * (n / h - 1.0) * alpha)
-    if c2 is None:
-        c2 = c2_constant(spec, eps0_code)
+    c2 = c2_constant(spec, eps0_code)
     return c2 * base * math.exp(-2.0 * ((n - 2 * k) / h - 1.0) * alpha)
 
 
@@ -326,10 +326,8 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
         table1 = characters_pairing(spec, 1)
         chi_row = table1.matrix[table1.nontrivial_index()]
         mat = line_operator(spec, n, chi_row)
-        size = residue_ring(spec, n).size
-        scale = size * size  # both sides are means over size^2 index pairs
     else:
-        mat, x_dom, y_dom = shifted_difference_operator(spec, n, k, eps0_code)
+        mat, _, _ = shifted_difference_operator(spec, n, k, eps0_code)
     coeff = float(fft_rhs_coefficient(spec, h, n, k, space, eps0_code))
     report.margins["rhs_coefficient"] = coeff
     if space.is_hilbert and strategy == "exhaustive":

@@ -120,6 +120,13 @@ def anchor_bounds(lemma, k, v0):
     }[lemma]
 
 
+def congruence_levels(lemma, k):
+    """(level of a, level of b, level of x): a tuple of the congruence
+    layer k has a, x in pi^k and, for NONSPHER01 and CHAR2_02, b in
+    pi^2k; level 0 is no condition."""
+    return k, 2 * k if lemma in (NONSPHER01, CHAR2_02) else 0, k
+
+
 def check_preconditions(lemma, spec, i, j, k_level):
     if lemma not in LEMMA_IDS:
         raise LemmaPreconditionError(f"unknown lemma id {lemma!r}")
@@ -179,9 +186,10 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
     ring = residue_ring(spec, depth)
     sig = section if section is not None else ring.section
     if k_level > 0:
-        if ring.valuation(a) < min(k_level, depth) or ring.valuation(x) < min(k_level, depth):
+        la, lb, lx = congruence_levels(lemma, k_level)
+        if ring.valuation(a) < min(la, depth) or ring.valuation(x) < min(lx, depth):
             raise LemmaPreconditionError("congruence layer needs a, x in pi^k O/pi^depth")
-        if lemma in (NONSPHER01, CHAR2_02) and ring.valuation(b) < min(2 * k_level, depth):
+        if ring.valuation(b) < min(lb, depth):
             raise LemmaPreconditionError("congruence layer needs b in pi^2k O/pi^depth")
     eps_ring = ring.embed_residue_code(eps_code)
     if y_override is not None:

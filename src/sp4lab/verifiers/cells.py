@@ -32,12 +32,8 @@ def tuple_space(lemma, spec, i, j, k_level):
     """(A, B, X, eps_codes) enumeration domains for a lemma instance."""
     depth = lw.check_preconditions(lemma, spec, i, j, k_level)
     ring = residue_ring(spec, depth)
-    a_dom = ring.pi_multiples(k_level) if k_level else ring.elements()
-    if k_level and lemma in (lw.NONSPHER01, lw.CHAR2_02):
-        b_dom = ring.pi_multiples(2 * k_level)
-    else:
-        b_dom = ring.elements()
-    return a_dom, b_dom, a_dom, tuple(range(spec.q))
+    a_dom, b_dom, x_dom = map(ring.pi_multiples, lw.congruence_levels(lemma, k_level))
+    return a_dom, b_dom, x_dom, tuple(range(spec.q))
 
 
 def case_count(lemma, spec, i, j, k_level):

@@ -13,9 +13,11 @@ against the claimed aggregate decay.
 
 A move is legal when its anchor meets the hypotheses of its lemma: the
 least i - j and the least j that ``lemma_witnesses.anchor_bounds``
-states, which each ``Regime`` reads once.  ``_Builder.push`` is the
-planner's only legality gate: every move of a planned path has passed
-it.  ``validate_path`` re-checks a finished path from scratch,
+states, which each ``Regime`` reads once.  ``_step`` is the planner's
+only legality gate, and each planned move is judged once: templates are
+tried by pushing with rollback, and the moves of a route found by search,
+or of the diagonal step taken on a scratch builder, are adopted as they
+were judged.  ``validate_path`` re-checks a finished path from scratch,
 independently of the planner.
 """
 
@@ -150,6 +152,18 @@ def apply_move(cell, delta, reversed_=False):
     return (i + delta[0], j + delta[1])
 
 
+def _step(regime, cell, delta, reversed_):
+    """(move, next cell) of a legal move that stays in the dominant cone,
+    else (None, the failed hypothesis)."""
+    ok, anchor, reason = move_legal(regime, cell, delta, reversed_)
+    if not ok:
+        return None, reason
+    nxt = apply_move(cell, delta, reversed_)
+    if not in_cone(nxt):
+        return None, f"target {nxt} leaves the dominant cone"
+    return Move(delta, anchor, reversed_), nxt
+
+
 class _Builder:
     def __init__(self, start, regime):
         self.regime = regime
@@ -161,37 +175,44 @@ class _Builder:
         return self.cells[-1]
 
     def push(self, delta, reversed_=False):
-        ok, anchor, reason = move_legal(self.regime, self.cur, delta, reversed_)
-        if not ok:
-            raise PlannerError(self.cur, reason)
-        nxt = apply_move(self.cur, delta, reversed_)
-        if not in_cone(nxt):
-            raise PlannerError(self.cur, f"target {nxt} leaves the dominant cone")
-        self.moves.append(Move(delta, anchor, reversed_))
+        move, nxt = _step(self.regime, self.cur, delta, reversed_)
+        if move is None:
+            raise PlannerError(self.cur, nxt)
+        self.moves.append(move)
         self.cells.append(nxt)
 
-    def push_many(self, steps):
-        for delta, rev in steps:
-            self.push(delta, rev)
+    def try_steps(self, steps):
+        """Push steps in order; if one is illegal, undo them all and return False."""
+        mark = len(self.moves)
+        try:
+            for delta, rev in steps:
+                self.push(delta, rev)
+        except PlannerError:
+            del self.moves[mark:], self.cells[mark + 1:]
+            return False
+        return True
+
+    def adopt(self, route):
+        """Append (move, cell) pairs whose moves were judged when found."""
+        for move, cell in route:
+            self.moves.append(move)
+            self.cells.append(cell)
 
 
 def _neighbors(regime, cell):
-    """All legally reachable neighbor cells with their move descriptors."""
+    """All legally reachable neighbor cells with their moves."""
+    up = regime.up_delta()
     out = []
-    deltas = ((regime.up_delta(), False), (regime.up_delta(), True),
-              (RIGHT, False), (RIGHT, True))
-    for delta, rev in deltas:
-        ok, _, _ = move_legal(regime, cell, delta, rev)
-        if not ok:
-            continue
-        nxt = apply_move(cell, delta, rev)
-        if in_cone(nxt):
-            out.append((nxt, (delta, rev)))
+    for delta, rev in ((up, False), (up, True), (RIGHT, False), (RIGHT, True)):
+        move, nxt = _step(regime, cell, delta, rev)
+        if move is not None:
+            out.append((nxt, move))
     return out
 
 
 def _bfs_route(regime, start, goal_pred, i_limit):
-    """Shortest legal move sequence from start to a goal cell, or None."""
+    """Shortest legal route from start to a goal cell as (move, cell)
+    pairs, or None."""
     from collections import deque
 
     seen = {start: None}
@@ -199,17 +220,16 @@ def _bfs_route(regime, start, goal_pred, i_limit):
     while queue:
         cell = queue.popleft()
         if goal_pred(cell):
-            steps = []
-            cur = cell
-            while seen[cur] is not None:
-                prev, mv = seen[cur]
-                steps.append(mv)
-                cur = prev
-            return list(reversed(steps))
-        for nxt, mv in _neighbors(regime, cell):
+            route = []
+            while seen[cell] is not None:
+                prev, move = seen[cell]
+                route.append((move, cell))
+                cell = prev
+            return route[::-1]
+        for nxt, move in _neighbors(regime, cell):
             if nxt[0] > i_limit or nxt in seen:
                 continue
-            seen[nxt] = (cell, mv)
+            seen[nxt] = (cell, move)
             queue.append(nxt)
     return None
 
@@ -281,26 +301,13 @@ def _slide_to_diagonal_char2(b):
             return trace
         if gap not in CHAR2_CASE_STEPS:
             raise PlannerError(b.cur, f"strip residue {gap} outside the case split")
-        variants = CHAR2_CASE_STEPS[gap]
-        done = False
-        for vi, steps in enumerate(variants):
-            if all(_steps_legal(b.regime, b.cur, steps)):
+        for vi, steps in enumerate(CHAR2_CASE_STEPS[gap]):
+            if b.try_steps(steps):
                 if vi == 0:
                     trace.append(CHAR2_CASE_HOPS[gap](i, j))
-                b.push_many(steps)
-                done = True
                 break
-        if not done:
+        else:
             raise PlannerError(b.cur, f"no legal case-{gap} template")
-
-
-def _steps_legal(regime, start, steps):
-    cell = start
-    for delta, rev in steps:
-        ok, _, _ = move_legal(regime, cell, delta, rev)
-        nxt = apply_move(cell, delta, rev)
-        yield ok and in_cone(nxt)
-        cell = nxt
 
 
 TAIL_NE2 = (((RIGHT, False), (UP1, False), (RIGHT, False), (UP1, False), (UP1, False)),
@@ -312,28 +319,32 @@ TAIL_CHAR2 = (((RIGHT, False), (RIGHT, False), (UP2, False), (RIGHT, False),
 
 
 def _tail_route(regime, diag):
-    """(steps, bfs_used) of the composite diagonal step from diag, or None.
+    """(builder, bfs_used): a builder at diag that has taken the composite
+    diagonal step, or None when no route exists.
 
     The reference templates are tried first, then a bounded search for
-    the cell one composite step up the diagonal.
+    the cell one composite step up the diagonal, (2j, j) -> (2j + 2 dj,
+    j + dj) with dj the j-step of the regime's up-move.
     """
-    templates = TAIL_CHAR2 if regime.kind == CHAR_2 else TAIL_NE2
-    for steps in templates:
-        if all(_steps_legal(regime, diag, steps)):
-            return steps, False
-    j = diag[1]
-    target = (2 * j + 4, j + 2) if regime.kind == CHAR_2 else (2 * j + 2, j + 1)
-    route = _bfs_route(regime, diag, lambda c: c == target, target[0] + 4)
-    return None if route is None else (route, True)
+    b = _Builder(diag, regime)
+    for steps in TAIL_CHAR2 if regime.kind == CHAR_2 else TAIL_NE2:
+        if b.try_steps(steps):
+            return b, False
+    j = diag[1] + regime.up_delta()[1]
+    route = _bfs_route(regime, diag, lambda c: c == (2 * j, j), 2 * j + 4)
+    if route is None:
+        return None
+    b.adopt(route)
+    return b, True
 
 
 def _append_tail(b):
     tail = _tail_route(b.regime, b.cur)
     if tail is None:
         raise PlannerError(b.cur, "diagonal step blocked (cell too close to the walls)")
-    steps, bfs_used = tail
-    b.push_many(steps)
-    return len(steps), bfs_used
+    t, bfs_used = tail
+    b.adopt(zip(t.moves, t.cells[1:]))
+    return len(t.moves), bfs_used
 
 
 def plan_path(start, regime):
@@ -363,7 +374,7 @@ def plan_path(start, regime):
                            limit)
         if route is None:
             raise
-        b.push_many(route)
+        b.adopt(route)
         approach = len(b.moves)
         bfs_used = True
     diag = b.cur
@@ -415,8 +426,9 @@ class InadmissibleRateError(ValueError):
 
 
 def beta_limit(regime, alpha, h):
-    """Supremum of the admissible beta: alpha/(4h) in char 2, alpha/(2h) otherwise."""
-    return Fraction(alpha) / ((4 if regime.kind == CHAR_2 else 2) * h)
+    """Supremum of the admissible beta: alpha/(2 dj h), with dj the j-step
+    of the up-move, so alpha/(4h) in char 2 and alpha/(2h) otherwise."""
+    return Fraction(alpha) / (2 * regime.up_delta()[1] * h)
 
 
 def _check_rates(regime, alpha, h, beta):
@@ -426,8 +438,8 @@ def _check_rates(regime, alpha, h, beta):
         raise InadmissibleRateError("h must be a positive integer")
     limit = beta_limit(regime, alpha, h)
     if not 0 <= beta < limit:
-        side = "alpha/(4h)" if regime.kind == CHAR_2 else "alpha/(2h)"
-        raise InadmissibleRateError(f"beta must lie in [0, {side}) = [0, {limit})")
+        raise InadmissibleRateError(
+            f"beta must lie in [0, alpha/({2 * regime.up_delta()[1]}h)) = [0, {limit})")
 
 
 def move_exponent(move, alpha, h, beta, c):
@@ -446,11 +458,10 @@ def move_exponent(move, alpha, h, beta, c):
 
 
 def decay_rate(regime, alpha, h, beta):
-    """The surfaced aggregate rate: alpha/h - 2 beta, halved in char 2."""
+    """The surfaced aggregate rate: alpha/(dj h) - 2 beta, with dj the
+    j-step of the up-move (2 in char 2, else 1)."""
     a, hh, b = map(Fraction, (alpha, h, beta))
-    if regime.kind == CHAR_2:
-        return a / (2 * hh) - 2 * b
-    return a / hh - 2 * b
+    return a / (regime.up_delta()[1] * hh) - 2 * b
 
 
 def bound_ledger(path, alpha, h, beta, c=0):
@@ -480,15 +491,11 @@ def bound_ledger(path, alpha, h, beta, c=0):
                      "value": val})
     total = sum(r["value"] for r in rows)
     jd = path.diagonal_cell()[1]
+    dj = regime.up_delta()[1]
     rate = decay_rate(regime, alpha, h, beta)
-    if regime.kind == CHAR_2:
-        # composite steps (2j,j) -> (2j+4,j+2): terms exp(2c - 2 rate (j+2t))
-        step = math.exp(float(-4 * rate))
-        first = math.exp(float(2 * c - 2 * rate * (jd + 2)))
-    else:
-        # composite steps (2j,j) -> (2j+2,j+1): terms exp(2c - 2 rate (j+t))
-        step = math.exp(float(-2 * rate))
-        first = math.exp(float(2 * c - 2 * rate * (jd + 1)))
+    # composite steps (2j,j) -> (2j+2dj,j+dj): terms exp(2c - 2 rate (j+dj t))
+    step = math.exp(float(-2 * dj * rate))
+    first = math.exp(float(2 * c - 2 * rate * (jd + dj)))
     tail = first / (1.0 - step)
     closed = math.exp(float(2 * c - rate * path.start[0]))
     total_with_tail = total + tail

@@ -338,6 +338,65 @@ def test_monomial_products_are_shifts(name, seed, k):
     assert x * spec.zero() is spec.zero() and spec.zero() * x is spec.zero()
 
 
+OPERAND_KINDS = ("zero", "monomial", "integral", "general")
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two elements of one field, each a zero, a power of the uniformizer,
+    an integral (polynomial) element or a general fraction."""
+    spec = parse_field(draw(st.sampled_from(
+        ["Q2", "Q3", "Q5", "F2((t))", "F3((t))", "F4((t))"])))
+    k = spec.residue_gf
+
+    def poly(unit_constant):
+        c = draw(st.lists(st.integers(0, k.q - 1), min_size=1, max_size=4))
+        if unit_constant:
+            c[0] = draw(st.integers(1, k.q - 1))
+        return poly_trim(c)
+
+    def element(kind):
+        v = draw(st.integers(-4, 4))
+        if kind == "zero":
+            return spec.zero()
+        if kind == "monomial":
+            return spec.pi(v)
+        if spec.kind == MIXED:
+            num = draw(st.integers(-60, 60).filter(bool))
+            den = 1 if kind == "integral" else draw(st.integers(2, 60))
+            return spec.rational(num, den).shift(v)
+        if kind == "integral":
+            return LaurentElem(spec, v, poly(True), (1,))
+        num = poly(False)
+        return LaurentElem(spec, v, num, poly(True)) if num else spec.zero()
+
+    kinds = st.sampled_from(OPERAND_KINDS)
+    return spec, element(draw(kinds)), element(draw(kinds))
+
+
+def _schoolbook(spec, v, num_factors, den_factors):
+    """num/den * pi^v from the normalising constructor, the numerator and
+    denominator multiplied out by the schoolbook products."""
+    if spec.kind == MIXED:
+        return PadicElem(spec, v, math.prod(num_factors), math.prod(den_factors))
+    k = spec.residue_gf
+    return LaurentElem(spec, v, oracle_mul(k, *num_factors), oracle_mul(k, *den_factors))
+
+
+@settings(max_examples=400, deadline=None)
+@given(operand_pairs())
+def test_shared_product_and_quotient_match_schoolbook(pair):
+    spec, x, y = pair
+    expected = _schoolbook(spec, x.v + y.v, (x.num, y.num), (x.den, y.den))
+    _same(x * y, expected)
+    _same(y * x, expected)
+    if y.num:
+        _same(x / y, _schoolbook(spec, x.v - y.v, (x.num, y.den), (x.den, y.num)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
 # ---------------------------------------------------------------------------
 # equality, hashing and the shared constants
 

@@ -5,8 +5,11 @@ without its timing field, is compared with its line in a golden JSONL
 file.  A speed-up of certification, coercion or element arithmetic must
 leave every line as it is.
 
-Regenerate the golden file only for a deliberate change of the report
-format:  ``PYTHONPATH=src python tests/test_report_stream.py --write``.
+``PYTHONPATH=src python tests/test_report_stream.py --write`` appends the
+lines of cases added to the end of ``CASES`` since the golden file was
+written, and never rewrites an existing line; run it on the tree before
+the change the new cases are meant to pin.  To regenerate the whole file
+for a deliberate change of the report format, delete it first.
 """
 
 import json
@@ -92,13 +95,27 @@ CASES = (
     (_cells(lw.NONSPHER01, "Q5", 3, 1, k=1), None),
     (("identities:CHAR2_02:F2((t)):6,2", "identities",
       {"lemma": lw.CHAR2_02, "field": "F2((t))", "i": 6, "j": 2, "n": 30}), None),
+    # the line-averaging operators at k = 0 and k > 0, the l1.5 search, the
+    # depth-reduction rewrite, the transform norm and an h = 2 ledger
+    (("fft:Q2:h1:n2:k0:l2", "fft", {"field": "Q2", "h": 1, "n": 2, "k": 0}), None),
+    (("fft:Q3:h1:n3:k1:l2", "fft", {"field": "Q3", "h": 1, "n": 3, "k": 1}), None),
+    (("fft:Q2:h1:n2:k0:l1.5", "fft",
+      {"field": "Q2", "h": 1, "n": 2, "k": 0, "p": 1.5, "d": 2,
+       "strategy": "random", "trials": 200}), None),
+    (("fft-rewrite:Q3:n3:k1", "fft-rewrite",
+      {"field": "Q3", "n": 3, "k": 1, "trials": 10, "eps0": 2}), None),
+    (("fourier-norm:Q2", "fourier-norm",
+      {"field": "Q2", "h_values": [1, 2], "dims": [1, 2, 4]}), None),
+    (("zigzag:ledger:char-ne2-h2", "zigzag-ledger",
+      {"regime": "char-ne2", "v0": 0, "h": 2, "alphas": ["7/10"],
+       "betas": ["0", "9/10"], "max_length": 40}), None),
 )
 
 
-def stream():
+def stream(cases=CASES):
     """One JSON line per case, the report without ``elapsed_ms``."""
     lines = []
-    for task, mutation in CASES:
+    for task, mutation in cases:
         d = run_task(task, SEED, mutation=mutation).to_dict()
         del d["elapsed_ms"]
         lines.append(json.dumps(d, sort_keys=True))
@@ -119,4 +136,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_report_stream.py --write")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("\n".join(stream()) + "\n")
+    written = GOLDEN.read_text().splitlines() if GOLDEN.exists() else []
+    with GOLDEN.open("a") as out:
+        for line in stream(CASES[len(written):]):
+            out.write(line + "\n")
