@@ -24,6 +24,7 @@ violations.
 """
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -389,6 +390,17 @@ def _fft_ratio(mat, fam, p, coeff):
     return lhs / (coeff * den)
 
 
+@functools.lru_cache(maxsize=4)
+def _rewrite_operators(spec, n, k, eps0_code):
+    """The shifted-difference matrices at depths n and n - 2k, built once
+    per (spec, n, k, eps0_code) and shared read-only across trials."""
+    mats = (shifted_difference_operator(spec, n, k, eps0_code)[0],
+            shifted_difference_operator(spec, n - 2 * k, 0, eps0_code)[0])
+    for mat in mats:
+        mat.flags.writeable = False
+    return mats
+
+
 def shifted_rewrite_families(spec, n, k, xi, eps0_code=1):
     """The averaged reindexing that reduces the shifted variant to depth
     n - 2k: xi'_{x1,y1} = E_z xi_{pi^k (s(x1)+z), pi^2k y1}.
@@ -417,10 +429,9 @@ def shifted_rewrite_families(spec, n, k, xi, eps0_code=1):
                 yval = ring.shift(y1, 2 * k)
                 xi_prime[x1i, y1i] += xi[x_idx[xval] * len(y_dom) + y_idx[yval]]
         xi_prime[x1i] /= z_count
-    mat, _, _ = shifted_difference_operator(spec, n, k, eps0_code)
+    mat, mat2 = _rewrite_operators(spec, n, k, eps0_code)
     flat = xi.reshape(len(x_dom) * len(y_dom), d)
     lhs_full = float(np.mean(lp_norms(mat @ flat, 2) ** 2))
-    mat2, _, _ = shifted_difference_operator(spec, n - 2 * k, 0, eps0_code)
     flat2 = xi_prime.reshape(len(small_elems) * len(small_elems), d)
     lhs_reduced = float(np.mean(lp_norms(mat2 @ flat2, 2) ** 2))
     return xi_prime, lhs_full, lhs_reduced

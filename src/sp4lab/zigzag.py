@@ -19,6 +19,20 @@ tried by pushing with rollback, and the moves of a route found by search,
 or of the diagonal step taken on a scratch builder, are adopted as they
 were judged.  ``validate_path`` re-checks a finished path from scratch,
 independently of the planner.
+
+The ledger's exponents are exact rationals, evaluated as integers.
+``move_exponent`` states the per-move rule once, in Fractions; it is
+affine in the anchor (i, j), with coefficients fixed by the move delta
+and the rates (alpha, h, beta, c).  ``_ScaledLedger`` picks one common
+denominator D per ledger or sweep, reads each delta's integer form
+D * exponent = a i + b j + e off the rule at three anchors, and takes
+the tail's first term and ratio and the closed form from
+``decay_rate``; a coefficient that is not integral after scaling
+raises instead of being truncated.  An exponent then costs two integer
+products, and its float is n / D.  CPython divides ints with correct
+rounding, and ``float(Fraction(n, D))`` is the same quotient of the
+same rational in lowest terms, so every float the ledger exponentiates
+is bit for bit the float of the Fraction route.
 """
 
 import math
@@ -445,8 +459,10 @@ def _check_rates(regime, alpha, h, beta):
 def move_exponent(move, alpha, h, beta, c):
     """Exact exponent of the decay term contributed by one move.
 
-    alpha, beta and c are Fractions or ints and h a positive int;
-    ``bound_ledger`` converts decimal strings once at its boundary.
+    alpha, beta and c are Fractions or ints and h a positive int; the
+    ledger converts decimal strings once at its boundary.  This is the one
+    statement of the per-move rule: the ledger's integer forms are read
+    off it.
     """
     i, j = move.anchor
     w = Fraction(alpha, h)
@@ -464,40 +480,82 @@ def decay_rate(regime, alpha, h, beta):
     return a / (regime.up_delta()[1] * hh) - 2 * b
 
 
+def _scaled(x, den):
+    """den * x as an int; x must have a denominator dividing den."""
+    n = x * den
+    if n.denominator != 1:
+        raise ArithmeticError(f"{x} * {den} is not integral")
+    return n.numerator
+
+
+class _ScaledLedger:
+    """Every exponent the ledger evaluates, as an integer over one common
+    denominator ``den`` fixed by (regime, alpha, h, beta, c).
+
+    ``forms`` maps each move delta to the integers (a, b, e) with
+    den * move_exponent = a i + b j + e at anchor (i, j): the rule is
+    affine in the anchor, so its values at (0,0), (1,0) and (0,1) fix it.
+    The diagonal tail and the closed form are read off ``decay_rate``.
+    """
+
+    def __init__(self, regime, alpha, h, beta, c):
+        alpha, beta, c = map(Fraction, (alpha, beta, c))
+        _check_rates(regime, alpha, h, beta)
+        self.rate = decay_rate(regime, alpha, h, beta)
+        self.den = den = math.lcm(Fraction(alpha, h).denominator, beta.denominator,
+                                  c.denominator, self.rate.denominator)
+        self.forms = {}
+        for delta in (UP1, UP2, RIGHT):
+            e, ei, ej = (move_exponent(Move(delta, anchor), alpha, h, beta, c)
+                         for anchor in ((0, 0), (1, 0), (0, 1)))
+            self.forms[delta] = (_scaled(ei - e, den), _scaled(ej - e, den),
+                                 _scaled(e, den))
+        self.two_c = _scaled(2 * c, den)
+        self.scaled_rate = _scaled(self.rate, den)
+        self.dj = regime.up_delta()[1]
+        self.step = math.exp(-2 * self.dj * self.scaled_rate / den)
+
+    def numerator(self, move):
+        """den * move_exponent(move, ...)."""
+        a, b, e = self.forms[move.delta]
+        i, j = move.anchor
+        return a * i + b * j + e
+
+    def totals(self, path, values):
+        """(path total, diagonal tail, closed form) from the per-move values."""
+        den, rate = self.den, self.scaled_rate
+        # composite steps (2j,j) -> (2j+2dj,j+dj): terms exp(2c - 2 rate (j+dj t))
+        jd = path.diagonal_cell()[1]
+        first = math.exp((self.two_c - 2 * rate * (jd + self.dj)) / den)
+        closed = math.exp((self.two_c - rate * path.start[0]) / den)
+        return sum(values), first / (1.0 - self.step), closed
+
+
 def bound_ledger(path, alpha, h, beta, c=0):
     """Sum the per-move decay terms plus the geometric diagonal tail and
     compare with the claimed closed form.
 
     alpha, beta, c may be ints, Fractions, or decimal strings, and h a
-    positive int; the exponents are computed in exact rational arithmetic
-    and only the final exponentials are floating point.  Returns the
-    ledger rows, the total, the closed form exp(2c - rate * i_start) and
-    the implied constant total / closed_form.
+    positive int.  Returns the ledger rows, the total, the closed form
+    exp(2c - rate * i_start) and the implied constant total / closed_form.
+
+    Every exponent is exact: ``_ScaledLedger`` gives it as an integer n
+    over a common denominator D, a row's ``exponent`` is
+    ``str(Fraction(n, D))``, and the float n / D, correctly rounded int
+    division, is bit for bit ``float(move_exponent(...))`` (see the module
+    docstring).  Only the exponentials are floating point.
     """
-    alpha = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
-    beta = Fraction(beta) if not isinstance(beta, Fraction) else beta
-    c = Fraction(c) if not isinstance(c, Fraction) else c
-    regime = path.regime
-    _check_rates(regime, alpha, h, beta)
+    led = _ScaledLedger(path.regime, alpha, h, beta, c)
+    den = led.den
     rows = []
-    total = 0.0
     for mv in path.moves:
-        expo = move_exponent(mv, alpha, h, beta, c)
-        val = math.exp(float(expo))
+        n = led.numerator(mv)
         rows.append({"anchor": list(mv.anchor),
                      "delta": list(mv.delta),
-                     "lemma": mv.lemma(regime),
-                     "exponent": str(expo),
-                     "value": val})
-    total = sum(r["value"] for r in rows)
-    jd = path.diagonal_cell()[1]
-    dj = regime.up_delta()[1]
-    rate = decay_rate(regime, alpha, h, beta)
-    # composite steps (2j,j) -> (2j+2dj,j+dj): terms exp(2c - 2 rate (j+dj t))
-    step = math.exp(float(-2 * dj * rate))
-    first = math.exp(float(2 * c - 2 * rate * (jd + dj)))
-    tail = first / (1.0 - step)
-    closed = math.exp(float(2 * c - rate * path.start[0]))
+                     "lemma": mv.lemma(path.regime),
+                     "exponent": str(Fraction(n, den)),
+                     "value": math.exp(n / den)})
+    total, tail, closed = led.totals(path, [r["value"] for r in rows])
     total_with_tail = total + tail
     return {
         "rows": rows,
@@ -506,12 +564,17 @@ def bound_ledger(path, alpha, h, beta, c=0):
         "total": total_with_tail,
         "closed_form": closed,
         "implied_constant": total_with_tail / closed,
-        "rate": rate,
+        "rate": led.rate,
     }
 
 
 def ledger_sweep(regime, alpha, h, beta, c=0, max_length=300, stride=7):
-    """Sup of the implied constant over a grid of start cells."""
+    """Sup of the implied constant over a grid of start cells.
+
+    The rates are checked once; each path is summed from the integer
+    forms directly, with the floats of ``bound_ledger`` but no rows.
+    """
+    led = _ScaledLedger(regime, alpha, h, beta, c)
     sup = 0.0
     worst = None
     for i in range(2, max_length + 1, 1):
@@ -522,9 +585,10 @@ def ledger_sweep(regime, alpha, h, beta, c=0, max_length=300, stride=7):
                 path = plan_path((i, j), regime)
             except PlannerError:
                 continue
-            res = bound_ledger(path, alpha, h, beta, c)
-            if res["implied_constant"] > sup:
-                sup = res["implied_constant"]
+            total, tail, closed = led.totals(
+                path, [math.exp(led.numerator(mv) / led.den) for mv in path.moves])
+            implied = (total + tail) / closed
+            if implied > sup:
+                sup = implied
                 worst = (i, j)
-    return {"sup_constant": sup, "worst_start": worst,
-            "rate": str(decay_rate(regime, Fraction(alpha), h, Fraction(beta)))}
+    return {"sup_constant": sup, "worst_start": worst, "rate": str(led.rate)}

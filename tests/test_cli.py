@@ -2,12 +2,14 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 CLI = [sys.executable, "-m", "sp4lab.cli"]
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(*args, env_extra=None, stdin=None):
@@ -94,6 +96,17 @@ def test_zigzag_commands():
     res = run("zigzag", "bound", "--alpha", "0.4", "--beta", "0.3",
               "--start", "12,3")
     assert res.returncode == 2  # inadmissible rates
+
+
+@pytest.mark.parametrize("golden, args", [
+    ("zigzag_bound_40_7.jsonl", ["--start", "40,7"]),
+    ("zigzag_bound_sweep_grid40.jsonl", ["--grid", "40"]),
+])
+def test_zigzag_bound_output_pinned(golden, args):
+    # one ledger with its rows and one sweep, both with C != 0, byte for byte
+    res = run("zigzag", "bound", "--alpha", "7/10", "--beta", "1/10", "--C", "1/3", *args)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (DATA / golden).read_text()
 
 
 def test_parity_and_fourier_commands():

@@ -109,6 +109,21 @@ CASES = (
     (("zigzag:ledger:char-ne2-h2", "zigzag-ledger",
       {"regime": "char-ne2", "v0": 0, "h": 2, "alphas": ["7/10"],
        "betas": ["0", "9/10"], "max_length": 40}), None),
+    # ledgers at h = 3 with a beta strictly inside the admissible range, in
+    # char 2, at v0 = 1 and at congruence level 1
+    (("zigzag:ledger:char2-h3", "zigzag-ledger",
+      {"regime": "char2", "h": 3, "alphas": ["1/3", "7/10"],
+       "betas": ["0", "1/2", "9/10"], "max_length": 40}), None),
+    (("zigzag:ledger:char-ne2-v1-h3", "zigzag-ledger",
+      {"regime": "char-ne2", "v0": 1, "h": 3, "alphas": ["1/3", "7/10"],
+       "betas": ["0", "1/2", "9/10"], "max_length": 40}), None),
+    (("zigzag:ledger:char-ne2-k1-h3", "zigzag-ledger",
+      {"regime": "char-ne2", "v0": 0, "klevel": 1, "h": 3,
+       "alphas": ["1/3", "7/10"], "betas": ["0", "1/2", "9/10"],
+       "max_length": 40}), None),
+    (("zigzag:ledger:char2-k1-h3", "zigzag-ledger",
+      {"regime": "char2", "klevel": 1, "h": 3, "alphas": ["1/3", "7/10"],
+       "betas": ["0", "1/2", "9/10"], "max_length": 40}), None),
 )
 
 

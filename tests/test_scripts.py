@@ -24,12 +24,23 @@ def test_every_script_has_a_smoke_run():
     assert sorted(p.name for p in SCRIPTS.glob("*.py")) == sorted(SMALLEST_ARGS)
 
 
-@pytest.mark.parametrize("script", sorted(SMALLEST_ARGS))
-def test_script_runs(script):
+def _run_script(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script)] + SMALLEST_ARGS[script],
+    return subprocess.run([sys.executable, str(SCRIPTS / script)] + args,
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("script", sorted(SMALLEST_ARGS))
+def test_script_runs(script):
+    proc = _run_script(script, SMALLEST_ARGS[script])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_ledger_sweep_table_pinned():
+    proc = _run_script("zigzag_ledger_sweep.py", ["--grid", "40"])
+    assert proc.returncode == 0, proc.stderr
+    golden = ROOT / "tests" / "data" / "zigzag_ledger_sweep_grid40.txt"
+    assert proc.stdout == golden.read_text()

@@ -1,8 +1,11 @@
 """Chamber walks: legality, reference templates, blocked cells, ledger decay."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sp4lab import lemma_witnesses as lw
 from sp4lab import zigzag as zz
@@ -192,6 +195,77 @@ def test_ledger_sweep_finite():
     res = zz.ledger_sweep(R0, Fraction("0.7"), 1, Fraction("0.1"), max_length=80)
     assert res["sup_constant"] < float("inf")
     assert res["sup_constant"] > 0
+
+
+def test_ledger_sweep_checks_rates_at_entry():
+    alpha = Fraction(7, 10)
+    for regime in (R0, RC2):
+        limit = zz.beta_limit(regime, alpha, 1)
+        for beta in (limit, 2 * limit):
+            with pytest.raises(zz.InadmissibleRateError):
+                zz.ledger_sweep(regime, alpha, 1, beta, max_length=20)
+        with pytest.raises(zz.InadmissibleRateError):  # even with no start to plan
+            zz.ledger_sweep(regime, alpha, 1, limit, max_length=1)
+
+
+def _reference_ledger(path, alpha, h, beta, c):
+    """The ledger recomputed in Fraction arithmetic, one exponent at a time."""
+    regime = path.regime
+    exps = [zz.move_exponent(mv, alpha, h, beta, c) for mv in path.moves]
+    values = [math.exp(float(e)) for e in exps]
+    rate = zz.decay_rate(regime, alpha, h, beta)
+    dj = regime.up_delta()[1]
+    jd = path.diagonal_cell()[1]
+    step = math.exp(float(-2 * dj * rate))
+    tail = math.exp(float(2 * c - 2 * rate * (jd + dj))) / (1.0 - step)
+    closed = math.exp(float(2 * c - rate * path.start[0]))
+    total = sum(values)
+    return exps, values, {"path_total": total, "tail_sum": tail, "closed_form": closed,
+                          "implied_constant": (total + tail) / closed, "rate": rate}
+
+
+_regimes = st.one_of(
+    st.builds(lambda v0, k: zz.Regime(zz.CHAR_NE2, v0=v0, k=k),
+              st.integers(0, 2), st.integers(0, 1)),
+    st.builds(lambda k: zz.Regime(zz.CHAR_2, k=k), st.integers(0, 1)))
+_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 36))
+
+
+@settings(max_examples=60, deadline=None)
+@given(regime=_regimes, h=st.integers(1, 4),
+       alpha=st.builds(Fraction, st.integers(1, 40), st.integers(1, 36)),
+       beta_frac=st.builds(Fraction, st.integers(0, 35), st.just(36)),
+       c=_fractions, i=st.integers(2, 70), j=st.integers(0, 70),
+       max_length=st.integers(2, 30), stride=st.integers(1, 9))
+def test_ledger_matches_fraction_route(regime, h, alpha, beta_frac, c, i, j,
+                                       max_length, stride):
+    # the integer forms reproduce the Fraction route bit for bit
+    beta = zz.beta_limit(regime, alpha, h) * beta_frac
+    try:
+        path = zz.plan_path((max(i, j), min(i, j)), regime)
+    except zz.PlannerError:
+        assume(False)
+    res = zz.bound_ledger(path, alpha, h, beta, c)
+    exps, values, ref = _reference_ledger(path, alpha, h, beta, c)
+    assert [r["exponent"] for r in res["rows"]] == [str(e) for e in exps]
+    assert [r["value"] for r in res["rows"]] == values
+    for key, want in ref.items():
+        assert res[key] == want, key
+    # the sweep's supremum is the maximum of bound_ledger over its grid
+    sup, worst = 0.0, None
+    for si in range(2, max_length + 1):
+        for sj in range(0, min(si, max_length - si) + 1, stride):
+            try:
+                p = zz.plan_path((si, sj), regime)
+            except zz.PlannerError:
+                continue
+            implied = zz.bound_ledger(p, alpha, h, beta, c)["implied_constant"]
+            if implied > sup:
+                sup, worst = implied, (si, sj)
+    sweep = zz.ledger_sweep(regime, alpha, h, beta, c, max_length=max_length,
+                            stride=stride)
+    assert (sweep["sup_constant"], sweep["worst_start"]) == (sup, worst)
+    assert sweep["rate"] == str(ref["rate"])
 
 
 def test_reachability_far_from_walls():
