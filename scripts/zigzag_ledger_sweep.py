@@ -25,19 +25,17 @@ def main():
     args = ap.parse_args()
     regimes = (zz.Regime(zz.CHAR_NE2, v0=0), zz.Regime(zz.CHAR_2))
     for regime in regimes:
-        for h in args.h_values:
-            for alpha_s in args.alphas:
-                alpha = Fraction(alpha_s)
-                limit = zz.beta_limit(regime, alpha, h)
-                for frac_s in args.beta_fractions:
-                    beta = limit * Fraction(frac_s)
-                    res = zz.ledger_sweep(regime, alpha, h, beta,
-                                          max_length=args.grid,
-                                          stride=args.stride)
-                    print(f"{regime.kind:9} h={h} alpha={alpha_s:5} "
-                          f"beta={str(beta):8} rate={res['rate']:8} "
-                          f"sup C^ = {res['sup_constant']:.6f} "
-                          f"at {res['worst_start']}")
+        rows = [(h, alpha_s, zz.beta_limit(regime, Fraction(alpha_s), h) * Fraction(frac_s))
+                for h in args.h_values for alpha_s in args.alphas
+                for frac_s in args.beta_fractions]
+        results = zz.ledger_sweep(
+            regime, [(Fraction(alpha_s), h, beta, 0) for h, alpha_s, beta in rows],
+            max_length=args.grid, stride=args.stride)
+        for (h, alpha_s, beta), res in zip(rows, results):
+            print(f"{regime.kind:9} h={h} alpha={alpha_s:5} "
+                  f"beta={str(beta):8} rate={res['rate']:8} "
+                  f"sup C^ = {res['sup_constant']:.6f} "
+                  f"at {res['worst_start']}")
 
 
 if __name__ == "__main__":

@@ -297,10 +297,8 @@ def cmd_zigzag(args, emitter, field, seed, threads):
                       "rate": str(res["rate"]),
                       "ledger": res["rows"]})
         return 0
-    res = zz.ledger_sweep(regime, Fraction(args.alpha), args.h,
-                          Fraction(args.beta), Fraction(args.C),
-                          max_length=args.grid)
-    emitter.emit(res)
+    rate = (Fraction(args.alpha), args.h, Fraction(args.beta), Fraction(args.C))
+    emitter.emit(zz.ledger_sweep(regime, [rate], max_length=args.grid)[0])
     return 0
 
 

@@ -255,18 +255,19 @@ def run_zigzag_ledger(params, seed, mutation):
     report = VerificationReport(task="", params=dict(params), seed=seed)
     regime = zz.Regime.named(params["regime"], params.get("v0", 0),
                              params.get("klevel", 0))
+    h = params["h"]
+    alphas = [alpha for alpha in params["alphas"] for _ in params["betas"]]
+    rates = [(Fraction(alpha), h,
+              zz.beta_limit(regime, Fraction(alpha), h) * Fraction(beta_frac), 0)
+             for alpha in params["alphas"] for beta_frac in params["betas"]]
+    results = zz.ledger_sweep(regime, rates, max_length=params["max_length"],
+                              stride=params.get("stride", 11))
     sup = 0.0
-    for alpha in params["alphas"]:
-        for beta_frac in params["betas"]:
-            alpha_f = Fraction(alpha)
-            beta = zz.beta_limit(regime, alpha_f, params["h"]) * Fraction(beta_frac)
-            res = zz.ledger_sweep(regime, alpha_f, params["h"], beta,
-                                  max_length=params["max_length"],
-                                  stride=params.get("stride", 11))
-            sup = max(sup, res["sup_constant"])
-            report.cases_run += 1
-            if not (res["sup_constant"] < float("inf")):
-                report.record_violation({"check": "ledger-finite", "alpha": alpha})
+    for alpha, res in zip(alphas, results):
+        sup = max(sup, res["sup_constant"])
+        report.cases_run += 1
+        if not (res["sup_constant"] < float("inf")):
+            report.record_violation({"check": "ledger-finite", "alpha": alpha})
     report.cases_total = report.cases_run
     report.margins["sup_constant"] = sup
     return report.done()

@@ -13,12 +13,18 @@ against the claimed aggregate decay.
 
 A move is legal when its anchor meets the hypotheses of its lemma: the
 least i - j and the least j that ``lemma_witnesses.anchor_bounds``
-states, which each ``Regime`` reads once.  ``_step`` is the planner's
-only legality gate, and each planned move is judged once: templates are
-tried by pushing with rollback, and the moves of a route found by search,
-or of the diagonal step taken on a scratch builder, are adopted as they
-were judged.  ``validate_path`` re-checks a finished path from scratch,
-independently of the planner.
+states, which each ``Regime`` reads once.  ``move_legal`` is the one
+statement of that rule and ``_step`` the planner's legality gate.  A
+straight run of identical forward moves is judged in closed form
+(``_run_length``): its anchors are its source cells, so each hypothesis
+and cone inequality is affine in the step index.  When a run is cut
+short, its first illegal move still goes through ``_step``, which words
+the ``PlannerError``.  Each planned move is judged once: templates are
+tried by pushing with rollback, and the moves of a route found by
+search are adopted as they were judged.  The composite diagonal step
+depends only on (regime, diagonal cell), so it is built once and shared
+as a tuple of (move, cell) pairs.  ``validate_path`` re-checks a
+finished path from scratch, independently of the planner.
 
 The ledger's exponents are exact rationals, evaluated as integers.
 ``move_exponent`` states the per-move rule once, in Fractions; it is
@@ -35,9 +41,12 @@ same rational in lowest terms, so every float the ledger exponentiates
 is bit for bit the float of the Fraction route.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from sp4lab import lemma_witnesses as lw
 
@@ -102,14 +111,18 @@ class Regime:
         return UP2 if self.kind == CHAR_2 else UP1
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     delta: tuple
     anchor: tuple
     reversed_: bool = False
 
     def lemma(self, regime):
         return move_lemma(self.delta, regime.k)
+
+
+# Move from a (delta, anchor, reversed_) tuple, built in C: a planner run
+# makes one per step, and NamedTuple's own __new__ is a Python call
+_NEW_MOVE = functools.partial(tuple.__new__, Move)
 
 
 @dataclass
@@ -178,7 +191,39 @@ def _step(regime, cell, delta, reversed_):
     return Move(delta, anchor, reversed_), nxt
 
 
+def _run_length(regime, cell, delta):
+    """How many forward moves of delta in a row ``_step`` licenses from cell.
+
+    A forward move anchors at its source, so at step t of the run the
+    anchor's j and i - j, and the target's j and i - j, are each affine
+    in t: a + b t >= 0 holds for every t up to a // -b when b < 0, for no
+    t when a < 0, and for all t otherwise.  The run ends at the first
+    inequality that fails.
+    """
+    if delta not in regime.bounds:
+        return 0  # the other characteristic's up-move: never licensed
+    least_diff, least_j = regime.bounds[delta]
+    i, j = cell
+    di, dj = delta
+    run = math.inf
+    for a, b in ((j - least_j, dj), (i - j - least_diff, di - dj),
+                 (j + dj, dj), (i - j + di - dj, di - dj)):
+        if a < 0:
+            return 0
+        if b < 0:
+            run = min(run, a // -b + 1)
+    return run
+
+
 class _Builder:
+    """A path under construction: its cells and the moves between them.
+
+    ``push`` judges one move through ``_step``.  ``push_run`` judges a run
+    of identical forward moves at once, by ``_run_length``; a run that is
+    cut short still pushes its first illegal move through ``_step``, so
+    every ``PlannerError`` is worded by ``move_legal``.
+    """
+
     def __init__(self, start, regime):
         self.regime = regime
         self.cells = [start]
@@ -194,6 +239,20 @@ class _Builder:
             raise PlannerError(self.cur, nxt)
         self.moves.append(move)
         self.cells.append(nxt)
+
+    def push_run(self, delta, count):
+        """Push count forward moves of delta: the moves, cells and
+        PlannerError of count calls of ``push``."""
+        legal = min(count, _run_length(self.regime, self.cur, delta))
+        (i, j), (di, dj) = self.cur, delta
+        run = list(itertools.islice(zip(itertools.count(i, di), itertools.count(j, dj)),
+                                    legal + 1))
+        # each move anchors at its source cell
+        self.moves.extend(map(_NEW_MOVE, zip(itertools.repeat(delta), run[:-1],
+                                             itertools.repeat(False))))
+        self.cells.extend(run[1:])
+        for _ in range(count - legal):
+            self.push(delta)  # the first one raises, worded by move_legal
 
     def try_steps(self, steps):
         """Push steps in order; if one is illegal, undo them all and return False."""
@@ -253,23 +312,17 @@ def _climb_to_strip(b):
     regime = b.regime
     i, j = b.cur
     if 2 * j > i:
-        steps = -((i - 2 * j) // 3)  # ceil((2j - i)/3)
-        for _ in range(steps):
-            b.push(RIGHT)
+        b.push_run(RIGHT, -((i - 2 * j) // 3))  # ceil((2j - i)/3)
     elif regime.kind == CHAR_2:
-        while b.cur[0] - 2 * b.cur[1] > 4:
-            b.push(UP2)
+        b.push_run(UP2, max(0, (i - 2 * j - 1) // 4))  # until i - 2j <= 4
     else:
-        target = i // 2
-        while b.cur[1] < target:
-            b.push(UP1)
+        b.push_run(UP1, i // 2 - j)
 
 
 def _slide_to_diagonal_ne2(b):
     i, j = b.cur
     if i % 2 == 0:
-        while b.cur[1] < i // 2:
-            b.push(UP1)
+        b.push_run(UP1, max(0, i // 2 - j))
         return
     # odd first coordinate: optional climb, one lateral move, then climb;
     # the smallest workable lateral offset is taken and ties are recorded
@@ -282,11 +335,9 @@ def _slide_to_diagonal_ne2(b):
         raise PlannerError(b.cur, "no lateral entry into the wide strip")
     b.both_offsets = len(choices) > 1
     k = choices[0]
-    for _ in range(k):
-        b.push(UP1)
+    b.push_run(UP1, k)
     b.push(RIGHT)
-    while b.cur[1] < (i + 1) // 2:
-        b.push(UP1)
+    b.push_run(UP1, max(0, (i + 1) // 2 - b.cur[1]))
 
 
 CHAR2_CASE_STEPS = {
@@ -332,33 +383,35 @@ TAIL_CHAR2 = (((RIGHT, False), (RIGHT, False), (UP2, False), (RIGHT, False),
                (RIGHT, False), (UP2, False), (RIGHT, False)))
 
 
+@functools.lru_cache(maxsize=4096)
 def _tail_route(regime, diag):
-    """(builder, bfs_used): a builder at diag that has taken the composite
-    diagonal step, or None when no route exists.
+    """(route, bfs_used): the composite diagonal step from diag as a tuple
+    of (move, cell) pairs, or None when no route exists.
 
     The reference templates are tried first, then a bounded search for
     the cell one composite step up the diagonal, (2j, j) -> (2j + 2 dj,
-    j + dj) with dj the j-step of the regime's up-move.
+    j + dj) with dj the j-step of the regime's up-move.  The route depends
+    only on (regime, diag), so it is built once and shared: moves and
+    cells are tuples, and every path copies the pairs into its own lists.
     """
     b = _Builder(diag, regime)
     for steps in TAIL_CHAR2 if regime.kind == CHAR_2 else TAIL_NE2:
         if b.try_steps(steps):
-            return b, False
+            return tuple(zip(b.moves, b.cells[1:])), False
     j = diag[1] + regime.up_delta()[1]
     route = _bfs_route(regime, diag, lambda c: c == (2 * j, j), 2 * j + 4)
     if route is None:
         return None
-    b.adopt(route)
-    return b, True
+    return tuple(route), True
 
 
 def _append_tail(b):
     tail = _tail_route(b.regime, b.cur)
     if tail is None:
         raise PlannerError(b.cur, "diagonal step blocked (cell too close to the walls)")
-    t, bfs_used = tail
-    b.adopt(zip(t.moves, t.cells[1:]))
-    return len(t.moves), bfs_used
+    route, bfs_used = tail
+    b.adopt(route)
+    return len(route), bfs_used
 
 
 def plan_path(start, regime):
@@ -568,15 +621,17 @@ def bound_ledger(path, alpha, h, beta, c=0):
     }
 
 
-def ledger_sweep(regime, alpha, h, beta, c=0, max_length=300, stride=7):
-    """Sup of the implied constant over a grid of start cells.
+def ledger_sweep(regime, rates, max_length=300, stride=7):
+    """Sup of the implied constant over a grid of start cells, for each
+    (alpha, h, beta, c) in rates: a list of results in the order of rates.
 
-    The rates are checked once; each path is summed from the integer
-    forms directly, with the floats of ``bound_ledger`` but no rows.
+    The rates are checked once, and each start is planned once for all of
+    them.  Each rate sums a path from its own integer forms in move
+    order, with the floats of ``bound_ledger`` but no rows.
     """
-    led = _ScaledLedger(regime, alpha, h, beta, c)
-    sup = 0.0
-    worst = None
+    ledgers = [_ScaledLedger(regime, *rate) for rate in rates]
+    sups = [0.0] * len(ledgers)
+    worst = [None] * len(ledgers)
     for i in range(2, max_length + 1, 1):
         for j in range(0, i + 1, max(1, stride)):
             if i + j > max_length:
@@ -585,10 +640,12 @@ def ledger_sweep(regime, alpha, h, beta, c=0, max_length=300, stride=7):
                 path = plan_path((i, j), regime)
             except PlannerError:
                 continue
-            total, tail, closed = led.totals(
-                path, [math.exp(led.numerator(mv) / led.den) for mv in path.moves])
-            implied = (total + tail) / closed
-            if implied > sup:
-                sup = implied
-                worst = (i, j)
-    return {"sup_constant": sup, "worst_start": worst, "rate": str(led.rate)}
+            for n, led in enumerate(ledgers):
+                total, tail, closed = led.totals(
+                    path, [math.exp(led.numerator(mv) / led.den) for mv in path.moves])
+                implied = (total + tail) / closed
+                if implied > sups[n]:
+                    sups[n] = implied
+                    worst[n] = (i, j)
+    return [{"sup_constant": sup, "worst_start": start, "rate": str(led.rate)}
+            for sup, start, led in zip(sups, worst, ledgers)]

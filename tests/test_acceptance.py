@@ -249,8 +249,8 @@ def test_criterion_7_zigzag():
     rates = {}
     for regime, beta in ((zz.Regime(zz.CHAR_NE2, v0=0), "1/10"),
                          (zz.Regime(zz.CHAR_2), "2/25")):
-        res = zz.ledger_sweep(regime, Fraction("7/10"), 1, Fraction(beta),
-                              max_length=300, stride=13)
+        [res] = zz.ledger_sweep(regime, [(Fraction("7/10"), 1, Fraction(beta), 0)],
+                                max_length=300, stride=13)
         assert math.isfinite(res["sup_constant"])
         rates[regime.kind] = res["rate"]
     assert rates[zz.CHAR_NE2] == str(Fraction(7, 10) - Fraction(2, 10))

@@ -14,7 +14,6 @@ SMALLEST_ARGS = {
     "fourier_norm_sweep.py": ["--fields", "Q2", "--h-values", "1",
                               "--exponents", "2.0", "--dim", "1"],
     "parity_depth_scan.py": ["--max-depth", "2", "--samples", "5"],
-    "run_suite.py": ["--profile", "quick", "--tasks", "c2:Q3", "--threads", "1"],
     "zigzag_ledger_sweep.py": ["--grid", "20", "--h-values", "1",
                                "--alphas", "3/10", "--beta-fractions", "0"],
 }

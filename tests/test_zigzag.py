@@ -137,6 +137,97 @@ def test_blocked_cells_are_certified_unreachable():
                              40) is None
 
 
+def _plan_outcome(start, regime):
+    """(path or None, everything the planner reports for start): the path's
+    fields, or the blocked cell and its hypothesis."""
+    try:
+        path = zz.plan_path(start, regime)
+    except zz.PlannerError as exc:
+        return None, (exc.cell, exc.hypothesis)
+    return path, (path.cells, path.moves, path.approach_len, path.template_trace,
+                  path.notes)
+
+
+def _push_each(builder, delta, count):
+    for _ in range(count):
+        builder.push(delta)
+
+
+def test_runs_plan_as_step_by_step(monkeypatch):
+    # the reference route judges every move of a run through _step and
+    # builds every diagonal tail afresh
+    regimes = [zz.Regime(zz.CHAR_NE2, v0=v0, k=k) for v0 in range(3) for k in range(3)]
+    regimes += [zz.Regime(zz.CHAR_2, k=k) for k in range(3)]
+    for regime in regimes:
+        for i in range(121):
+            for j in range(i + 1):
+                path, got = _plan_outcome((i, j), regime)
+                with monkeypatch.context() as m:
+                    m.setattr(zz._Builder, "push_run", _push_each)
+                    m.setattr(zz, "_tail_route", zz._tail_route.__wrapped__)
+                    _, want = _plan_outcome((i, j), regime)
+                assert got == want, (regime, (i, j))
+                if path is not None:
+                    zz.validate_path(path)
+
+
+_any_regime = st.one_of(
+    st.builds(lambda v0, k: zz.Regime(zz.CHAR_NE2, v0=v0, k=k),
+              st.integers(0, 3), st.integers(0, 3)),
+    st.builds(lambda k: zz.Regime(zz.CHAR_2, k=k), st.integers(0, 3)))
+
+
+@st.composite
+def _near_a_wall(draw):
+    """A dominant cell within 8 of the wall j = 0 or of the wall i = j."""
+    i = draw(st.integers(0, 60))
+    gap = draw(st.integers(0, min(i, 8)))
+    return (i, draw(st.sampled_from((gap, i - gap))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(regime=_any_regime, cell=_near_a_wall(),
+       delta=st.sampled_from((zz.UP1, zz.UP2, zz.RIGHT)),
+       bounds=st.none() | st.tuples(st.integers(-1, 3), st.integers(-1, 3)))
+def test_run_length_counts_step_successes(regime, cell, delta, bounds):
+    # drawn bounds, lower than any lemma states, let the cone end a run
+    if bounds is not None and delta in regime.bounds:
+        object.__setattr__(regime, "bounds", {**regime.bounds, delta: bounds})
+    steps, cur = 0, cell
+    while True:
+        move, cur = zz._step(regime, cur, delta, False)
+        if move is None:
+            break
+        steps += 1
+    assert zz._run_length(regime, cell, delta) == steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(regime=_any_regime, i=st.integers(4, 80), j=st.integers(0, 80))
+def test_tail_memo_shares_no_mutable_state(regime, i, j):
+    # a start and its own diagonal cell share one memoised tail; writing to
+    # either path changes neither the other nor a later plan
+    start = (max(i, j), min(i, j))
+    try:
+        first = zz.plan_path(start, regime)
+    except zz.PlannerError:
+        assume(False)
+    diag = tuple(first.notes["diagonal"])
+    second = zz.plan_path(diag, regime)
+    assert second.notes["diagonal"] == list(diag)
+    tail = first.notes["tail_moves"]
+    assert second.moves[-tail:] == first.moves[-tail:]
+    want = [(list(p.cells), list(p.moves)) for p in (first, second)]
+    first.cells.append((-1, -1))
+    first.moves[-1] = None
+    assert (second.cells, second.moves) == want[1]
+    second.cells.append((-1, -1))
+    second.moves[-1] = None
+    for start, (cells, moves) in zip((start, diag), want):
+        again = zz.plan_path(start, regime)
+        assert (again.cells, again.moves) == (cells, moves)
+
+
 def test_validate_rejects_tampered_path():
     path = zz.plan_path((9, 2), R0)
     path.cells[1] = (9, 9)
@@ -192,7 +283,7 @@ def test_ledger_totals_monotone_in_start():
 
 
 def test_ledger_sweep_finite():
-    res = zz.ledger_sweep(R0, Fraction("0.7"), 1, Fraction("0.1"), max_length=80)
+    [res] = zz.ledger_sweep(R0, [(Fraction("0.7"), 1, Fraction("0.1"), 0)], max_length=80)
     assert res["sup_constant"] < float("inf")
     assert res["sup_constant"] > 0
 
@@ -203,9 +294,9 @@ def test_ledger_sweep_checks_rates_at_entry():
         limit = zz.beta_limit(regime, alpha, 1)
         for beta in (limit, 2 * limit):
             with pytest.raises(zz.InadmissibleRateError):
-                zz.ledger_sweep(regime, alpha, 1, beta, max_length=20)
+                zz.ledger_sweep(regime, [(alpha, 1, beta, 0)], max_length=20)
         with pytest.raises(zz.InadmissibleRateError):  # even with no start to plan
-            zz.ledger_sweep(regime, alpha, 1, limit, max_length=1)
+            zz.ledger_sweep(regime, [(alpha, 1, limit, 0)], max_length=1)
 
 
 def _reference_ledger(path, alpha, h, beta, c):
@@ -262,8 +353,8 @@ def test_ledger_matches_fraction_route(regime, h, alpha, beta_frac, c, i, j,
             implied = zz.bound_ledger(p, alpha, h, beta, c)["implied_constant"]
             if implied > sup:
                 sup, worst = implied, (si, sj)
-    sweep = zz.ledger_sweep(regime, alpha, h, beta, c, max_length=max_length,
-                            stride=stride)
+    [sweep] = zz.ledger_sweep(regime, [(alpha, h, beta, c)], max_length=max_length,
+                              stride=stride)
     assert (sweep["sup_constant"], sweep["worst_start"]) == (sup, worst)
     assert sweep["rate"] == str(ref["rate"])
 
