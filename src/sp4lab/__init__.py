@@ -10,7 +10,6 @@ from sp4lab.exactfield import (
     parse_field,
     reduce_mod,
     residue_ring,
-    section_lift,
     two_valuation,
     valuation_and_norm,
 )
@@ -19,7 +18,6 @@ from sp4lab.sp4 import (
     SymplecticError,
     cartan_invariants,
     d_matrix,
-    generator,
     subgroup_membership,
     symplectic_check,
 )
@@ -34,12 +32,10 @@ __all__ = [
     "SymplecticError",
     "cartan_invariants",
     "d_matrix",
-    "generator",
     "make_field",
     "parse_field",
     "reduce_mod",
     "residue_ring",
-    "section_lift",
     "subgroup_membership",
     "symplectic_check",
     "two_valuation",

@@ -92,6 +92,8 @@ def _resolve_options(args):
     out = getattr(args, "out", None) or conf.get("out")
     if fmt not in ("json", "text"):
         raise CliError(f"unknown format {fmt!r}")
+    if threads < 1:
+        raise CliError(f"worker count must be at least 1, not {threads}")
     return field, fmt, seed, threads, out
 
 
@@ -314,9 +316,10 @@ def cmd_suite(args, emitter, field, seed, threads):
         tasks = [t for t in tasks if fnmatch.fnmatch(t[0], args.tasks)]
         if not tasks:
             raise CliError(f"no tasks match pattern {args.tasks!r}")
-    if threads > 1:
+    workers = min(threads, len(tasks))
+    if workers > 1:
         import multiprocessing as mp
-        with mp.Pool(threads) as pool:
+        with mp.Pool(workers) as pool:
             # one task per dispatch: task costs differ by orders of magnitude,
             # and multi-task chunks leave one worker idle behind the last chunk
             reports = pool.starmap(
@@ -430,8 +433,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--eps0", type=int, default=1)
     p.add_argument("--space", default="l2:1")
-    p.add_argument("--strategy", choices=("exhaustive", "random", "ascent"),
-                   default="exhaustive")
+    p.add_argument("--strategy", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--trials", type=int, default=5000)
 
     p = add("type-const")

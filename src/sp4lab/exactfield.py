@@ -88,11 +88,6 @@ class FieldSpec:
     def q(self):
         return self.p ** self.f
 
-    @property
-    def char(self):
-        """Characteristic of the field itself (0 for mixed, p for equal)."""
-        return 0 if self.kind == MIXED else self.p
-
     @functools.cached_property
     def residue_gf(self):
         return gf(self.p, self.f)
@@ -663,14 +658,7 @@ class ResidueRing:
     def valuation(self, a):
         """pi-adic valuation of the class, capped at n (n for the zero class)."""
         if self.spec.kind == MIXED:
-            if a == 0:
-                return self.n
-            v = 0
-            p = self.spec.p
-            while a % p == 0:
-                a //= p
-                v += 1
-            return v
+            return _strip_p(a, self.spec.p)[0] if a else self.n
         v = poly_t_valuation(a)
         return self.n if v is None else v
 
@@ -748,8 +736,3 @@ def residue_ring(spec, n):
 def reduce_mod(x, n):
     """Class of x in O/pi^n; raises NonIntegralError if v(x) < 0."""
     return x.reduce(residue_ring(x.spec, n))
-
-
-def section_lift(spec, n, rep):
-    """Canonical section sigma: O/pi^n -> O."""
-    return residue_ring(spec, n).section(rep)

@@ -34,6 +34,11 @@ import numpy as np
 from sp4lab.exactfield import MIXED, residue_ring
 from sp4lab.verifiers.reports import VerificationReport
 
+PAIRING_TOL = 1e-10  # orthogonality defect allowed per character, relative
+FFT_TOL = 1e-8       # a line-averaging ratio above 1 + FFT_TOL is a violation
+EXACT_SIGNS = 12     # type ratios average over all signs up to this many vectors
+MC_SIGNS = 4096      # and over this many random sign vectors beyond
+
 
 @dataclass(frozen=True)
 class SpaceSpec:
@@ -91,7 +96,7 @@ class CharacterTable:
     orthogonality sums.
     """
 
-    def __init__(self, spec, n, tol=1e-10):
+    def __init__(self, spec, n):
         self.spec = spec
         self.n = n
         self.ring = residue_ring(spec, n)
@@ -114,11 +119,11 @@ class CharacterTable:
                     coeff = prod[n - 1] if len(prod) >= n else 0
                     mat[bi, ai] = cmath.exp(1j * root * k.trace_to_prime(coeff))
         self.matrix = mat
-        self._certify(tol)
+        self._certify()
 
-    def _certify(self, tol):
+    def _certify(self):
         defect = self.orthogonality_defect()
-        if defect > tol * self.matrix.shape[0]:
+        if defect > PAIRING_TOL * self.matrix.shape[0]:
             raise AssertionError(f"character pairing is not perfect (defect {defect})")
 
     def orthogonality_defect(self):
@@ -304,14 +309,16 @@ def fft_rhs_coefficient(spec, h, n, k, space, eps0_code=1):
 
 
 def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
-                    strategy="exhaustive", trials=10000, seed=0, tol=1e-8):
+                    strategy="exhaustive", trials=10000, seed=0):
     """Verify LHS <= RHS for the line-averaging inequality.
 
-    Hilbert spaces: the supremum of LHS / E||xi||^2 is the exact top
-    singular value squared of the line operator (weighted), compared
-    directly against the decay coefficient.  Other spaces: random
-    families and coordinate ascent search for a violating family; any
-    ratio above 1 + tol is reported as a violation.
+    Only a Hilbert space with strategy "exhaustive" takes the exact
+    route: the supremum of LHS / E||xi||^2 is the top singular value
+    squared of the line operator (weighted), compared directly against
+    the decay coefficient.  Every other case (a non-Hilbert space, or
+    any other strategy) runs the same search: ``trials`` random families,
+    then ``trials // 4`` steps of coordinate ascent from the best of
+    them.  Any ratio above 1 + FFT_TOL is reported as a violation.
     """
     if k < 0 or k > n // 2:
         raise ValueError("congruence level must satisfy 0 <= k <= n/2")
@@ -340,7 +347,7 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
         report.margins["lhs_sup"] = sup
         report.margins["max_ratio"] = ratio
         report.cases_total = report.cases_run = 1
-        if ratio > 1 + tol:
+        if ratio > 1 + FFT_TOL:
             report.record_violation({"check": "fft-inequality", "ratio": ratio})
         return report.done()
     rng = np.random.default_rng(seed)
@@ -373,7 +380,7 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
             step *= 0.998
     report.cases_total = report.cases_run = trials + trials // 4
     report.margins["max_ratio"] = best
-    if best > 1 + tol:
+    if best > 1 + FFT_TOL:
         report.record_violation({
             "check": "fft-inequality", "ratio": best,
             "family": [[str(z) for z in row] for row in best_fam.tolist()]})
@@ -441,13 +448,12 @@ def shifted_rewrite_families(spec, n, k, xi, eps0_code=1):
 # type-constant estimator
 
 
-def estimate_type_constant(space, p_exp, n_vectors, trials=100, seed=0,
-                           exact_limit=12, mc_signs=4096):
+def estimate_type_constant(space, p_exp, n_vectors, trials=100, seed=0):
     """Max observed ratio of the sign average against the p-sum bound.
 
     For each trial draws n vectors in the space and computes
     (E_signs ||sum eps_i x_i||^2)^(1/2) / (sum ||x_i||^p)^(1/p); sign
-    expectations are exact up to exact_limit vectors and Monte Carlo
+    expectations are exact up to EXACT_SIGNS vectors and Monte Carlo
     beyond.  The supremum over all data is a lower bound for the type-p
     constant of the space.
     """
@@ -468,21 +474,21 @@ def estimate_type_constant(space, p_exp, n_vectors, trials=100, seed=0,
         else:
             vecs = rng.standard_normal((n_vectors, d)) + 1j * rng.standard_normal((n_vectors, d))
             label = f"random-{trial - len(structured)}"
-        ratio = type_ratio(vecs, space.p, p_exp, rng, exact_limit, mc_signs)
+        ratio = type_ratio(vecs, space.p, p_exp, rng)
         if ratio > best:
             best, best_desc = ratio, label
     return {"max_ratio": best, "witness": best_desc,
             "n_vectors": n_vectors, "space": str(space), "p": p_exp}
 
 
-def type_ratio(vecs, space_p, p_exp, rng=None, exact_limit=12, mc_signs=4096):
+def type_ratio(vecs, space_p, p_exp, rng=None):
     n = vecs.shape[0]
-    if n <= exact_limit:
+    if n <= EXACT_SIGNS:
         signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        signs = rng.choice((1.0, -1.0), size=(mc_signs, n))
+        signs = rng.choice((1.0, -1.0), size=(MC_SIGNS, n))
     sums = signs @ vecs
     mean_sq = float(np.mean(lp_norms(sums, space_p) ** 2))
     denom = float((lp_norms(vecs, space_p) ** p_exp).sum() ** (1.0 / p_exp))

@@ -47,7 +47,7 @@ class GF:
     (q <= 25 in practice) so everything is precomputed at construction.
     """
 
-    __slots__ = ("p", "f", "q", "modulus", "_mul", "_inv", "_neg", "_trace")
+    __slots__ = ("p", "f", "q", "modulus", "_add", "_mul", "_inv", "_neg", "_trace")
 
     def __init__(self, p, f):
         if not is_prime(p):
@@ -78,13 +78,15 @@ class GF:
 
     def _build_tables(self):
         p, f, q = self.p, self.f, self.q
-        self._neg = tuple(self._code(tuple(-c % p for c in self._coeffs(a)))
-                          for a in range(q))
+        coeffs = [self._coeffs(a) for a in range(q)]
+        self._add = tuple(tuple(self._code(tuple(x + y for x, y in zip(ca, cb)))
+                                for cb in coeffs) for ca in coeffs)
+        self._neg = tuple(self._code(tuple(-c for c in ca)) for ca in coeffs)
         mul = [[0] * q for _ in range(q)]
         for a in range(q):
-            ca = self._coeffs(a)
+            ca = coeffs[a]
             for b in range(a, q):
-                cb = self._coeffs(b)
+                cb = coeffs[b]
                 prod = [0] * (2 * f - 1)
                 for i, x in enumerate(ca):
                     if x:
@@ -123,27 +125,13 @@ class GF:
         self._trace = tuple(trace)
 
     def add(self, a, b):
-        p = self.p
-        if p == 2:
-            return a ^ b  # digit-wise sum mod 2 of the binary codes
-        if self.f == 1:
-            return (a + b) % p
-        s = 0
-        mult = 1
-        for _ in range(self.f):
-            s += ((a % p) + (b % p)) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return s
+        return self._add[a][b]
 
     def neg(self, a):
         return self._neg[a]
 
     def sub(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self._neg[b])
+        return self._add[a][self._neg[b]]
 
     def mul(self, a, b):
         return self._mul[a][b]

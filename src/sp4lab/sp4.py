@@ -52,9 +52,6 @@ class GroupElement:
         if certify:
             _check_symplectic(field, self.rows)
 
-    def entry(self, r, c):
-        return self.rows[r][c]
-
     def __mul__(self, other):
         if self.field != other.field:
             raise TypeError("mixing elements over different fields")
@@ -281,29 +278,6 @@ def k2_embed(field, b_block):
         (z, a, b, z),
         (z, c, d, z),
         (z, z, z, o)), certify=False)
-
-
-GENERATORS = {
-    "J": lambda field, params: j_form(field),
-    "D": lambda field, params: d_matrix(field, int(params[0]), int(params[1])),
-    "w21": lambda field, params: weyl_w21(field),
-    "w32": lambda field, params: weyl_w32(field),
-    "mu21": lambda field, params: mu21(field, params[0]),
-    "mu32": lambda field, params: mu32(field, params[0]),
-    "mu31": lambda field, params: mu31(field, params[0]),
-    "mu41": lambda field, params: mu41(field, params[0]),
-    "diagEF": lambda field, params: torus(field, params[0], params[1]),
-    "K1embed": lambda field, params: k1_embed(field, params[0]),
-    "K2embed": lambda field, params: k2_embed(field, params[0]),
-}
-
-
-def generator(field, name, params=()):
-    try:
-        fn = GENERATORS[name]
-    except KeyError:
-        raise ValueError(f"unknown generator {name!r}") from None
-    return fn(field, params)
 
 
 # ---------------------------------------------------------------------------

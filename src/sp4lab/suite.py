@@ -524,10 +524,13 @@ def profile_tasks(name):
         factory = PROFILES[name]
     except KeyError:
         raise ValueError(f"unknown suite profile {name!r}") from None
-    seen = {}
-    for tid, runner, params in factory():
-        seen[tid] = (tid, runner, params)  # later duplicates win, ids unique
-    return sorted(seen.values())
+    tasks = list(factory())
+    seen = set()
+    for tid, _, _ in tasks:
+        if tid in seen:
+            raise ValueError(f"duplicate task id {tid!r} in suite profile {name!r}")
+        seen.add(tid)
+    return sorted(tasks)
 
 
 def run_task(task, global_seed, mutation=None):

@@ -14,6 +14,10 @@ import numpy as np
 
 from sp4lab.verifiers.reports import VerificationReport
 
+TABLE_TOL = 1e-12       # entry-wise defect allowed in a represented product
+INEQUALITY_TOL = 1e-9   # lhs above rhs * (1 + INEQUALITY_TOL) is a violation
+FIXED_SPACE_TOL = 1e-9  # least singular value that counts as nonzero
+
 
 class FiniteGroupRep:
     """A finite group as a multiplication table plus unitary matrices."""
@@ -26,11 +30,11 @@ class FiniteGroupRep:
         self.order = len(mult)
         self.dim = self.matrices.shape[1]
 
-    def check_table(self, tol=1e-12):
+    def check_table(self):
         for a in range(self.order):
             for b in range(self.order):
                 prod = self.matrices[a] @ self.matrices[b]
-                if np.max(np.abs(prod - self.matrices[self.mult[a][b]])) > tol:
+                if np.max(np.abs(prod - self.matrices[self.mult[a][b]])) > TABLE_TOL:
                     raise ValueError("representation does not respect the table")
 
 
@@ -101,7 +105,7 @@ def product_coverage(group, subgroup_names, repeats):
 
 
 def verify_averaging(group, subgroup_names=("K1", "K2"), repeats=2,
-                     trials=1000, seed=0, tol=1e-9):
+                     trials=1000, seed=0):
     """Check coverage, the no-invariant-vector hypothesis, and the
     averaging inequality on random and adversarial data."""
     report = VerificationReport(
@@ -143,7 +147,7 @@ def verify_averaging(group, subgroup_names=("K1", "K2"), repeats=2,
         lhs = float(np.linalg.norm(x))
         rhs = bound * max(float(np.linalg.norm(x - y)) for y in ys)
         worst = max(worst, lhs / rhs if rhs > 0 else math.inf)
-        if lhs > rhs * (1 + tol):
+        if lhs > rhs * (1 + INEQUALITY_TOL):
             report.record_violation({"check": "averaging-inequality",
                                      "trial": trial, "lhs": lhs, "rhs": rhs})
     # forcing all y_i = x would force x invariant under every K_i, hence
@@ -157,7 +161,7 @@ def verify_averaging(group, subgroup_names=("K1", "K2"), repeats=2,
     return report.done()
 
 
-def invariance_forces_zero(group, subgroup_names=("K1", "K2"), tol=1e-9):
+def invariance_forces_zero(group, subgroup_names=("K1", "K2")):
     """If x equals its K_i-average for every i, x must vanish: the joint
     fixed space of the K_i-averaging operators is trivial."""
     mats = [group.matrices[group.subgroups[name]].mean(axis=0)
@@ -165,4 +169,4 @@ def invariance_forces_zero(group, subgroup_names=("K1", "K2"), tol=1e-9):
     d = group.dim
     stack = np.vstack([m - np.eye(d) for m in mats])
     sv = np.linalg.svd(stack, compute_uv=False)
-    return bool(sv[-1] > tol)
+    return bool(sv[-1] > FIXED_SPACE_TOL)

@@ -177,8 +177,9 @@ def _pattern(rows):
 def weyl_reps(field):
     """pattern -> (element, word) for the eight Weyl permutations.
 
-    Built once per field; the mapping is read-only and the words are
-    tuples, so callers share it.
+    Built once per field, in the order both decomposition routes try the
+    patterns: shortest word first, then by pattern.  The mapping is
+    read-only and the words are tuples, so callers share it.
     """
     gens = ((K1, weyl_w21(field)), (K2, weyl_w32(field)))
     reps = {}
@@ -195,7 +196,8 @@ def weyl_reps(field):
                     nxt.append(reps[pat])
         frontier = nxt
     assert len(reps) == 8, "Weyl representative search must find 8 patterns"
-    return types.MappingProxyType(reps)
+    return types.MappingProxyType(
+        dict(sorted(reps.items(), key=lambda kv: (len(kv[1][1]), kv[0]))))
 
 
 def j_word(field):
@@ -311,10 +313,6 @@ def _solve_staircase_exact(g, pat):
     return sa, sb, sc, sd
 
 
-def unipotent_lower(field, a, b, c, d):
-    return lower_from_params(field, a, b, c, d, field.one(), field.one())
-
-
 # ---------------------------------------------------------------------------
 # residue-level Bruhat solve (always succeeds over the residue field)
 
@@ -393,12 +391,11 @@ def decompose_k1k2(g):
     if g == identity(field):
         return FactorList([], 0, "identity")
     reps = weyl_reps(field)
-    ordered = sorted(reps.items(), key=lambda kv: (len(kv[1][1]), kv[0]))
-    for pat, (w_elem, word) in ordered:
+    for pat, (w_elem, word) in reps.items():
         s = _solve_staircase_exact(g, pat)
         if s is None:
             continue
-        u = unipotent_lower(field, *s)
+        u = lower_from_params(field, *s, field.one(), field.one())
         m = u * g
         b2 = w_elem.inverse() * m
         try:
@@ -412,11 +409,10 @@ def decompose_k1k2(g):
 def _fallback(g, reps):
     field = g.field
     gbar = g.reduce(1)
-    patterns = [pat for pat, _ in sorted(reps.items(), key=lambda kv: (len(kv[1][1]), kv[0]))]
-    pat, sbar = _solve_staircase_residue(field, gbar, patterns)
+    pat, sbar = _solve_staircase_residue(field, gbar, reps)
     ring1 = residue_ring(field, 1)
     s = tuple(ring1.section(x) for x in sbar)
-    u1 = unipotent_lower(field, *s)
+    u1 = lower_from_params(field, *s, field.one(), field.one())
     m = u1 * g
     w_elem, word = reps[pat]
     n = w_elem.inverse() * m

@@ -405,15 +405,6 @@ def _tail_route(regime, diag):
     return tuple(route), True
 
 
-def _append_tail(b):
-    tail = _tail_route(b.regime, b.cur)
-    if tail is None:
-        raise PlannerError(b.cur, "diagonal step blocked (cell too close to the walls)")
-    route, bfs_used = tail
-    b.adopt(route)
-    return len(route), bfs_used
-
-
 def plan_path(start, regime):
     """Route from start to the diagonal plus one composite diagonal step.
 
@@ -447,10 +438,14 @@ def plan_path(start, regime):
     diag = b.cur
     if diag[0] != 2 * diag[1]:
         raise PlannerError(diag, "planner failed to reach the diagonal")
-    tail, tail_bfs = _append_tail(b)
+    tail = _tail_route(regime, diag)
+    if tail is None:
+        raise PlannerError(diag, "diagonal step blocked (cell too close to the walls)")
+    tail_route, tail_bfs = tail
+    b.adopt(tail_route)
     path = ZigzagPath(start, regime, b.cells, b.moves, approach_len=approach,
                       template_trace=trace)
-    path.notes["tail_moves"] = tail
+    path.notes["tail_moves"] = len(tail_route)
     path.notes["diagonal"] = list(diag)
     path.notes["bfs_fallback"] = bfs_used or tail_bfs
     if getattr(b, "both_offsets", False):

@@ -173,6 +173,54 @@ def test_suite_subset_deterministic_and_thread_invariant():
     assert base.returncode == 0
 
 
+def test_worker_count_below_one_is_a_usage_error(monkeypatch, tmp_path):
+    from sp4lab import cli
+
+    out = str(tmp_path / "rep.jsonl")
+    args = ["suite", "--profile", "quick", "--tasks", "c2:Q3", "--out", out]
+    assert cli.main(args + ["--threads", "0"]) == 2
+    assert cli.main(args + ["--threads", "-3"]) == 2
+    conf = tmp_path / "sp4lab.conf"
+    conf.write_text("threads=0\n")
+    assert cli.main(args + ["--config", str(conf)]) == 2
+    monkeypatch.setenv("SP4LAB_THREADS", "0")
+    assert cli.main(args) == 2
+    assert cli.main(args + ["--threads", "1"]) == 0
+
+
+def test_suite_starts_no_more_workers_than_tasks(monkeypatch, tmp_path):
+    import multiprocessing
+
+    from sp4lab import cli
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args, chunksize=None):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    out = tmp_path / "rep.jsonl"
+    code = cli.main(["suite", "--profile", "quick", "--tasks", "c2:*",
+                     "--threads", "8", "--out", str(out)])
+    assert code == 0
+    assert sizes == [2]
+    assert [r["task"] for r in jsonl(out.read_text())[:-1]] == ["c2:F4((t))", "c2:Q3"]
+    # a single selected task runs in the calling process
+    assert cli.main(["suite", "--profile", "quick", "--tasks", "c2:Q3",
+                     "--threads", "8", "--out", str(out)]) == 0
+    assert sizes == [2]
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_suite_reports_a_raising_task_as_violated(monkeypatch, tmp_path, threads):
     from sp4lab import cli, suite

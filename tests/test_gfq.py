@@ -177,3 +177,22 @@ def test_divmod_fails_on_a_faulty_kernel(k):
     with _deadline(5):
         with pytest.raises(AssertionError, match="step at degree 2"):
             poly_divmod(k, (0, 0, 1), (1, 1))
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2)])
+def test_add_sub_neg_match_digitwise_arithmetic(p, f):
+    k = gf(p, f)
+
+    def digits(code):
+        return [code // p ** i % p for i in range(f)]
+
+    def code(ds):
+        return sum(d % p * p ** i for i, d in enumerate(ds))
+
+    for a in range(k.q):
+        assert k.neg(a) == code([-x for x in digits(a)])
+        for b in range(k.q):
+            s = k.add(a, b)
+            assert s == code([x + y for x, y in zip(digits(a), digits(b))])
+            assert k.sub(a, b) == code([x - y for x, y in zip(digits(a), digits(b))])
+            assert k.sub(s, b) == a

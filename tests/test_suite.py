@@ -3,6 +3,7 @@
 import pytest
 
 from sp4lab import lemma_witnesses as lw
+from sp4lab import suite
 from sp4lab.suite import RUNNERS, profile_tasks, run_task, task_seed
 
 
@@ -47,6 +48,14 @@ def test_task_ids_unique_and_sorted():
         ids = [t[0] for t in tasks]
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
+
+
+def test_duplicate_task_id_is_an_error(monkeypatch):
+    task = ("c2:Q3", "c2", {"field": "Q3"})
+    monkeypatch.setitem(suite.PROFILES, "dup",
+                        lambda: [task, ("averaging:S3", "averaging", {}), task])
+    with pytest.raises(ValueError, match="duplicate task id 'c2:Q3'"):
+        profile_tasks("dup")
 
 
 def test_task_seeds_differ_by_task():

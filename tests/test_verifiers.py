@@ -166,6 +166,9 @@ def test_weyl_reps_cached_per_field(fields):
         reps = weyl_reps(spec)
         assert reps is first[name]
         assert len(reps) == 8
+        # in the order both decomposition routes try them
+        order = [(len(word), pat) for pat, (_, word) in reps.items()]
+        assert order == sorted(order)
         for pat, (elem, word) in reps.items():
             assert isinstance(word, tuple)
             assert elem.field == spec
