@@ -398,7 +398,7 @@ def build_parser():
     p.add_argument("--a", default="0")
     p.add_argument("--b", default="0")
     p.add_argument("--x", default="0")
-    p.add_argument("--eps", type=int, default=0)
+    p.add_argument("--eps", type=int, default=0, help="residue code in [0, q)")
 
     p = add("verify")
     p.add_argument("lemma", choices=lw.LEMMA_IDS)

@@ -175,12 +175,15 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
     """Assemble the witness for one residue tuple.
 
     a, b, x are representatives in O/pi^depth, eps_code a residue-field
-    representative; y is derived as a x + b + pi^(depth-1) eps unless
+    code in [0, q); y is derived as a x + b + pi^(depth-1) eps unless
     y_override (a ring representative) is given for free-y probes.
     section may replace the canonical lift with any other set-theoretic
     section of O/pi^depth.
     """
     depth = check_preconditions(lemma, spec, i, j, k_level)
+    if not 0 <= eps_code < spec.q:
+        raise LemmaPreconditionError(
+            f"eps code {eps_code} is not a residue code in [0, {spec.q})")
     if mutation == "wrong-n1" and lemma in (SPHER01, NONSPHER01):
         depth += 1
     ring = residue_ring(spec, depth)
@@ -191,119 +194,97 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
             raise LemmaPreconditionError("congruence layer needs a, x in pi^k O/pi^depth")
         if ring.valuation(b) < min(lb, depth):
             raise LemmaPreconditionError("congruence layer needs b in pi^2k O/pi^depth")
-    eps_ring = ring.embed_residue_code(eps_code)
     if y_override is not None:
         y = y_override
     else:
-        y = ring.add(ring.add(ring.mul(a, x), b), ring.shift(eps_ring, depth - 1))
+        eps = ring.shift(ring.embed_residue_code(eps_code), depth - 1)
+        y = ring.add(ring.add(ring.mul(a, x), b), eps)
     sa, sb, sx, sy = sig(a), sig(b), sig(x), sig(y)
     z, one = spec.zero(), spec.one()
-    pi = spec.pi
+    m = None if lemma in (SPHER1M1, NONSPHER1M1) else (i + j) // 2
+    head = (lemma, spec, i, j, k_level, depth, m, a, b, x, y, eps_code)
 
-    if lemma in (SPHER01, NONSPHER01):
-        m = (i + j) // 2
-        d_beta = (m, i - m + j, -i + m - j, -m)
-        if mutation == "d-scaling-exponent":
-            d_beta = (m, i - m + j + 1, -i + m - j - 1, -m)
-        u_beta = ((one, z, z, z),
-                  (z, one, z, z),
-                  (sa, one, one, z),
-                  (sa * sa - 2 * sb, sa, z, one))
-        beta_inv = GroupElement(spec, _scale(d_beta, u_beta, _UNSCALED))
-        alpha_41 = sx * sx + 2 * sy
-        if mutation == "minor-sign-flip":
-            # the (4,1) slot is the free parameter of this unipotent shape,
-            # so the corrupted matrix is still symplectic and must be caught
-            # by the minor identity, not by certification
-            alpha_41 = -alpha_41
-        u_alpha = ((one, z, z, z),
-                   (z, one, z, z),
-                   (sx, z, one, z),
-                   (alpha_41, sx, z, one))
-        d_alpha = (j - m, j - m, m - j, m - j)
-        alpha_mat = GroupElement(spec, _scale(_UNSCALED, u_alpha, d_alpha))
-        t = sa + sx
-        u_merged = ((one, z, z, z),
-                    (z, one, z, z),
-                    (t, one, one, z),
-                    (sa * sa - 2 * sb + alpha_41, t, z, one))
-        merged = GroupElement(spec, _scale(d_beta, u_merged, d_alpha),
-                              certify=False)
-        expected = (i, j) if _eps_is_zero(ring, eps_ring) else (i, j + 1)
-        wit = LemmaWitness(lemma, spec, i, j, k_level, depth, m, a, b, x, y,
-                           eps_code, beta_inv, alpha_mat, merged, expected)
-        if lemma == NONSPHER01:
-            _attach_nonspher01(wit, t, sa, sb, sx, sy)
-        return wit
-
-    if lemma in (SPHER1M1, NONSPHER1M1):
-        a1 = one + pi(1) * sa
-        d_beta = (i, 0, 0, -i)
-        u_beta = ((one, z, z, z),
-                  (a1, one, z, z),
-                  (z, z, one, z),
-                  (-(pi(1) * sb), z, -a1, one))
-        beta_inv = GroupElement(spec, _scale(d_beta, u_beta, _UNSCALED))
-        u_alpha = ((one, z, z, z),
-                   (z, one, z, z),
-                   (sx, z, one, z),
-                   (pi(1) * sy + sx, sx, z, one))
-        d_alpha = (-j, 0, 0, j)
-        alpha_mat = GroupElement(spec, _scale(_UNSCALED, u_alpha, d_alpha))
+    if m is None:  # the (1,-1) families
+        a1 = one + sa.shift(1)
         s = sy - sa * sx - sb
-        u_merged = ((one, z, z, z),
-                    (a1, one, z, z),
-                    (sx, z, one, z),
-                    (pi(1) * s, sx, -a1, one))
-        merged = GroupElement(spec, _scale(d_beta, u_merged, d_alpha),
-                              certify=False)
-        if _eps_is_zero(ring, eps_ring):
-            expected = (max(i, j), min(i, j))
-        else:
-            expected = (i + 1, j - 1)
-        wit = LemmaWitness(lemma, spec, i, j, k_level, depth, None, a, b, x, y,
-                           eps_code, beta_inv, alpha_mat, merged, expected, a1=a1)
+        wit = _assemble(
+            head, (i, 0, 0, -i),
+            ((one, z, z, z),
+             (a1, one, z, z),
+             (z, z, one, z),
+             (-sb.shift(1), z, -a1, one)),
+            ((one, z, z, z),
+             (z, one, z, z),
+             (sx, z, one, z),
+             (sy.shift(1) + sx, sx, z, one)),
+            (-j, 0, 0, j),
+            ((one, z, z, z),
+             (a1, one, z, z),
+             (sx, z, one, z),
+             (s.shift(1), sx, -a1, one)),
+            (i + 1, j - 1) if eps_code else (max(i, j), min(i, j)))
+        wit.a1 = a1
         if lemma == NONSPHER1M1:
             _attach_nonspher1m1(wit, s, sx, mutation)
         return wit
 
-    # CHAR2_02
-    m = (i + j) // 2
-    a1_den = one + pi(1) * sa
     d_beta = (m, i - m + j, -i + m - j, -m)
-    u_beta = ((one, z, z, z),
-              (z, one, z, z),
-              (pi(1) * sb, a1_den * a1_den, one, z),
-              (z, pi(1) * sb, z, one))
-    beta_inv = GroupElement(spec, _scale(d_beta, u_beta, _UNSCALED))
-    w = sx + pi(1) * sy
-    u_alpha = ((one, z, z, z),
-               (z, one, z, z),
-               (w, z, one, z),
-               (sx * sx, w, z, one))
     d_alpha = (j - m, j - m, m - j, m - j)
-    alpha_mat = GroupElement(spec, _scale(_UNSCALED, u_alpha, d_alpha))
-    full = pi(1) * sb + sx + pi(1) * sy
-    u_merged = ((one, z, z, z),
-                (z, one, z, z),
-                (full, a1_den * a1_den, one, z),
-                (sx * sx, full, z, one))
-    merged = GroupElement(spec, _scale(d_beta, u_merged, d_alpha),
-                          certify=False)
-    if _eps_is_zero(ring, eps_ring):
-        expected = (i, j)
-    elif eps_ring == ring.embed_residue_code(1):
-        expected = (i, j + 2)
-    else:
-        expected = None  # only record the observed cell for other residues
-    wit = LemmaWitness(CHAR2_02, spec, i, j, k_level, depth, m, a, b, x, y,
-                       eps_code, beta_inv, alpha_mat, merged, expected)
-    _attach_char2(wit, a1_den, full, sa, sb, sx, sy)
+    if lemma == CHAR2_02:
+        a1_den = one + sa.shift(1)
+        a1_sq = a1_den * a1_den
+        sb1 = sb.shift(1)
+        w = sx + sy.shift(1)
+        full = sb1 + w
+        wit = _assemble(
+            head, d_beta,
+            ((one, z, z, z),
+             (z, one, z, z),
+             (sb1, a1_sq, one, z),
+             (z, sb1, z, one)),
+            ((one, z, z, z),
+             (z, one, z, z),
+             (w, z, one, z),
+             (sx * sx, w, z, one)),
+            d_alpha,
+            ((one, z, z, z),
+             (z, one, z, z),
+             (full, a1_sq, one, z),
+             (sx * sx, full, z, one)),
+            # other residues: only the observed cell is recorded
+            {0: (i, j), 1: (i, j + 2)}.get(eps_code))
+        _attach_char2(wit, a1_den, a1_sq, full, sa, sb, sx, sy)
+        return wit
+
+    if mutation == "d-scaling-exponent":
+        d_beta = (m, i - m + j + 1, -i + m - j - 1, -m)
+    alpha_41 = sx * sx + 2 * sy
+    if mutation == "minor-sign-flip":
+        # the (4,1) slot is the free parameter of this unipotent shape,
+        # so the corrupted matrix is still symplectic and must be caught
+        # by the minor identity, not by certification
+        alpha_41 = -alpha_41
+    beta_41 = sa * sa - 2 * sb
+    t = sa + sx
+    wit = _assemble(
+        head, d_beta,
+        ((one, z, z, z),
+         (z, one, z, z),
+         (sa, one, one, z),
+         (beta_41, sa, z, one)),
+        ((one, z, z, z),
+         (z, one, z, z),
+         (sx, z, one, z),
+         (alpha_41, sx, z, one)),
+        d_alpha,
+        ((one, z, z, z),
+         (z, one, z, z),
+         (t, one, one, z),
+         (beta_41 + alpha_41, t, z, one)),
+        (i, j + 1) if eps_code else (i, j))
+    if lemma == NONSPHER01:
+        _attach_nonspher01(wit, t, sa, sb, sx, sy)
     return wit
-
-
-def _eps_is_zero(ring, eps_ring):
-    return ring.valuation(eps_ring) >= ring.n
 
 
 _UNSCALED = (0, 0, 0, 0)
@@ -316,33 +297,47 @@ def _scale(dl, u, dr):
                  for r in range(4))
 
 
+def _assemble(head, d_beta, u_beta, u_alpha, d_alpha, u_merged, expected):
+    """The witness with beta^-1 = diag(pi^d_beta) u_beta, alpha = u_alpha
+    diag(pi^d_alpha) and the stated merged matrix diag(pi^d_beta) u_merged
+    diag(pi^d_alpha); head is the tuple of the leading LemmaWitness fields."""
+    spec = head[1]
+    return LemmaWitness(
+        *head,
+        GroupElement(spec, _scale(d_beta, u_beta, _UNSCALED)),
+        GroupElement(spec, _scale(_UNSCALED, u_alpha, d_alpha)),
+        GroupElement(spec, _scale(d_beta, u_merged, d_alpha), certify=False),
+        expected)
+
+
 def _attach_nonspher01(wit, t, sa, sb, sx, sy):
     spec = wit.field
     pi, z, one = spec.pi, spec.zero(), spec.one()
     i, j, m = wit.i, wit.j, wit.m
-    eps1 = 2 * pi(-2 * m + 2 * j + 1) * (sy - sa * sx - sb)
+    eps1 = (2 * (sy - sa * sx - sb)).shift(-2 * m + 2 * j + 1)
     if not eps1.is_integral():
         raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
+    t_k1 = t.shift(i - 2 * m + j)
     k1 = GroupElement(spec, (
         (z, z, one, z),
-        (z, z, -(pi(i - 2 * m + j) * t), one),
-        (-one, z, -(pi(i - 2 * m + 3 * j + 1) * t), pi(2 * j + 1)),
-        (-(pi(i - 2 * m + j) * t), -one, pi(2 * i - 2 * m + 2 * j), z)))
+        (z, z, -t_k1, one),
+        (-one, z, -t.shift(i - 2 * m + 3 * j + 1), pi(2 * j + 1)),
+        (-t_k1, -one, pi(2 * i - 2 * m + 2 * j), z)))
     g1_reference = GroupElement(spec, (
-        (pi(-i) * t, pi(-i), pi(-i + 2 * m - 2 * j), z),
-        (pi(-j - 1) * eps1, z, -(pi(-j) * t), pi(-j)),
-        (pi(j) * (eps1 - one), z, -(pi(j + 1) * t), pi(j + 1)),
+        (t.shift(-i), pi(-i), pi(-i + 2 * m - 2 * j), z),
+        (eps1.shift(-j - 1), z, -t.shift(-j), pi(-j)),
+        ((eps1 - one).shift(j), z, -t.shift(j + 1), pi(j + 1)),
         (z, z, pi(i), z)), certify=False)
     scale0 = d_matrix(spec, -i, -j)
     reference0 = ((t, one, pi(2 * m - 2 * j), z),
-                (pi(-1) * eps1, z, -t, one),
-                (eps1 - one, z, -(pi(1) * t), pi(1)),
-                (z, z, one, z))
+                  (eps1.shift(-1), z, -t, one),
+                  (eps1 - one, z, -t.shift(1), pi(1)),
+                  (z, z, one, z))
     scale1 = d_matrix(spec, -i, -(j + 1))
     reference1 = ((t, one, pi(2 * m - 2 * j), z),
-                (eps1, z, -(pi(1) * t), pi(1)),
-                (pi(-1) * (eps1 - one), z, -t, one),
-                (z, z, one, z))
+                  (eps1, z, -t.shift(1), pi(1)),
+                  ((eps1 - one).shift(-1), z, -t, one),
+                  (z, z, one, z))
     wit.k1 = k1
     wit.eps1 = eps1
     wit.scaled_branches = (
@@ -356,73 +351,76 @@ def _attach_nonspher1m1(wit, s, sx, mutation):
     pi, z, one = spec.pi, spec.zero(), spec.one()
     i, j = wit.i, wit.j
     a1 = wit.a1
-    eps1 = pi(-j + 2) * s
+    eps1 = s.shift(-j + 2)
     if not eps1.is_integral():
         raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
     a1i = one / a1
-    entry32 = -(pi(j - 1) * a1i * a1i * eps1) - a1i * sx
+    c = a1i * a1i * eps1
+    u = a1 * (one - eps1)
+    ui = a1i * (one - eps1)
+    entry32 = -c.shift(j - 1) - a1i * sx
     if mutation == "drop-eps1":
         entry32 = -(a1i * sx)
     k1 = GroupElement(spec, (
         (z, z, z, one),
-        (z, one, z, -(pi(i - j + 1) * a1)),
-        (z, entry32, one, pi(i) * a1i),
-        (-one, pi(i) * a1i * (one - eps1) - pi(i - j + 1) * sx,
-         pi(i - j + 1) * a1, pi(2 * i - j + 1))), certify=mutation != "drop-eps1")
+        (z, one, z, -a1.shift(i - j + 1)),
+        (z, entry32, one, a1i.shift(i)),
+        (-one, ui.shift(i) - sx.shift(i - j + 1),
+         a1.shift(i - j + 1), pi(2 * i - j + 1))), certify=mutation != "drop-eps1")
     g1_reference = GroupElement(spec, (
-        (pi(-i - 1) * eps1, pi(-i) * sx, -(pi(-i) * a1), pi(-i + j)),
-        (pi(-j) * a1 * (one - eps1), one - pi(-j + 1) * a1 * sx,
-         pi(-j + 1) * a1 * a1, -(pi(1) * a1)),
-        (z, -(pi(j - 1) * a1i * a1i * eps1), z, pi(j) * a1i),
-        (z, pi(i) * a1i * (one - eps1), z, pi(i + 1))), certify=False)
+        (eps1.shift(-i - 1), sx.shift(-i), -a1.shift(-i), pi(-i + j)),
+        (u.shift(-j), one - (a1 * sx).shift(-j + 1),
+         (a1 * a1).shift(-j + 1), -a1.shift(1)),
+        (z, -c.shift(j - 1), z, a1i.shift(j)),
+        (z, ui.shift(i), z, pi(i + 1))), certify=False)
     scale0 = d_matrix(spec, -i, -j)
-    reference0 = ((pi(-1) * eps1, sx, -a1, pi(j)),
-                (a1 * (one - eps1), pi(j) - pi(1) * a1 * sx, pi(1) * a1 * a1,
-                 -(pi(j + 1) * a1)),
-                (z, -(pi(-1) * a1i * a1i * eps1), z, a1i),
-                (z, a1i * (one - eps1), z, pi(1)))
+    reference0 = ((eps1.shift(-1), sx, -a1, pi(j)),
+                  (u, pi(j) - (a1 * sx).shift(1), (a1 * a1).shift(1),
+                   -a1.shift(j + 1)),
+                  (z, -c.shift(-1), z, a1i),
+                  (z, ui, z, pi(1)))
     scale1 = d_matrix(spec, -(i + 1), -(j - 1))
-    reference1 = ((eps1, pi(1) * sx, -(pi(1) * a1), pi(j + 1)),
-                (pi(-1) * a1 * (one - eps1), pi(j - 1) - a1 * sx, a1 * a1,
-                 -(pi(j) * a1)),
-                (z, -(a1i * a1i * eps1), z, pi(1) * a1i),
-                (z, pi(-1) * a1i * (one - eps1), z, one))
+    reference1 = ((eps1, sx.shift(1), -a1.shift(1), pi(j + 1)),
+                  (u.shift(-1), pi(j - 1) - a1 * sx, a1 * a1, -a1.shift(j)),
+                  (z, -c, z, a1i.shift(1)),
+                  (z, ui.shift(-1), z, one))
     wit.k1 = k1
     wit.eps1 = eps1
     wit.scaled_branches = ((0, scale0, reference0), (1, scale1, reference1))
     wit.extras["g1_reference"] = g1_reference
 
 
-def _attach_char2(wit, a1_den, full, sa, sb, sx, sy):
+def _attach_char2(wit, a1_den, a1_sq, full, sa, sb, sx, sy):
     spec = wit.field
     pi, z, one = spec.pi, spec.zero(), spec.one()
     i, j, m = wit.i, wit.j, wit.m
-    a1 = full / (a1_den * a1_den)
-    eps1 = pi(-m + j + 2) * (sy + sa * sx + sb)
+    a1 = full / a1_sq
+    eps1 = (sy + sa * sx + sb).shift(-m + j + 2)
     if not eps1.is_integral():
         raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
-    den2 = one / (a1_den * a1_den)
+    den2 = one / a1_sq
+    a1_k1 = a1.shift(i - 2 * m + j)
     k1 = GroupElement(spec, (
         (z, z, one, z),
-        (z, z, pi(i - 2 * m + j) * a1, one),
-        (one, z, pi(i - 2 * m + 3 * j + 2) * a1, pi(2 * j + 2)),
-        (pi(i - 2 * m + j) * a1, one, pi(2 * i - 2 * m + 2 * j) * den2, z)))
+        (z, z, a1_k1, one),
+        (one, z, a1.shift(i - 2 * m + 3 * j + 2), pi(2 * j + 2)),
+        (a1_k1, one, den2.shift(2 * i - 2 * m + 2 * j), z)))
     e2 = eps1 * eps1 * den2
     g1_reference = GroupElement(spec, (
-        (pi(-i) * full, pi(-i) * a1_den * a1_den, pi(-i + 2 * m - 2 * j), z),
-        (pi(-j - 2) * e2, z, pi(-j) * a1, pi(-j)),
-        (pi(j) * e2 + pi(j), z, pi(j + 2) * a1, pi(j + 2)),
-        (z, z, pi(i) * den2, z)), certify=False)
+        (full.shift(-i), a1_sq.shift(-i), pi(-i + 2 * m - 2 * j), z),
+        (e2.shift(-j - 2), z, a1.shift(-j), pi(-j)),
+        ((e2 + one).shift(j), z, a1.shift(j + 2), pi(j + 2)),
+        (z, z, den2.shift(i), z)), certify=False)
     scale0 = d_matrix(spec, -i, -j)
-    reference0 = ((full, a1_den * a1_den, pi(2 * m - 2 * j), z),
-                (pi(-2) * e2, z, a1, one),
-                (e2 + one, z, pi(2) * a1, pi(2)),
-                (z, z, den2, z))
+    reference0 = ((full, a1_sq, pi(2 * m - 2 * j), z),
+                  (e2.shift(-2), z, a1, one),
+                  (e2 + one, z, a1.shift(2), pi(2)),
+                  (z, z, den2, z))
     scale1 = d_matrix(spec, -i, -(j + 2))
-    reference1 = ((full, a1_den * a1_den, pi(2 * m - 2 * j), z),
-                (e2, z, pi(2) * a1, pi(2)),
-                (pi(-2) * (e2 + one), z, a1, one),
-                (z, z, den2, z))
+    reference1 = ((full, a1_sq, pi(2 * m - 2 * j), z),
+                  (e2, z, a1.shift(2), pi(2)),
+                  ((e2 + one).shift(-2), z, a1, one),
+                  (z, z, den2, z))
     wit.k1 = k1
     wit.eps1 = eps1
     wit.a1 = a1
@@ -459,7 +457,7 @@ def spher01_minor_value(wit):
     spec = wit.field
     sig = residue_ring(spec, wit.depth).section
     sa, sb, sx, sy = sig(wit.a), sig(wit.b), sig(wit.x), sig(wit.y)
-    return -2 * spec.pi(-wit.i - 2 * wit.m + wit.j) * (sy - sa * sx - sb)
+    return (-2 * (sy - sa * sx - sb)).shift(-wit.i - 2 * wit.m + wit.j)
 
 
 def spher1m1_norm_formula(wit):

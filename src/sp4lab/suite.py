@@ -56,13 +56,9 @@ def task_seed(global_seed, task_id):
 def run_cells(params, seed, mutation):
     spec = parse_field(params["field"])
     total = case_count(params["lemma"], spec, params["i"], params["j"], params["k"])
-    cap = params.get("cap", QUICK_EXHAUSTIVE_CAP)
-    if total <= cap:
-        return verify_cell_lemma(params["lemma"], spec, params["i"], params["j"],
-                                 params["k"], mode="exhaustive", budget=cap,
-                                 seed=seed, mutation=mutation)
+    mode = "exhaustive" if total <= params.get("cap", QUICK_EXHAUSTIVE_CAP) else "sample"
     return verify_cell_lemma(params["lemma"], spec, params["i"], params["j"],
-                             params["k"], mode="sample",
+                             params["k"], mode=mode,
                              sample_n=params.get("sample_n", 1500),
                              seed=seed, mutation=mutation)
 

@@ -36,7 +36,6 @@ from sp4lab.verifiers.reports import (
     VIOLATED,
     BudgetExceededError,
     VerificationReport,
-    merge_reports,
 )
 from sp4lab.verifiers.sampling import (
     enumerate_symplectic_residue,
@@ -66,7 +65,6 @@ __all__ = [
     "lift_symplectic",
     "lower_from_params",
     "lower_params",
-    "merge_reports",
     "parity_depth_profile",
     "parity_volumes",
     "product_coverage",

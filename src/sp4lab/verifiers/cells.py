@@ -10,7 +10,6 @@ congruence-restricted tuple.
 """
 
 import itertools
-import math
 import random
 
 from sp4lab import lemma_witnesses as lw
@@ -37,21 +36,22 @@ def tuple_space(lemma, spec, i, j, k_level):
 
 
 def case_count(lemma, spec, i, j, k_level):
-    return math.prod(map(len, tuple_space(lemma, spec, i, j, k_level)))
+    """Size of the tuple space, from the domain sizes alone: pi^l O/pi^n
+    has q^max(n - l, 0) classes and the eps domain has q."""
+    depth = lw.check_preconditions(lemma, spec, i, j, k_level)
+    levels = lw.congruence_levels(lemma, k_level)
+    return spec.q ** (1 + sum(max(depth - level, 0) for level in levels))
 
 
-def _tuples(domains, mode, sample_n, seed, partition=None):
+def _tuples(domains, mode, sample_n, seed):
     """The (a, b, x, eps) tuples one sweep checks, in the order it checks them.
 
     mode "exhaustive" walks the product of the domains in
-    ``itertools.product`` order; partition=(index, count) keeps the
-    tuples whose position is index mod count.  mode "sample" makes
-    sample_n draws from random.Random(seed), each in a, b, x, eps order.
+    ``itertools.product`` order; mode "sample" makes sample_n draws from
+    random.Random(seed), each in a, b, x, eps order.
     """
     if mode == "exhaustive":
-        for idx, tup in enumerate(itertools.product(*domains)):
-            if partition is None or idx % partition[1] == partition[0]:
-                yield tup
+        yield from itertools.product(*domains)
     elif mode == "sample":
         rng = random.Random(seed)
         for _ in range(sample_n):
@@ -60,67 +60,74 @@ def _tuples(domains, mode, sample_n, seed, partition=None):
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _check_tuple(report, lemma, spec, i, j, k_level, a, b, x, eps, target,
-                 mutation, record_cells):
-    desc = None
+def _sweep(report, lemma, spec, i, j, tuples, check):
+    """Run check(a, b, x, eps) on each tuple and record every failure dict
+    it returns, tagged with the tuple's residues."""
+    ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
+    for a, b, x, eps in tuples:
+        for desc in check(a, b, x, eps):
+            desc.update({"a": ring.to_str(a), "b": ring.to_str(b),
+                         "x": ring.to_str(x), "eps": eps})
+            report.record_violation(desc)
+        report.cases_run += 1
+
+
+def _cell_failures(lemma, spec, i, j, k_level, a, b, x, eps, target,
+                   mutation, record_cells):
+    """The failure of one tuple's cell / membership / congruence claims, if any."""
     try:
         wit = lw.build_witness(lemma, spec, i, j, k_level, a, b, x, eps,
                                mutation=mutation)
         prod = wit.product
         if not prod == wit.merged_reference:
-            desc = {"check": "factor-product"}
-        elif not is_symplectic(spec, prod.rows):
-            desc = {"check": "product-symplectic"}
-        else:
-            cell = cartan_invariants(prod)[0]
-            if wit.expected_cell is None:
-                record_cells.add((eps, cell))
-            elif cell != wit.expected_cell:
-                desc = {"check": "cell", "observed": list(cell),
-                        "expected": list(wit.expected_cell)}
-        if desc is None and wit.k1 is not None:
-            desc = _check_compensator(wit, k_level, target)
+            return [{"check": "factor-product"}]
+        if not is_symplectic(spec, prod.rows):
+            return [{"check": "product-symplectic"}]
+        cell = cartan_invariants(prod)[0]
+        if wit.expected_cell is None:
+            record_cells.add((eps, cell))
+        elif cell != wit.expected_cell:
+            return [{"check": "cell", "observed": list(cell),
+                     "expected": list(wit.expected_cell)}]
+        if wit.k1 is not None:
+            return _check_compensator(wit, k_level, target)
     except SymplecticError as exc:
-        desc = {"check": "symplectic-certification", "detail": str(exc)}
+        return [{"check": "symplectic-certification", "detail": str(exc)}]
     except lw.LemmaPreconditionError as exc:
-        desc = {"check": "precondition", "detail": str(exc)}
-    if desc is not None:
-        ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
-        desc.update({"a": ring.to_str(a), "b": ring.to_str(b),
-                     "x": ring.to_str(x), "eps": eps})
-        report.record_violation(desc)
+        return [{"check": "precondition", "detail": str(exc)}]
+    return []
 
 
 def _check_compensator(wit, k_level, target):
+    """The failed compensator check of a non-spherical witness, if any."""
     spec = wit.field
     k1 = wit.k1
     if not (k1.is_integral() and is_symplectic(spec, k1.rows)):
-        return {"check": "k1-in-K"}
+        return [{"check": "k1-in-K"}]
     g1 = k1 * wit.product
     if not g1 == wit.extras["g1_reference"]:
-        return {"check": "g1-reference"}
+        return [{"check": "g1-reference"}]
     for code, scale, reference in wit.scaled_branches:
         if wit.eps_code == code:
             scaled = scale * g1
             if not scaled == GroupElement(spec, reference, certify=False):
-                return {"check": f"scaled-reference-eps{code}"}
+                return [{"check": f"scaled-reference-eps{code}"}]
             if not (scaled.is_integral() and is_symplectic(spec, scaled.rows)):
-                return {"check": f"scaled-in-K-eps{code}"}
+                return [{"check": f"scaled-in-K-eps{code}"}]
     if k_level > 0 and target is not None:
         if k1.reduce(k_level) != target:
-            return {"check": "k1-congruence"}
-    return None
+            return [{"check": "k1-congruence"}]
+    return []
 
 
 def verify_cell_lemma(lemma, spec, i, j, k_level=0, mode="exhaustive",
-                      sample_n=1000, seed=0, budget=HARD_BUDGET,
-                      mutation=None, partition=None):
+                      sample_n=1000, seed=0, mutation=None):
     """Verify the cell / membership / congruence claims of one lemma instance.
 
-    mode "exhaustive" enumerates the whole residue-tuple space (subject to
-    the case budget); mode "sample" draws sample_n tuples from the seeded
-    stream.  partition=(index, count) restricts an exhaustive run to a
-    deterministic slice so runs can be merged afterwards.
+    mode "exhaustive" enumerates the whole residue-tuple space, and raises
+    BudgetExceededError before building it when it holds more than
+    HARD_BUDGET tuples; mode "sample" draws sample_n tuples from the
+    seeded stream.
     """
     params = {"lemma": lemma, "field": str(spec), "i": i, "j": j,
               "k": k_level, "mode": mode}
@@ -128,27 +135,34 @@ def verify_cell_lemma(lemma, spec, i, j, k_level=0, mode="exhaustive",
         params["mutation"] = mutation
     report = VerificationReport(task=f"cells:{lemma}:{spec}:{i},{j},k{k_level}",
                                 params=params, seed=seed)
-    domains = tuple_space(lemma, spec, i, j, k_level)
-    report.cases_total = total = math.prod(map(len, domains))
+    report.cases_total = total = case_count(lemma, spec, i, j, k_level)
     target = None
     if k_level > 0:
         target = lw.congruence_target(lemma, spec, i, j, k_level, mutation)
-    if mode == "exhaustive" and total > min(budget, HARD_BUDGET):
+    if mode == "exhaustive" and total > HARD_BUDGET:
         raise BudgetExceededError(
             f"{total} tuples exceed the enumeration budget; use sample mode")
     observed_cells = set()
-    for a, b, x, eps in _tuples(domains, mode, sample_n, seed, partition):
-        _check_tuple(report, lemma, spec, i, j, k_level, a, b, x, eps,
-                     target, mutation, observed_cells)
-        report.cases_run += 1
+    tuples = _tuples(tuple_space(lemma, spec, i, j, k_level), mode, sample_n, seed)
+    _sweep(report, lemma, spec, i, j, tuples,
+           lambda a, b, x, eps: _cell_failures(lemma, spec, i, j, k_level, a, b, x,
+                                               eps, target, mutation, observed_cells))
     if observed_cells:
         report.margins["unpinned_eps_cells"] = sorted(
             f"eps={e}->({c[0]},{c[1]})" for e, c in observed_cells)
     return report.done()
 
 
-def _identity_tuple_checks(report, lemma, spec, i, j, k_level, a, b, x, eps,
-                           mutation):
+def _identity_failures(lemma, spec, i, j, k_level, a, b, x, eps, mutation):
+    """The failed displayed identities of one tuple, or the build failure."""
+    try:
+        return [{"check": name} for name in
+                _identity_checks(lemma, spec, i, j, k_level, a, b, x, eps, mutation)]
+    except (SymplecticError, lw.LemmaPreconditionError) as exc:
+        return [{"check": "build", "detail": str(exc)}]
+
+
+def _identity_checks(lemma, spec, i, j, k_level, a, b, x, eps, mutation):
     ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
     wit = lw.build_witness(lemma, spec, i, j, k_level, a, b, x, eps,
                            mutation=mutation)
@@ -215,10 +229,7 @@ def _identity_tuple_checks(report, lemma, spec, i, j, k_level, a, b, x, eps,
             unit_sq = wit.eps1 * wit.eps1 / (a1_den * a1_den) + spec.one()
             if not unit_sq.valuation() >= 2:
                 failures.append("squared-unit-bound")
-    for name in failures:
-        report.record_violation({"check": name, "a": ring.to_str(a),
-                                 "b": ring.to_str(b), "x": ring.to_str(x),
-                                 "eps": eps})
+    return failures
 
 
 def verify_witness_identities(lemma, spec, i, j, sample_n=1000, seed=0,
@@ -231,16 +242,9 @@ def verify_witness_identities(lemma, spec, i, j, sample_n=1000, seed=0,
     report = VerificationReport(task=f"identities:{lemma}:{spec}:{i},{j}",
                                 params=params, seed=seed)
     k_level = 0 if lemma in (lw.SPHER01, lw.SPHER1M1, lw.CHAR2_02) else 1
-    domains = tuple_space(lemma, spec, i, j, k_level)
-    report.cases_total = math.prod(map(len, domains))
-    for a, b, x, eps in _tuples(domains, "sample", sample_n, seed):
-        try:
-            _identity_tuple_checks(report, lemma, spec, i, j, k_level, a, b, x,
-                                   eps, mutation)
-        except (SymplecticError, lw.LemmaPreconditionError) as exc:
-            ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
-            report.record_violation({"check": "build", "detail": str(exc),
-                                     "a": ring.to_str(a), "b": ring.to_str(b),
-                                     "x": ring.to_str(x), "eps": eps})
-        report.cases_run += 1
+    report.cases_total = case_count(lemma, spec, i, j, k_level)
+    tuples = _tuples(tuple_space(lemma, spec, i, j, k_level), "sample", sample_n, seed)
+    _sweep(report, lemma, spec, i, j, tuples,
+           lambda a, b, x, eps: _identity_failures(lemma, spec, i, j, k_level,
+                                                   a, b, x, eps, mutation))
     return report.done()

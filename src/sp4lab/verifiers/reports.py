@@ -1,8 +1,7 @@
 """Verification reports: outcome records for exhaustive and sampled checks.
 
-Reports merge associatively (counts add, counterexample lists
-concatenate), so enumeration spaces can be partitioned into disjoint
-tuple ranges, verified independently, and recombined.
+One report covers one whole task: its tuple count, the cases it ran,
+its first counterexamples and its margins.
 """
 
 import json
@@ -60,27 +59,3 @@ class VerificationReport:
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)
 
-
-def merge_reports(a, b):
-    """Associative merge of two partition reports for the same task."""
-    if a.task != b.task:
-        raise ValueError("cannot merge reports for different tasks")
-    out = VerificationReport(a.task, dict(a.params))
-    out.cases_total = a.cases_total + b.cases_total
-    out.cases_run = a.cases_run + b.cases_run
-    out.counterexamples = (a.counterexamples + b.counterexamples)[:MAX_COUNTEREXAMPLES]
-    if VIOLATED in (a.status, b.status):
-        out.status = VIOLATED
-    elif UNDECIDED in (a.status, b.status):
-        out.status = UNDECIDED
-    else:
-        out.status = PASS
-    out.margins = dict(a.margins)
-    for key, val in b.margins.items():
-        if key in out.margins and isinstance(val, (int, float)):
-            out.margins[key] = max(out.margins[key], val)
-        else:
-            out.margins[key] = val
-    out.elapsed_ms = a.elapsed_ms + b.elapsed_ms
-    out.seed = a.seed if a.seed is not None else b.seed
-    return out

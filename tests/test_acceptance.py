@@ -55,8 +55,7 @@ def _run_cells(lemma, field_name, pairs, k=0, cap=25_000, sample_n=1200):
     for (i, j) in pairs:
         total = case_count(lemma, spec, i, j, k)
         if total <= cap:
-            rep = verify_cell_lemma(lemma, spec, i, j, k, mode="exhaustive",
-                                    budget=cap)
+            rep = verify_cell_lemma(lemma, spec, i, j, k, mode="exhaustive")
         else:
             rep = verify_cell_lemma(lemma, spec, i, j, k, mode="sample",
                                     sample_n=sample_n, seed=977 + i * 31 + j)

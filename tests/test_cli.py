@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -60,6 +61,38 @@ def test_witness_command():
     res = run("witness", "--field", "Q2", "--lemma", "SPHER01",
               "--i", "2", "--j", "1")
     assert res.returncode == 2
+    # --eps is a residue code in [0, q)
+    for field, lemma, i, j, eps in (("Q3", "SPHER01", "3", "1", "3"),
+                                    ("F4((t))", "SPHER1M1", "4", "3", "5")):
+        res = run("witness", "--field", field, "--lemma", lemma,
+                  "--i", i, "--j", j, "--eps", eps)
+        assert res.returncode == 2
+        assert "not a residue code" in res.stderr
+
+
+def _capped(nbytes):
+    """preexec_fn capping the child's address space, so an enumeration that
+    outgrows it fails with MemoryError instead of exhausting the host."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (nbytes, nbytes))
+    return cap
+
+
+def test_over_budget_sweep_exits_before_building_domains():
+    # 5^12 residues per domain at depth 12: too many to build under the cap
+    res = subprocess.run(
+        CLI + ["verify", "SPHER01", "--field", "Q5", "--i", "12", "--j", "0"],
+        capture_output=True, text=True, preexec_fn=_capped(512 << 20))
+    assert res.returncode == 2, res.stderr[-400:]
+    assert "exceed the enumeration budget" in res.stderr
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "from sp4lab.exactfield import parse_field\n"
+         "from sp4lab.verifiers.cells import case_count\n"
+         "print(case_count('SPHER01', parse_field('Q5'), 12, 0, 0))"],
+        capture_output=True, text=True, preexec_fn=_capped(512 << 20))
+    assert res.returncode == 0, res.stderr[-400:]
+    assert int(res.stdout) == 5 ** 37
 
 
 def test_verify_command_exit_codes():

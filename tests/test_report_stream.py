@@ -124,6 +124,17 @@ CASES = (
     (("zigzag:ledger:char2-k1-h3", "zigzag-ledger",
       {"regime": "char2", "klevel": 1, "h": 3, "alphas": ["1/3", "7/10"],
        "betas": ["0", "1/2", "9/10"], "max_length": 40}), None),
+    # the unpinned eps cells of CHAR2_02 over F4((t)), the SPHER1M1 and
+    # NONSPHER01 identities and two mutated identity replays
+    (_cells(lw.CHAR2_02, "F4((t))", 5, 1), None),
+    (("identities:SPHER1M1:Q3:3,3", "identities",
+      {"lemma": lw.SPHER1M1, "field": "Q3", "i": 3, "j": 3, "n": 30}), None),
+    (("identities:NONSPHER01:Q3:4,1", "identities",
+      {"lemma": lw.NONSPHER01, "field": "Q3", "i": 4, "j": 1, "n": 30}), None),
+    (("identities:SPHER01:Q3:4,1", "identities",
+      {"lemma": lw.SPHER01, "field": "Q3", "i": 4, "j": 1, "n": 40}), "minor-row-pair"),
+    (("identities:NONSPHER1M1:Q3:4,4", "identities",
+      {"lemma": lw.NONSPHER1M1, "field": "Q3", "i": 4, "j": 4, "n": 30}), "drop-eps1"),
 )
 
 
