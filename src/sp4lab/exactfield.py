@@ -34,14 +34,21 @@ sums skip the gcd, since a p- (t-) stripped sum over 1 is in lowest
 terms, and a zero sum is the memoised zero.
 
 The uniformizer is p respectively t, the residue field has q elements,
-and ``|x| = q^(-v(x))``.  Residue rings O/pi^n carry canonical digit /
-truncation representatives, and the canonical section lifts those
-representatives back into the field.
+and ``|x| = q^(-v(x))``.  A residue ring O/pi^n is one of two classes,
+picked once by ``residue_ring``: ``IntResidueRing`` (Z/p^n, the ints in
+[0, p^n)) or ``PolyResidueRing`` (F_q[t]/t^n, truncated polynomials).
+Its ``elements()`` and ``pi_multiples(k)`` are index views that decode
+a class from its index on demand, a ``range`` respectively a
+``PolyView``, so a sampled draw from q^n classes builds none of them.
+The canonical section lifts the digit / truncation representatives back
+into the field.
 """
 
 import functools
+import itertools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,7 +66,6 @@ from sp4lab.gfq import (
     poly_gcd,
     poly_divmod,
     poly_scale,
-    all_polys,
 )
 
 INF = math.inf
@@ -401,7 +407,7 @@ class PadicElem(_FieldElem):
         return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
     def _reduce_integral(self, ring):
-        m = ring.modulus
+        m = ring.size
         return (self.num * pow(self.den, -1, m) * pow(self.spec.p, self.v, m)) % m
 
 
@@ -593,13 +599,17 @@ def _parse_poly(spec, text):
 class ResidueRing:
     """O/pi^n with canonical representatives and exact ring arithmetic.
 
-    Mixed characteristic: representatives are ints in [0, p^n).
-    Equal characteristic: representatives are polynomials of degree < n
-    (little-endian tuples of residue-field codes).
+    ``residue_ring`` picks one of two subclasses, once per (spec, n), so no
+    ring method tests the field's kind: ``IntResidueRing`` for Z/p^n, whose
+    representatives are the ints in [0, p^n), and ``PolyResidueRing`` for
+    F_q[t]/t^n, whose representatives are the polynomials of degree < n
+    (little-endian tuples of residue-field codes).  Both supply the same
+    arithmetic, the index views ``elements()`` and ``pi_multiples(k)``, the
+    residue-code embedding and its inverse, the character pairing and the
+    ``_lift`` behind the canonical ``section``.
     """
 
-    __slots__ = ("spec", "n", "size", "modulus", "zero", "one", "_elements",
-                 "_section_cache")
+    __slots__ = ("spec", "n", "size", "_section_cache")
 
     def __init__(self, spec, n):
         if n < 1:
@@ -607,88 +617,127 @@ class ResidueRing:
         self.spec = spec
         self.n = n
         self.size = spec.q ** n
-        if spec.kind == MIXED:
-            self.modulus = spec.p ** n
-            self.zero = 0
-            self.one = 1 % self.modulus
-        else:
-            self.modulus = None
-            self.zero = ()
-            self.one = (1,)
-        self._elements = None
         self._section_cache = {}
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a, b):
-        if self.spec.kind == MIXED:
-            return (a + b) % self.modulus
-        return poly_add(self.spec.residue_gf, a, b)
-
-    def sub(self, a, b):
-        if self.spec.kind == MIXED:
-            return (a - b) % self.modulus
-        return poly_sub(self.spec.residue_gf, a, b)
-
-    def neg(self, a):
-        if self.spec.kind == MIXED:
-            return (-a) % self.modulus
-        return poly_neg(self.spec.residue_gf, a)
-
-    def mul(self, a, b):
-        if self.spec.kind == MIXED:
-            return (a * b) % self.modulus
-        return poly_trim(poly_mul(self.spec.residue_gf, a, b)[:self.n])
 
     def inv(self, a):
         if self.valuation(a) != 0:
             raise ZeroDivisionError("inverse of a non-unit in O/pi^n")
-        if self.spec.kind == MIXED:
-            return pow(a, -1, self.modulus)
-        return poly_trim(poly_series_inv(self.spec.residue_gf, a, self.n)[:self.n])
-
-    def shift(self, a, k):
-        """Multiply by pi^k (k >= 0)."""
-        if self.spec.kind == MIXED:
-            return (a * self.spec.p ** k) % self.modulus
-        if not a:
-            return a
-        return poly_trim(((0,) * k + a)[:self.n])
-
-    def valuation(self, a):
-        """pi-adic valuation of the class, capped at n (n for the zero class)."""
-        if self.spec.kind == MIXED:
-            return _strip_p(a, self.spec.p)[0] if a else self.n
-        v = poly_t_valuation(a)
-        return self.n if v is None else v
+        return self._unit_inv(a)
 
     def is_unit(self, a):
         return self.valuation(a) == 0
 
-    # -- enumeration ---------------------------------------------------------
-
     def elements(self):
-        if self._elements is None:
-            if self.spec.kind == MIXED:
-                self._elements = tuple(range(self.size))
-            else:
-                self._elements = tuple(all_polys(self.spec.residue_gf, self.n))
-        return self._elements
+        """All classes, as an index view in enumeration order."""
+        return self.pi_multiples(0)
+
+    def section(self, rep):
+        """Canonical lift O/pi^n -> O (digit respectively truncation section)."""
+        cached = self._section_cache.get(rep)
+        if cached is None:
+            cached = self._section_cache[rep] = self._lift(rep)
+        return cached
+
+    def __repr__(self):
+        return f"ResidueRing({self.spec}, {self.n})"
+
+
+class IntResidueRing(ResidueRing):
+    """Z/p^n: representatives are the ints in [0, p^n)."""
+
+    __slots__ = ()
+
+    zero, one = 0, 1
+
+    def add(self, a, b):
+        return (a + b) % self.size
+
+    def sub(self, a, b):
+        return (a - b) % self.size
+
+    def neg(self, a):
+        return (-a) % self.size
+
+    def mul(self, a, b):
+        return (a * b) % self.size
+
+    def _unit_inv(self, a):
+        return pow(a, -1, self.size)
+
+    def shift(self, a, k):
+        """Multiply by pi^k (k >= 0)."""
+        return (a * self.spec.p ** k) % self.size
+
+    def valuation(self, a):
+        """pi-adic valuation of the class, capped at n (n for the zero class)."""
+        return _strip_p(a, self.spec.p)[0] if a else self.n
 
     def pi_multiples(self, k):
-        """All classes in pi^k * O/pi^n (the zero class alone once k >= n)."""
-        if k <= 0:
-            return self.elements()
-        if k >= self.n:
-            return (self.zero,)
-        if self.spec.kind == MIXED:
-            return tuple(range(0, self.modulus, self.spec.p ** k))
-        return tuple((0,) * k + p if p else () for p in all_polys(self.spec.residue_gf, self.n - k))
+        """The classes of pi^k O/pi^n as a range (the zero class alone once k >= n)."""
+        return range(0, self.size, self.spec.p ** k) if k < self.n else (0,)
 
     def element_at(self, index):
-        """Deterministic index -> representative bijection (for seeded sampling)."""
-        if self.spec.kind == MIXED:
-            return index % self.size
+        """Deterministic index -> representative map (for seeded sampling)."""
+        return index % self.size
+
+    def embed_residue_code(self, code):
+        """Image in this ring of a residue-field element given by its code."""
+        return code % self.size
+
+    def residue_code(self, rep):
+        """Code of the residue of a class; inverts ``embed_residue_code``."""
+        return rep % self.spec.p
+
+    def character(self, b, a):
+        """(root, index) with chi_b(a) = exp(i * root * index)."""
+        return 2.0 * math.pi / self.size, (a * b) % self.size
+
+    def _lift(self, rep):
+        return _padic_from_fraction(self.spec, Fraction(rep))
+
+    def to_str(self, rep):
+        return str(rep)
+
+
+class PolyResidueRing(ResidueRing):
+    """F_q[t]/t^n: representatives are little-endian coefficient tuples of
+    degree < n, without trailing zeros."""
+
+    __slots__ = ()
+
+    zero, one = (), (1,)
+
+    def add(self, a, b):
+        return poly_add(self.spec.residue_gf, a, b)
+
+    def sub(self, a, b):
+        return poly_sub(self.spec.residue_gf, a, b)
+
+    def neg(self, a):
+        return poly_neg(self.spec.residue_gf, a)
+
+    def mul(self, a, b):
+        return poly_trim(poly_mul(self.spec.residue_gf, a, b)[:self.n])
+
+    def _unit_inv(self, a):
+        return poly_trim(poly_series_inv(self.spec.residue_gf, a, self.n)[:self.n])
+
+    def shift(self, a, k):
+        """Multiply by t^k (k >= 0)."""
+        return poly_trim(((0,) * k + a)[:self.n])
+
+    def valuation(self, a):
+        """t-adic valuation of the class, capped at n (n for the zero class)."""
+        v = poly_t_valuation(a)
+        return self.n if v is None else v
+
+    def pi_multiples(self, k):
+        """The classes of t^k O/t^n as a ``PolyView``."""
+        return PolyView(self.spec.q, k, self.n)
+
+    def element_at(self, index):
+        """Deterministic index -> representative map (for seeded sampling):
+        the base-q digits of index, least significant at t^0."""
         q = self.spec.q
         coeffs = []
         for _ in range(self.n):
@@ -698,39 +747,65 @@ class ResidueRing:
 
     def embed_residue_code(self, code):
         """Image in this ring of a residue-field element given by its code."""
-        if self.spec.kind == MIXED:
-            return code % self.modulus
         return (code,) if code else ()
 
-    # -- section -------------------------------------------------------------
+    def residue_code(self, rep):
+        """Code of the residue of a class; inverts ``embed_residue_code``."""
+        return rep[0] if rep else 0
 
-    def section(self, rep):
-        """Canonical lift O/pi^n -> O (digit respectively truncation section)."""
-        cached = self._section_cache.get(rep)
-        if cached is None:
-            if self.spec.kind == MIXED:
-                cached = _padic_from_fraction(self.spec, Fraction(rep))
-            else:
-                v = poly_t_valuation(rep)
-                if v is None:
-                    cached = self.spec.zero()
-                else:
-                    cached = LaurentElem(self.spec, v, rep[v:], (1,), normalize=False)
-            self._section_cache[rep] = cached
-        return cached
+    def character(self, b, a):
+        """(root, index) with chi_b(a) = exp(i * root * index): the index is
+        the trace to F_p of the t^(n-1) coefficient of a b."""
+        prod = self.mul(a, b)
+        coeff = prod[self.n - 1] if len(prod) >= self.n else 0
+        return 2.0 * math.pi / self.spec.p, self.spec.residue_gf.trace_to_prime(coeff)
+
+    def _lift(self, rep):
+        v = poly_t_valuation(rep)
+        if v is None:
+            return self.spec.zero()
+        return LaurentElem(self.spec, v, rep[v:], (1,), normalize=False)
 
     def to_str(self, rep):
-        if self.spec.kind == MIXED:
-            return str(rep)
         return _poly_str(rep)
 
-    def __repr__(self):
-        return f"ResidueRing({self.spec}, {self.n})"
+
+class PolyView(Sequence):
+    """The classes of t^k F_q[t]/t^n, indexed without building them.
+
+    Index r holds the polynomial whose coefficients at t^k, ..., t^(n-1)
+    are the base-q digits of r, the most significant at t^k: the order of
+    ``itertools.product`` over those coefficients.  Slices are tuples.
+    """
+
+    __slots__ = ("_q", "_k", "_m")
+
+    def __init__(self, q, k, n):
+        self._q, self._k, self._m = q, k, max(n - k, 0)
+
+    def __len__(self):
+        return self._q ** self._m
+
+    def __getitem__(self, r):
+        indices = range(self._q ** self._m)
+        if isinstance(r, slice):
+            return tuple(map(self.__getitem__, indices[r]))
+        r = indices[r]  # a negative r counts from the end
+        coeffs = [0] * (self._k + self._m)
+        for i in reversed(range(self._k, len(coeffs))):
+            r, coeffs[i] = divmod(r, self._q)
+        return poly_trim(coeffs)
+
+    def __iter__(self):
+        pad = (0,) * self._k
+        for coeffs in itertools.product(range(self._q), repeat=self._m):
+            yield poly_trim(pad + coeffs)
 
 
 @functools.lru_cache(maxsize=None)
 def residue_ring(spec, n):
-    return ResidueRing(spec, n)
+    """O/pi^n: the one place that picks the ring class for a field's kind."""
+    return (IntResidueRing if spec.kind == MIXED else PolyResidueRing)(spec, n)
 
 
 def reduce_mod(x, n):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sp4lab.exactfield import MIXED, residue_ring
+from sp4lab.exactfield import residue_ring
 from sp4lab.verifiers.reports import VerificationReport
 
 PAIRING_TOL = 1e-10  # orthogonality defect allowed per character, relative
@@ -100,24 +100,12 @@ class CharacterTable:
         self.spec = spec
         self.n = n
         self.ring = residue_ring(spec, n)
-        elems = self.ring.elements()
-        self.elements = elems
-        size = len(elems)
-        mat = np.empty((size, size), dtype=complex)
-        if spec.kind == MIXED:
-            mod = spec.p ** n
-            root = 2.0 * math.pi / mod
-            for bi, b in enumerate(elems):
-                for ai, a in enumerate(elems):
-                    mat[bi, ai] = cmath.exp(1j * root * ((a * b) % mod))
-        else:
-            k = spec.residue_gf
-            root = 2.0 * math.pi / spec.p
-            for bi, b in enumerate(elems):
-                for ai, a in enumerate(elems):
-                    prod = self.ring.mul(a, b)
-                    coeff = prod[n - 1] if len(prod) >= n else 0
-                    mat[bi, ai] = cmath.exp(1j * root * k.trace_to_prime(coeff))
+        elems = self.elements = self.ring.elements()
+        mat = np.empty((len(elems), len(elems)), dtype=complex)
+        for bi, b in enumerate(elems):
+            for ai, a in enumerate(elems):
+                root, index = self.ring.character(b, a)
+                mat[bi, ai] = cmath.exp(1j * root * index)
         self.matrix = mat
         self._certify()
 
@@ -326,6 +314,8 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
         raise ValueError("shifted variant needs n >= 2k+1 for a well-typed shift")
     if spec.q ** (4 * n - 6 * k) > 8_000_000:
         raise ValueError("operator too large; reduce n (dense matrix route)")
+    if not 1 <= eps0_code < spec.q:
+        raise ValueError(f"eps0 code {eps0_code} is not a residue code in [1, {spec.q})")
     params = {"field": str(spec), "h": h, "n": n, "k": k, "space": str(space),
               "strategy": strategy}
     report = VerificationReport(task=f"fft:{spec}:h{h}:n{n}:k{k}:{space}",

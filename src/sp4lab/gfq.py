@@ -18,7 +18,6 @@ is reproducible across runs.
 """
 
 import functools
-import itertools
 
 # Fixed irreducible moduli (little-endian coefficient tuples, degree f).
 IRREDUCIBLE = {
@@ -326,11 +325,3 @@ def poly_t_valuation(a):
         if c:
             return i
     return None
-
-
-def all_polys(k, degree_lt):
-    """All polynomials over k of degree < degree_lt, in deterministic order."""
-    out = []
-    for coeffs in itertools.product(range(k.q), repeat=degree_lt):
-        out.append(poly_trim(coeffs))
-    return out

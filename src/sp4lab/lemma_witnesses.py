@@ -153,20 +153,13 @@ def check_preconditions(lemma, spec, i, j, k_level):
     return depth
 
 
-def residue_code(spec, level1_rep):
-    """Integer code of a level-1 residue representative."""
-    if spec.kind == EQUAL:
-        return level1_rep[0] if level1_rep else 0
-    return level1_rep
-
-
 def designated_eps_code(lemma, spec):
     """Code of the nonzero residue the in-K rescaling branch is stated for."""
     if lemma == NONSPHER01:
         # image of pi^v0 / 2 in the residue field
         v0 = two_valuation(spec)
-        elem = spec.pi(v0) / spec.integer(2)
-        return residue_code(spec, elem.reduce(residue_ring(spec, 1)))
+        ring1 = residue_ring(spec, 1)
+        return ring1.residue_code((spec.pi(v0) / spec.integer(2)).reduce(ring1))
     return 1
 
 

@@ -10,6 +10,7 @@ congruence-restricted tuple.
 """
 
 import itertools
+import math
 import random
 
 from sp4lab import lemma_witnesses as lw
@@ -28,19 +29,23 @@ HARD_BUDGET = 10 ** 7
 
 
 def tuple_space(lemma, spec, i, j, k_level):
-    """(A, B, X, eps_codes) enumeration domains for a lemma instance."""
+    """(A, B, X, eps_codes) domains of a lemma instance, as index views."""
     depth = lw.check_preconditions(lemma, spec, i, j, k_level)
     ring = residue_ring(spec, depth)
     a_dom, b_dom, x_dom = map(ring.pi_multiples, lw.congruence_levels(lemma, k_level))
-    return a_dom, b_dom, x_dom, tuple(range(spec.q))
+    return a_dom, b_dom, x_dom, range(spec.q)
 
 
 def case_count(lemma, spec, i, j, k_level):
-    """Size of the tuple space, from the domain sizes alone: pi^l O/pi^n
-    has q^max(n - l, 0) classes and the eps domain has q."""
-    depth = lw.check_preconditions(lemma, spec, i, j, k_level)
-    levels = lw.congruence_levels(lemma, k_level)
-    return spec.q ** (1 + sum(max(depth - level, 0) for level in levels))
+    """Size of the tuple space: the product of the lengths of the domains,
+    which are index views, so none is built.  A domain too long for
+    ``len`` (2^63 classes or more) cannot be indexed, and is over budget
+    in either mode."""
+    try:
+        return math.prod(map(len, tuple_space(lemma, spec, i, j, k_level)))
+    except OverflowError:
+        raise BudgetExceededError(
+            f"a residue domain of {lemma} at ({i},{j}) is too long to index") from None
 
 
 def _tuples(domains, mode, sample_n, seed):

@@ -16,7 +16,7 @@ Since g' and k are integral, k mod pi^n fixes g' k mod pi^n and hence
 each minor mod pi^n; a minor of valuation below n has that valuation
 in O/pi^n, and one of valuation n or more is the zero class.  So the
 least valuation v of the six minors of (g' mod pi^n)(k mod pi^n),
-capped at n as ``ResidueRing.valuation`` caps it, decides the class
+capped at n as ``PolyResidueRing.valuation`` caps it, decides the class
 iff v < n, and its parity is then v mod 2.  Every lift of the class
 gets the same answer, in particular the exact lift the oracle route
 ``_classify(g, lift_symplectic(...))`` assesses.

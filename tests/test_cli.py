@@ -95,6 +95,23 @@ def test_over_budget_sweep_exits_before_building_domains():
     assert int(res.stdout) == 5 ** 37
 
 
+def test_sampled_sweep_builds_no_domain():
+    # 5^12 and 4^12 residues per domain: each draw is decoded from its index
+    for lemma, field, i, j in (("SPHER01", "Q5", "12", "0"),
+                               ("SPHER1M1", "F4((t))", "13", "13")):
+        res = subprocess.run(
+            CLI + ["verify", lemma, "--field", field, "--i", i, "--j", j,
+                   "--mode", "sample", "--n", "10"],
+            capture_output=True, text=True, preexec_fn=_capped(512 << 20))
+        assert res.returncode == 0, res.stderr[-400:]
+        assert jsonl(res.stdout)[0]["cases_run"] == 10
+    # a domain of 5^60 classes is too long for len(): a usage error, not a crash
+    res = run("verify", "SPHER01", "--field", "Q5", "--i", "60", "--j", "0",
+              "--mode", "sample", "--n", "10")
+    assert res.returncode == 2, res.stderr[-400:]
+    assert "too long to index" in res.stderr
+
+
 def test_verify_command_exit_codes():
     res = run("verify", "SPHER01", "--field", "Q3", "--i", "3", "--j", "1")
     assert res.returncode == 0
@@ -153,6 +170,12 @@ def test_parity_and_fourier_commands():
     assert json.loads(res.stdout)["lower"] == pytest.approx(2 ** -0.5)
     res = run("fft-check", "--field", "Q2", "--h", "1", "--n", "2")
     assert res.returncode == 0
+    # --eps0 is a nonzero residue code in [1, q)
+    for field, eps0 in (("Q3", "0"), ("Q3", "3"), ("Q3", "4"), ("F4((t))", "7")):
+        res = run("fft-check", "--field", field, "--h", "1", "--n", "3", "--k", "1",
+                  "--eps0", eps0)
+        assert res.returncode == 2, (field, eps0)
+        assert res.stderr.startswith("error:") and "not a residue code" in res.stderr
     res = run("type-const", "--space", "l2:4", "--p", "2.0", "--trials", "5")
     assert res.returncode == 0
     res = run("type-const", "--space", "l2:4", "--p", "0.5")

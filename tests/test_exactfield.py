@@ -1,9 +1,12 @@
 """Valuation arithmetic, residue rings, and the canonical section."""
 
+import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +16,11 @@ from sp4lab.exactfield import (
     MIXED,
     FieldConfigError,
     FieldSpec,
+    IntResidueRing,
     LaurentElem,
     NonIntegralError,
     PadicElem,
+    PolyResidueRing,
     make_field,
     parse_element,
     parse_field,
@@ -23,6 +28,7 @@ from sp4lab.exactfield import (
     residue_ring,
     two_valuation,
 )
+from sp4lab.fourier import characters_pairing
 from sp4lab.gfq import gf, poly_mul, poly_trim
 from conftest import FIELD_NAMES, random_element
 from test_gfq import oracle_add, oracle_gcd, oracle_mul
@@ -154,6 +160,76 @@ def test_pi_multiples(fields):
     ring = residue_ring(f4, 2)
     assert len(ring.pi_multiples(1)) == 4
     assert all(r == () or r[0] == 0 for r in ring.pi_multiples(1))
+
+
+CONTRACT_FIELDS = ("Q2", "Q3", "Q5", "F2((t))", "F3((t))", "F4((t))", "F8((t))",
+                   "F9((t))")
+
+
+def _enumeration_oracle(spec, n):
+    """The classes of O/pi^n in enumeration order: range(p^n), or every
+    coefficient tuple in itertools.product order, trimmed."""
+    if spec.kind == MIXED:
+        return tuple(range(spec.p ** n))
+    return tuple(poly_trim(c) for c in itertools.product(range(spec.q), repeat=n))
+
+
+@pytest.mark.parametrize("name", CONTRACT_FIELDS)
+def test_residue_ring_contract(name):
+    spec = parse_field(name)
+    for n in (1, 2, 3):
+        ring = residue_ring(spec, n)
+        assert type(ring) is (IntResidueRing if spec.kind == MIXED else PolyResidueRing)
+        oracle = _enumeration_oracle(spec, n)
+        assert tuple(ring.elements()) == oracle
+        for k in range(n + 2):
+            view = ring.pi_multiples(k)
+            want = tuple(r for r in oracle if ring.valuation(r) >= min(k, n))
+            assert tuple(view) == want, (name, n, k)
+            size = len(want)
+            assert len(view) == size
+            assert [view[r] for r in range(-size, size)] == list(want + want)
+            for bad in (size, -size - 1):
+                with pytest.raises(IndexError):
+                    view[bad]
+            for sl in (slice(None, 4), slice(1, None, 2), slice(None, None, -1),
+                       slice(-3, -1)):
+                assert tuple(view[sl]) == want[sl]
+            assert view.index(want[-1]) == size - 1
+        for code in range(spec.q):
+            assert ring.residue_code(ring.embed_residue_code(code)) == code
+
+
+def _character_oracle(spec, n):
+    """The character pairing matrix by the direct double loop over both
+    kinds of residue ring."""
+    elems = _enumeration_oracle(spec, n)
+    mat = np.empty((len(elems), len(elems)), dtype=complex)
+    if spec.kind == MIXED:
+        mod = spec.p ** n
+        root = 2.0 * math.pi / mod
+        for bi, b in enumerate(elems):
+            for ai, a in enumerate(elems):
+                mat[bi, ai] = cmath.exp(1j * root * ((a * b) % mod))
+    else:
+        k = spec.residue_gf
+        root = 2.0 * math.pi / spec.p
+        for bi, b in enumerate(elems):
+            for ai, a in enumerate(elems):
+                prod = poly_trim(poly_mul(k, a, b)[:n])
+                coeff = prod[n - 1] if len(prod) >= n else 0
+                mat[bi, ai] = cmath.exp(1j * root * k.trace_to_prime(coeff))
+    return mat
+
+
+@pytest.mark.parametrize("name,depths", [("Q2", (1, 2, 3)), ("Q3", (1, 2)),
+                                         ("F2((t))", (1, 2)), ("F3((t))", (1, 2)),
+                                         ("F4((t))", (1, 2))])
+def test_character_table_bit_identical_to_double_loop(name, depths):
+    spec = parse_field(name)
+    for n in depths:
+        assert np.array_equal(characters_pairing(spec, n).matrix,
+                              _character_oracle(spec, n)), (name, n)
 
 
 def test_element_serialization_roundtrip(fields):

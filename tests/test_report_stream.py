@@ -135,6 +135,10 @@ CASES = (
       {"lemma": lw.SPHER01, "field": "Q3", "i": 4, "j": 1, "n": 40}), "minor-row-pair"),
     (("identities:NONSPHER1M1:Q3:4,4", "identities",
       {"lemma": lw.NONSPHER1M1, "field": "Q3", "i": 4, "j": 4, "n": 30}), "drop-eps1"),
+    # the equal-characteristic residue code of NONSPHER01's designated eps,
+    # and a sampled draw from a depth-2 polynomial domain with q > 2
+    (_cells(lw.NONSPHER01, "F3((t))", 4, 1, k=1), None),
+    (_cells(lw.SPHER1M1, "F4((t))", 4, 3, cap=0, sample_n=40), None),
 )
 
 
