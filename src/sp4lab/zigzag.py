@@ -487,6 +487,11 @@ class InadmissibleRateError(ValueError):
     pass
 
 
+class LedgerUnderflowError(ValueError):
+    """The closed form exp(2c - rate * i_start) of a start is 0.0 in floating
+    point, so no implied constant total / closed_form exists there."""
+
+
 def beta_limit(regime, alpha, h):
     """Supremum of the admissible beta: alpha/(2 dj h), with dj the j-step
     of the up-move, so alpha/(4h) in char 2 and alpha/(2h) otherwise."""
@@ -575,7 +580,12 @@ class _ScaledLedger:
         # composite steps (2j,j) -> (2j+2dj,j+dj): terms exp(2c - 2 rate (j+dj t))
         jd = path.diagonal_cell()[1]
         first = math.exp((self.two_c - 2 * rate * (jd + self.dj)) / den)
-        closed = math.exp((self.two_c - rate * path.start[0]) / den)
+        closed_num = self.two_c - rate * path.start[0]
+        closed = math.exp(closed_num / den)
+        if closed == 0.0:
+            raise LedgerUnderflowError(
+                f"closed form exp({Fraction(closed_num, den)}) underflows to 0.0 "
+                f"at start {path.start}")
         return sum(values), first / (1.0 - self.step), closed
 
 
@@ -585,7 +595,8 @@ def bound_ledger(path, alpha, h, beta, c=0):
 
     alpha, beta, c may be ints, Fractions, or decimal strings, and h a
     positive int.  Returns the ledger rows, the total, the closed form
-    exp(2c - rate * i_start) and the implied constant total / closed_form.
+    exp(2c - rate * i_start) and the implied constant total / closed_form;
+    raises ``LedgerUnderflowError`` when the closed form underflows to 0.0.
 
     Every exponent is exact: ``_ScaledLedger`` gives it as an integer n
     over a common denominator D, a row's ``exponent`` is
@@ -622,7 +633,8 @@ def ledger_sweep(regime, rates, max_length=300, stride=7):
 
     The rates are checked once, and each start is planned once for all of
     them.  Each rate sums a path from its own integer forms in move
-    order, with the floats of ``bound_ledger`` but no rows.
+    order, with the floats of ``bound_ledger`` but no rows.  A start whose
+    closed form underflows raises ``LedgerUnderflowError``, as there.
     """
     ledgers = [_ScaledLedger(regime, *rate) for rate in rates]
     sups = [0.0] * len(ledgers)

@@ -148,6 +148,16 @@ def test_zigzag_commands():
     assert res.returncode == 2  # inadmissible rates
 
 
+@pytest.mark.parametrize("args", [["--start", "19,0"], ["--grid", "40"]])
+def test_zigzag_bound_underflow_is_a_usage_error(args):
+    # exp(2c - rate * i_start) = exp(-760) is 0.0 in floating point
+    res = run("zigzag", "bound", "--alpha", "40", "--beta", "0", *args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == ("error: closed form exp(-760) underflows to 0.0 "
+                          "at start (19, 0)\n")
+
+
 @pytest.mark.parametrize("golden, args", [
     ("zigzag_bound_40_7.jsonl", ["--start", "40,7"]),
     ("zigzag_bound_sweep_grid40.jsonl", ["--grid", "40"]),

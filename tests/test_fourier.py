@@ -1,5 +1,6 @@
 """Fourier layer: characters, transform norms, line averaging, type constants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,13 +9,18 @@ import pytest
 from sp4lab.exactfield import residue_ring
 from sp4lab.fourier import (
     SpaceSpec,
+    _fft_ratio,
+    _fft_ratios,
+    _sign_table,
     c2_constant,
     c2_constant_direct,
     characters_pairing,
     check_fft_lemma,
     estimate_type_constant,
     fft_rhs_coefficient,
+    line_operator,
     parse_space,
+    shifted_difference_operator,
     shifted_rewrite_families,
     transform_matrix,
     transform_norm,
@@ -121,6 +127,77 @@ def test_fft_lp_random(fields):
                           strategy="random", trials=800, seed=7)
     assert rep.status == "pass"
     assert rep.margins["max_ratio"] <= 1 + 1e-8
+
+
+def _search_operator(spec, n, k):
+    # the operator and decay coefficient check_fft_lemma searches at p = 1.5
+    if k:
+        return shifted_difference_operator(spec, n, k, 1)[0]
+    table = characters_pairing(spec, 1)
+    return line_operator(spec, n, table.matrix[table.nontrivial_index()])
+
+
+@pytest.mark.parametrize("name,n,k,d,m", [("Q3", 2, 0, 3, 64), ("Q2", 3, 1, 2, 37),
+                                          ("Q2", 3, 0, 1, 5), ("Q3", 3, 1, 9, 11)])
+def test_fft_ratios_match_per_family_bit_for_bit(fields, name, n, k, d, m):
+    spec = fields[name]
+    mat = _search_operator(spec, n, k)
+    rng = np.random.default_rng(3)
+    fams = (rng.standard_normal((m, mat.shape[1], d))
+            + 1j * rng.standard_normal((m, mat.shape[1], d)))
+    fams[m // 2] = 0.0
+    for p in (1.5, 2.0, 1.0):
+        got = _fft_ratios(mat, fams, p, 0.7)
+        assert got.shape == (m,)
+        assert got[m // 2] == 0.0
+        assert got.tolist() == [_fft_ratio(mat, fam, p, 0.7) for fam in fams]
+
+
+def _per_family_search(spec, h, n, k, space, trials, seed):
+    # check_fft_lemma's search, scoring one family at a time
+    mat = _search_operator(spec, n, k)
+    coeff = fft_rhs_coefficient(spec, h, n, k, space)
+    rng = np.random.default_rng(seed)
+    cols = mat.shape[1]
+    best, best_fam, done = 0.0, None, 0
+    while done < trials:
+        m = min(64, trials - done)
+        fams = (rng.standard_normal((m, cols, space.d))
+                + 1j * rng.standard_normal((m, cols, space.d)))
+        for fam in fams:
+            r = _fft_ratio(mat, fam, space.p, coeff)
+            if r > best:
+                best, best_fam = r, fam
+        done += m
+    step = 0.5
+    for _ in range(trials // 4):
+        idx = (rng.integers(cols), rng.integers(space.d))
+        cand = best_fam.copy()
+        cand[idx] += step * (rng.standard_normal() + 1j * rng.standard_normal())
+        r = _fft_ratio(mat, cand, space.p, coeff)
+        if r > best:
+            best, best_fam = r, cand
+        else:
+            step *= 0.998
+    return best
+
+
+@pytest.mark.parametrize("name", ["Q2", "Q3"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_batched_search_matches_per_family_loop(fields, name, k):
+    spec, n, space = fields[name], 2 + k, SpaceSpec(1.5, 3)
+    rep = check_fft_lemma(spec, 1, n, k, space=space, strategy="random",
+                          trials=150, seed=5)
+    assert rep.margins["max_ratio"] == _per_family_search(spec, 1, n, k, space, 150, 5)
+
+
+def test_sign_table_is_shared_and_read_only():
+    for n in (1, 4, 12):
+        table = _sign_table(n)
+        assert table is _sign_table(n)
+        assert table.tolist() == [list(s) for s in itertools.product((1.0, -1.0), repeat=n)]
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
 
 
 def test_rewrite_identity_exact(fields):

@@ -139,6 +139,23 @@ CASES = (
     # and a sampled draw from a depth-2 polynomial domain with q > 2
     (_cells(lw.NONSPHER01, "F3((t))", 4, 1, k=1), None),
     (_cells(lw.SPHER1M1, "F4((t))", 4, 3, cap=0, sample_n=40), None),
+    # the batched l1.5 search over four full batches of 64 and a partial
+    # one before its ascent, the exact sign tables at 8 and 12 vectors and
+    # the Monte-Carlo signs at 13
+    (("fft:Q3:h1:n2:k0:l1.5", "fft",
+      {"field": "Q3", "h": 1, "n": 2, "k": 0, "p": 1.5, "d": 3,
+       "strategy": "random", "trials": 300}), None),
+    (("fft:Q2:h1:n3:k1:l1.5", "fft",
+      {"field": "Q2", "h": 1, "n": 3, "k": 1, "p": 1.5, "d": 3,
+       "strategy": "random", "trials": 300}), None),
+    (("type-constant:hilbert", "type-constant",
+      {"space_p": 2.0, "d": 6, "p": 2.0, "n_vectors": 8, "trials": 20,
+       "expect": "hilbert-one"}), None),
+    (("type-constant:l1", "type-constant",
+      {"space_p": 1.0, "d": 12, "p": 2.0, "n_vectors": 12, "trials": 6,
+       "expect": "l1-growth"}), None),
+    (("type-constant:hilbert:mc", "type-constant",
+      {"space_p": 2.0, "d": 4, "p": 2.0, "n_vectors": 13, "trials": 6}), None),
 )
 
 

@@ -81,3 +81,18 @@ def test_all_runners_registered():
     assert set(RUNNERS) >= {"cells", "identities", "averaging", "parity"}
     for name, fn in RUNNERS.items():
         assert callable(fn), name
+
+
+@pytest.mark.parametrize("eps0", [0, 3])
+def test_fft_rewrite_refuses_a_vacuous_eps0(eps0):
+    # at code 0 (or q) the shifted difference is the zero operator, so the
+    # rewrite identity would pass on any family
+    task = ("fft-rewrite:Q3:n3:k1", "fft-rewrite",
+            {"field": "Q3", "n": 3, "k": 1, "trials": 3, "eps0": eps0})
+    with pytest.raises(ValueError, match=f"eps0 code {eps0} is not a residue code in"):
+        run_task(task, 1)
+    rep = suite.run_task_reported(task, 1)
+    assert rep.status == "violated"
+    assert rep.cases_run == 0
+    [cex] = rep.counterexamples
+    assert cex["check"] == "exception" and cex["type"] == "ValueError"

@@ -1,10 +1,11 @@
 """Chamber walks: legality, reference templates, blocked cells, ledger decay."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sp4lab import lemma_witnesses as lw
@@ -311,8 +312,15 @@ def _reference_ledger(path, alpha, h, beta, c):
     tail = math.exp(float(2 * c - 2 * rate * (jd + dj))) / (1.0 - step)
     closed = math.exp(float(2 * c - rate * path.start[0]))
     total = sum(values)
+    # an underflowed closed form has no implied constant
+    implied = (total + tail) / closed if closed else None
     return exps, values, {"path_total": total, "tail_sum": tail, "closed_form": closed,
-                          "implied_constant": (total + tail) / closed, "rate": rate}
+                          "implied_constant": implied, "rate": rate}
+
+
+def _underflow_message(regime, alpha, h, beta, c, start):
+    exponent = 2 * c - zz.decay_rate(regime, alpha, h, beta) * start[0]
+    return re.escape(f"closed form exp({exponent}) underflows to 0.0 at start {start}")
 
 
 _regimes = st.one_of(
@@ -328,6 +336,9 @@ _fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 36))
        beta_frac=st.builds(Fraction, st.integers(0, 35), st.just(36)),
        c=_fractions, i=st.integers(2, 70), j=st.integers(0, 70),
        max_length=st.integers(2, 30), stride=st.integers(1, 9))
+# exp(-760) underflows at the start (19, 0) and at the sweep's starts from i = 19
+@example(regime=zz.Regime(zz.CHAR_NE2, v0=0, k=0), h=1, alpha=Fraction(40),
+         beta_frac=Fraction(0), c=Fraction(0), i=19, j=0, max_length=30, stride=1)
 def test_ledger_matches_fraction_route(regime, h, alpha, beta_frac, c, i, j,
                                        max_length, stride):
     # the integer forms reproduce the Fraction route bit for bit
@@ -336,25 +347,42 @@ def test_ledger_matches_fraction_route(regime, h, alpha, beta_frac, c, i, j,
         path = zz.plan_path((max(i, j), min(i, j)), regime)
     except zz.PlannerError:
         assume(False)
-    res = zz.bound_ledger(path, alpha, h, beta, c)
     exps, values, ref = _reference_ledger(path, alpha, h, beta, c)
-    assert [r["exponent"] for r in res["rows"]] == [str(e) for e in exps]
-    assert [r["value"] for r in res["rows"]] == values
-    for key, want in ref.items():
-        assert res[key] == want, key
-    # the sweep's supremum is the maximum of bound_ledger over its grid
-    sup, worst = 0.0, None
+    if ref["closed_form"] == 0.0:
+        # exactly where the Fraction route's closed form underflows
+        with pytest.raises(zz.LedgerUnderflowError,
+                           match=_underflow_message(regime, alpha, h, beta, c, path.start)):
+            zz.bound_ledger(path, alpha, h, beta, c)
+    else:
+        res = zz.bound_ledger(path, alpha, h, beta, c)
+        assert [r["exponent"] for r in res["rows"]] == [str(e) for e in exps]
+        assert [r["value"] for r in res["rows"]] == values
+        for key, want in ref.items():
+            assert res[key] == want, key
+    # the sweep's supremum is the maximum of the reference over its grid, and
+    # the sweep stops at the first start whose reference closed form underflows
+    sup, worst, underflow = 0.0, None, None
     for si in range(2, max_length + 1):
         for sj in range(0, min(si, max_length - si) + 1, stride):
             try:
                 p = zz.plan_path((si, sj), regime)
             except zz.PlannerError:
                 continue
-            implied = zz.bound_ledger(p, alpha, h, beta, c)["implied_constant"]
+            implied = _reference_ledger(p, alpha, h, beta, c)[2]["implied_constant"]
+            if implied is None:
+                underflow = (si, sj)
+                break
             if implied > sup:
                 sup, worst = implied, (si, sj)
-    [sweep] = zz.ledger_sweep(regime, [(alpha, h, beta, c)], max_length=max_length,
-                              stride=stride)
+        if underflow:
+            break
+    rates = [(alpha, h, beta, c)]
+    if underflow:
+        with pytest.raises(zz.LedgerUnderflowError,
+                           match=_underflow_message(regime, alpha, h, beta, c, underflow)):
+            zz.ledger_sweep(regime, rates, max_length=max_length, stride=stride)
+        return
+    [sweep] = zz.ledger_sweep(regime, rates, max_length=max_length, stride=stride)
     assert (sweep["sup_constant"], sweep["worst_start"]) == (sup, worst)
     assert sweep["rate"] == str(ref["rate"])
 
