@@ -27,9 +27,8 @@ def main():
         for h in args.h_values:
             for p in args.exponents:
                 space = SpaceSpec(p, args.dim)
-                strategy = "exact" if p == 2 else "search"
-                res = transform_norm(spec, h, space, strategy=strategy,
-                                     iters=args.iters, seed=args.seed)
+                res = transform_norm(spec, h, space, iters=args.iters,
+                                     seed=args.seed)
                 alpha = -math.log(res["upper"])
                 print(f"{field_name:8} h={h} {str(space):8} "
                       f"[{res['lower']:.9f}, {res['upper']:.9f}] "

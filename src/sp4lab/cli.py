@@ -52,6 +52,9 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
+CONFIG_KEYS = ("field", "format", "out", "seed", "threads")
+
+
 class CliError(Exception):
     pass
 
@@ -66,7 +69,11 @@ def _load_config(path):
             if "=" not in line:
                 raise CliError(f"bad config line {line!r} (expected key=value)")
             key, val = line.split("=", 1)
-            conf[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise CliError(f"unknown config key {key!r}; "
+                               f"known: {', '.join(CONFIG_KEYS)}")
+            conf[key] = val.strip()
     return conf
 
 
@@ -243,8 +250,7 @@ def cmd_parity(args, emitter, field, seed, threads):
 def cmd_fourier_norm(args, emitter, field, seed, threads):
     spec = parse_field(field)
     space = parse_space(args.space)
-    res = transform_norm(spec, args.h, space, strategy=args.strategy,
-                         iters=args.iters, seed=seed)
+    res = transform_norm(spec, args.h, space, iters=args.iters, seed=seed)
     res["field"] = str(spec)
     res["h"] = args.h
     res["space"] = str(space)
@@ -424,7 +430,6 @@ def build_parser():
     p = add("fourier-norm")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--space", default="l2:1")
-    p.add_argument("--strategy", choices=("exact", "search"), default="exact")
     p.add_argument("--iters", type=int, default=2000)
 
     p = add("fft-check")
@@ -433,7 +438,8 @@ def build_parser():
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--eps0", type=int, default=1)
     p.add_argument("--space", default="l2:1")
-    p.add_argument("--strategy", choices=("exhaustive", "random"), default="exhaustive")
+    p.add_argument("--strategy", choices=("exhaustive", "random"),
+                   help="default: exhaustive for l2, random otherwise")
     p.add_argument("--trials", type=int, default=5000)
 
     p = add("type-const")

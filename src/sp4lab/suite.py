@@ -132,7 +132,7 @@ def run_fft(params, seed, mutation):
     space = SpaceSpec(params.get("p", 2.0), params.get("d", 1))
     return check_fft_lemma(spec, params["h"], params["n"], params.get("k", 0),
                            eps0_code=params.get("eps0", 1), space=space,
-                           strategy=params.get("strategy", "exhaustive"),
+                           strategy=params.get("strategy"),
                            trials=params.get("trials", 2000), seed=seed)
 
 

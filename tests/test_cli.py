@@ -192,6 +192,34 @@ def test_parity_and_fourier_commands():
     assert res.returncode == 2
 
 
+def test_fft_check_strategy_follows_the_space():
+    res = run("fft-check", "--field", "Q2", "--h", "1", "--n", "2")
+    assert res.returncode == 0
+    rep = json.loads(res.stdout)
+    assert rep["params"]["strategy"] == "exhaustive" and rep["cases_run"] == 1
+    args = ("fft-check", "--field", "Q2", "--h", "1", "--n", "2",
+            "--space", "l1.5:2", "--trials", "100")
+    res = run(*args)
+    assert res.returncode == 0
+    rep = json.loads(res.stdout)
+    assert rep["params"]["strategy"] == "random" and rep["cases_run"] == 125
+    res = run(*args, "--strategy", "exhaustive")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "Hilbert" in res.stderr
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path):
+    for line in ("feild=Q5", "thread=2"):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"seed=3\n{line}\n")
+        res = run("field-info", "--config", str(conf))
+        assert res.returncode == 2, line
+        assert res.stdout == ""
+        key = line.split("=")[0]
+        assert f"unknown config key {key!r}" in res.stderr
+        assert "field, format, out, seed, threads" in res.stderr
+
+
 def test_config_file_and_env_precedence(tmp_path):
     conf = tmp_path / "sp4lab.conf"
     conf.write_text("field=Q5\nformat=json\nseed=9\n")

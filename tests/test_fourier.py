@@ -88,16 +88,14 @@ def test_hilbert_norm_dimension_independent(fields):
 
 
 def test_l1_witness_reaches_one(fields):
-    res = transform_norm(fields["Q2"], 1, SpaceSpec(1.0, 2), strategy="search",
-                         iters=300, seed=0)
+    res = transform_norm(fields["Q2"], 1, SpaceSpec(1.0, 2), iters=300, seed=0)
     assert res["lower"] == pytest.approx(1.0, abs=1e-9)
     assert res["upper"] == 1.0
     assert res["kind"] == "bracket"
 
 
 def test_lp_bracket_orders(fields):
-    res = transform_norm(fields["Q3"], 1, SpaceSpec(1.5, 3), strategy="search",
-                         iters=400, seed=1)
+    res = transform_norm(fields["Q3"], 1, SpaceSpec(1.5, 3), iters=400, seed=1)
     assert res["lower"] <= res["upper"] * (1 + 1e-9)
     assert res["upper"] == pytest.approx(3 ** (-1 / 3))
 
@@ -120,6 +118,12 @@ def test_fft_hilbert_grid(fields):
 def test_fft_rejects_ill_typed_shift(fields):
     with pytest.raises(ValueError):
         check_fft_lemma(fields["Q2"], 1, 2, 1)
+
+
+def test_fft_rejects_an_unknown_strategy(fields):
+    # a misspelt "exhaustive" must not turn the exact check into a search
+    with pytest.raises(ValueError, match="unknown strategy"):
+        check_fft_lemma(fields["Q2"], 1, 2, strategy="exhaustiv")
 
 
 def test_fft_lp_random(fields):

@@ -48,6 +48,7 @@ def test_lower_params_round_trip_and_mu_expansion(data):
     params = tuple(_integral(data, spec) for _ in range(4)) + tuple(
         _integral(data, spec, unit=True) for _ in range(2))
     g = lower_from_params(spec, *params)
+    assert sp4.is_symplectic(spec, g.rows)
     assert lower_params(g) == params
     # the identity the decomposition relies on without re-multiplying
     assert _word_product(spec, expand_lower(g)) == g

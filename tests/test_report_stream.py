@@ -156,6 +156,13 @@ CASES = (
        "expect": "l1-growth"}), None),
     (("type-constant:hilbert:mc", "type-constant",
       {"space_p": 2.0, "d": 4, "p": 2.0, "n_vectors": 13, "trials": 6}), None),
+    # the 720-element K1/K2 sweep, and depth-3 random elements over Q2 and
+    # F2((t)) that take both the direct and the fallback route
+    (("decompose:sweep:F2((t))", "decompose-sweep", {"field": "F2((t))"}), None),
+    (("decompose:random:Q2:d3", "decompose-random",
+      {"field": "Q2", "depth": 3, "n": 8}), None),
+    (("decompose:random:F2((t)):d3", "decompose-random",
+      {"field": "F2((t))", "depth": 3, "n": 8}), None),
 )
 
 

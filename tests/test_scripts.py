@@ -12,7 +12,8 @@ SCRIPTS = ROOT / "scripts"
 
 SMALLEST_ARGS = {
     "fourier_norm_sweep.py": ["--fields", "Q2", "--h-values", "1",
-                              "--exponents", "2.0", "--dim", "1"],
+                              "--exponents", "1.5", "2.0", "--dim", "1",
+                              "--iters", "100"],
     "parity_depth_scan.py": ["--max-depth", "2", "--samples", "5"],
     "zigzag_ledger_sweep.py": ["--grid", "20", "--h-values", "1",
                                "--alphas", "3/10", "--beta-fractions", "0"],

@@ -29,6 +29,7 @@ from sp4lab.verifiers import (
     wedge_valuation,
     weyl_reps,
 )
+from sp4lab.verifiers import decompose
 from sp4lab.verifiers.parity import _classify
 
 
@@ -180,6 +181,53 @@ def test_decompose_random_corpus(fields, rng):
                 assert sp4.subgroup_membership(x, tag)
 
 
+def test_staircase_solution_puts_u_g_in_the_staircase(fields, rng):
+    # no re-check follows the exact solve, so its solutions are tested here
+    solved = 0
+    for name in ("Q2", "Q3", "F2((t))", "F4((t))"):
+        spec = fields[name]
+        one = spec.one()
+        for _ in range(8):
+            g = random_k_element(spec, rng.randrange(1, 4), rng)
+            for pat in weyl_reps(spec):
+                s = decompose._solve_staircase_exact(g, pat)
+                if s is None:
+                    continue
+                rows = (decompose.lower_from_params(spec, *s, one, one) * g).rows
+                assert all(s_i.is_integral() for s_i in s)
+                assert all(rows[r][c].is_zero()
+                           for r in range(4) for c in range(pat[r] + 1, 4)), (name, pat)
+                solved += 1
+    assert solved >= 16
+
+
+def test_fallback_congruence_part_and_lu_factors(fields, monkeypatch):
+    # the fallback tests neither h = I mod pi nor the shape of the upper LU
+    # factor, so both are checked here on every h it factors
+    seen = []
+    real_lu = decompose.symplectic_lu
+
+    def spy(h):
+        lower, upper = real_lu(h)
+        seen.append((h, lower, upper))
+        return lower, upper
+
+    monkeypatch.setattr(decompose, "symplectic_lu", spy)
+    rnd = random.Random(1861)
+    for name in ("Q2", "Q3", "Q5", "F2((t))", "F3((t))", "F4((t))"):
+        spec = fields[name]
+        for _ in range(10):
+            decompose_k1k2(random_k_element(spec, rnd.choice((2, 3)), rnd))
+    assert len(seen) >= 20
+    for h, lower, upper in seen:
+        spec = h.field
+        assert h.reduce(1) == sp4.identity(spec).reduce(1)
+        assert sp4.subgroup_membership(lower, "Blow")
+        assert all(upper.rows[r][r] == spec.one() for r in range(4))
+        assert all(upper.rows[r][c].is_zero() for r in range(4) for c in range(r))
+        assert lower * upper == h
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -191,13 +239,15 @@ def test_enumeration_matches_order_formula(fields):
 
 
 def test_lift_certifies_and_reduces(fields, rng):
-    for name in ("Q3", "F4((t))"):
+    for name in ("Q3", "F4((t))", "F2((t))"):
         spec = fields[name]
         for depth in (1, 2, 3):
             reps = sample_symplectic_residue(spec, depth, rng)
             g = lift_symplectic(spec, depth, reps)
             assert g.is_integral()
             assert g.reduce(depth) == reps
+            # built without certification: the repairs must make it symplectic
+            assert sp4.is_symplectic(spec, g.rows)
 
 
 def test_sampling_uniform_level1(fields):
