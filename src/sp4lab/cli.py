@@ -175,7 +175,7 @@ def cmd_cartan(args, emitter, field, seed, threads):
 
 def cmd_witness(args, emitter, field, seed, threads):
     spec = parse_field(field)
-    depth = lw.lemma_depth(args.lemma, spec, args.i, args.j)
+    depth = lw.check_preconditions(args.lemma, spec, args.i, args.j, args.k)
     a = _ring_rep(spec, depth, args.a)
     b = _ring_rep(spec, depth, args.b)
     x = _ring_rep(spec, depth, args.x)

@@ -9,11 +9,16 @@ compensator k1 in K whose reduction mod pi^k is constant on the
 congruence-restricted tuples, plus two diagonal rescalings of
 k1 * beta^-1 * alpha that must land in K.
 
-Everything here is transcription: matrices are assembled entry by entry
-from their reference factor form, and the product beta^-1 * alpha is
-multiplied out from the factors (once per witness) independently of the
-stated merged matrix, so the exhaustive verifiers can catch any slip.  The
-``mutation`` hook deliberately corrupts one formula at a time; the
+Everything here is transcription.  Each family states its three
+unipotent factors (of beta^-1, of alpha and of the merged matrix) by
+their lower-Borel parameters (a, b, c, d) and its two diagonal factors by
+their torus exponents, so beta^-1, alpha and the merged matrix are
+symplectic by construction (``sp4.lower_from_params``) and none of them is
+certified; the compensator k1 is stated entry by entry, and the cell
+sweep's k1-in-K check is its one certificate.  The product beta^-1 * alpha
+is multiplied out from the factors (once per witness) independently of
+the stated merged matrix, so the exhaustive verifiers can catch any slip.
+The ``mutation`` hook deliberately corrupts one formula at a time; the
 verifier suites must detect every catalogued corruption.
 """
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 from sp4lab.exactfield import EQUAL, residue_ring, two_valuation
-from sp4lab.sp4 import GroupElement, cartan_invariants, d_matrix
+from sp4lab.sp4 import GroupElement, cartan_invariants, d_matrix, lower_from_params
 
 SPHER01 = "SPHER01"
 SPHER1M1 = "SPHER1M1"
@@ -201,28 +206,16 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
         a1 = one + sa.shift(1)
         s = sy - sa * sx - sb
         wit = _assemble(
-            head, (i, 0, 0, -i),
-            ((one, z, z, z),
-             (a1, one, z, z),
-             (z, z, one, z),
-             (-sb.shift(1), z, -a1, one)),
-            ((one, z, z, z),
-             (z, one, z, z),
-             (sx, z, one, z),
-             (sy.shift(1) + sx, sx, z, one)),
-            (-j, 0, 0, j),
-            ((one, z, z, z),
-             (a1, one, z, z),
-             (sx, z, one, z),
-             (s.shift(1), sx, -a1, one)),
+            head, (i, 0), (a1, z, z, -sb.shift(1)), (z, z, sx, sy.shift(1) + sx),
+            (-j, 0), (a1, z, sx, s.shift(1)),
             (i + 1, j - 1) if eps_code else (max(i, j), min(i, j)))
         wit.a1 = a1
         if lemma == NONSPHER1M1:
             _attach_nonspher1m1(wit, s, sx, mutation)
         return wit
 
-    d_beta = (m, i - m + j, -i + m - j, -m)
-    d_alpha = (j - m, j - m, m - j, m - j)
+    d_beta = (m, i - m + j)
+    d_alpha = (j - m, j - m)
     if lemma == CHAR2_02:
         a1_den = one + sa.shift(1)
         a1_sq = a1_den * a1_den
@@ -230,76 +223,59 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
         w = sx + sy.shift(1)
         full = sb1 + w
         wit = _assemble(
-            head, d_beta,
-            ((one, z, z, z),
-             (z, one, z, z),
-             (sb1, a1_sq, one, z),
-             (z, sb1, z, one)),
-            ((one, z, z, z),
-             (z, one, z, z),
-             (w, z, one, z),
-             (sx * sx, w, z, one)),
-            d_alpha,
-            ((one, z, z, z),
-             (z, one, z, z),
-             (full, a1_sq, one, z),
-             (sx * sx, full, z, one)),
+            head, d_beta, (z, a1_sq, sb1, z), (z, z, w, sx * sx),
+            d_alpha, (z, a1_sq, full, sx * sx),
             # other residues: only the observed cell is recorded
             {0: (i, j), 1: (i, j + 2)}.get(eps_code))
         _attach_char2(wit, a1_den, a1_sq, full, sa, sb, sx, sy)
         return wit
 
     if mutation == "d-scaling-exponent":
-        d_beta = (m, i - m + j + 1, -i + m - j - 1, -m)
+        d_beta = (m, i - m + j + 1)
     alpha_41 = sx * sx + 2 * sy
     if mutation == "minor-sign-flip":
-        # the (4,1) slot is the free parameter of this unipotent shape,
-        # so the corrupted matrix is still symplectic and must be caught
-        # by the minor identity, not by certification
+        # the (4,1) slot is the free B-parameter d, so the corrupted
+        # matrix is still symplectic and must be caught by the minor
+        # identity
         alpha_41 = -alpha_41
     beta_41 = sa * sa - 2 * sb
     t = sa + sx
     wit = _assemble(
-        head, d_beta,
-        ((one, z, z, z),
-         (z, one, z, z),
-         (sa, one, one, z),
-         (beta_41, sa, z, one)),
-        ((one, z, z, z),
-         (z, one, z, z),
-         (sx, z, one, z),
-         (alpha_41, sx, z, one)),
-        d_alpha,
-        ((one, z, z, z),
-         (z, one, z, z),
-         (t, one, one, z),
-         (beta_41 + alpha_41, t, z, one)),
+        head, d_beta, (z, one, sa, beta_41), (z, z, sx, alpha_41),
+        d_alpha, (z, one, t, beta_41 + alpha_41),
         (i, j + 1) if eps_code else (i, j))
     if lemma == NONSPHER01:
         _attach_nonspher01(wit, t, sa, sb, sx, sy)
     return wit
 
 
-_UNSCALED = (0, 0, 0, 0)
+_UNSCALED = (0, 0)
 
 
-def _scale(dl, u, dr):
-    """diag(pi^dl) * u * diag(pi^dr); diagonal factors are given by their
-    pi-exponents, so each entry is a shift."""
-    return tuple(tuple(x.shift(dl[r] + dr[c]) for c, x in enumerate(u[r]))
-                 for r in range(4))
+def _scale(spec, dl, params, dr):
+    """D(dl) B(params) D(dr), where B(a, b, c, d) is lower_from_params(a, b,
+    c, d, 1, 1) and D(u, v) = diag(pi^u, pi^v, pi^-v, pi^-u) is in the
+    torus: symplectic by construction, and each entry is a shift."""
+    one = spec.one()
+    el = (dl[0], dl[1], -dl[1], -dl[0])
+    er = (dr[0], dr[1], -dr[1], -dr[0])
+    rows = lower_from_params(spec, *params, one, one).rows
+    return GroupElement(spec, tuple(
+        tuple(x.shift(el[r] + er[c]) for c, x in enumerate(row))
+        for r, row in enumerate(rows)), certify=False)
 
 
-def _assemble(head, d_beta, u_beta, u_alpha, d_alpha, u_merged, expected):
-    """The witness with beta^-1 = diag(pi^d_beta) u_beta, alpha = u_alpha
-    diag(pi^d_alpha) and the stated merged matrix diag(pi^d_beta) u_merged
-    diag(pi^d_alpha); head is the tuple of the leading LemmaWitness fields."""
+def _assemble(head, d_beta, p_beta, p_alpha, d_alpha, p_merged, expected):
+    """The witness with beta^-1 = D(d_beta) B(p_beta), alpha = B(p_alpha)
+    D(d_alpha) and the stated merged matrix D(d_beta) B(p_merged) D(d_alpha),
+    in the notation of ``_scale``; head is the tuple of the leading
+    LemmaWitness fields."""
     spec = head[1]
     return LemmaWitness(
         *head,
-        GroupElement(spec, _scale(d_beta, u_beta, _UNSCALED)),
-        GroupElement(spec, _scale(_UNSCALED, u_alpha, d_alpha)),
-        GroupElement(spec, _scale(d_beta, u_merged, d_alpha), certify=False),
+        _scale(spec, d_beta, p_beta, _UNSCALED),
+        _scale(spec, _UNSCALED, p_alpha, d_alpha),
+        _scale(spec, d_beta, p_merged, d_alpha),
         expected)
 
 
@@ -315,7 +291,7 @@ def _attach_nonspher01(wit, t, sa, sb, sx, sy):
         (z, z, one, z),
         (z, z, -t_k1, one),
         (-one, z, -t.shift(i - 2 * m + 3 * j + 1), pi(2 * j + 1)),
-        (-t_k1, -one, pi(2 * i - 2 * m + 2 * j), z)))
+        (-t_k1, -one, pi(2 * i - 2 * m + 2 * j), z)), certify=False)
     g1_reference = GroupElement(spec, (
         (t.shift(-i), pi(-i), pi(-i + 2 * m - 2 * j), z),
         (eps1.shift(-j - 1), z, -t.shift(-j), pi(-j)),
@@ -359,7 +335,7 @@ def _attach_nonspher1m1(wit, s, sx, mutation):
         (z, one, z, -a1.shift(i - j + 1)),
         (z, entry32, one, a1i.shift(i)),
         (-one, ui.shift(i) - sx.shift(i - j + 1),
-         a1.shift(i - j + 1), pi(2 * i - j + 1))), certify=mutation != "drop-eps1")
+         a1.shift(i - j + 1), pi(2 * i - j + 1))), certify=False)
     g1_reference = GroupElement(spec, (
         (eps1.shift(-i - 1), sx.shift(-i), -a1.shift(-i), pi(-i + j)),
         (u.shift(-j), one - (a1 * sx).shift(-j + 1),
@@ -397,7 +373,7 @@ def _attach_char2(wit, a1_den, a1_sq, full, sa, sb, sx, sy):
         (z, z, one, z),
         (z, z, a1_k1, one),
         (one, z, a1.shift(i - 2 * m + 3 * j + 2), pi(2 * j + 2)),
-        (a1_k1, one, den2.shift(2 * i - 2 * m + 2 * j), z)))
+        (a1_k1, one, den2.shift(2 * i - 2 * m + 2 * j), z)), certify=False)
     e2 = eps1 * eps1 * den2
     g1_reference = GroupElement(spec, (
         (full.shift(-i), a1_sq.shift(-i), pi(-i + 2 * m - 2 * j), z),

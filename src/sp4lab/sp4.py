@@ -251,6 +251,28 @@ def torus(field, e, f):
         (e, z, z, z), (z, f, z, z), (z, z, 1 / f, z), (z, z, z, 1 / e)), certify=False)
 
 
+def lower_from_params(field, a, b, c, d, e, f):
+    """The element of the lower Borel B with parameters (a, b, c, d, e, f).
+
+    It is symplectic for all a..f with e, f != 0, so it skips
+    certification.  Its columns are c0 = e (1, a, c, d),
+    c1 = f (0, 1, b, c - ab), c2 = (0, 0, 1, -a) / f and
+    c3 = (0, 0, 0, 1/e), and their six pairings are J's entries:
+    omega(c0, c1) = ef ((c - ab) + ab - c) = 0,
+    omega(c0, c2) = (e/f) (-a + a) = 0, omega(c0, c3) = e/e = 1,
+    omega(c1, c2) = f/f = 1, and omega(c1, c3) = omega(c2, c3) = 0 term
+    by term.  Any torus element diag(pi^u, pi^v, pi^-v, pi^-u) times it,
+    on either side, is symplectic too.
+    """
+    z = field.zero()
+    fi = 1 / f
+    return GroupElement(field, (
+        (e, z, z, z),
+        (a * e, f, z, z),
+        (c * e, b * f, fi, z),
+        (d * e, (c - a * b) * f, -a * fi, 1 / e)), certify=False)
+
+
 def k1_embed(field, a_block):
     """diag(A, Q tA^-1 Q) for A in GL2(O); a_block is a 2x2 matrix of elements."""
     (a, b), (c, d) = a_block

@@ -1,5 +1,6 @@
 """Verifier layer: exhaustive and sampled checks of every discrete claim."""
 
+from sp4lab.sp4 import lower_from_params
 from sp4lab.verifiers.averaging import (
     FiniteGroupRep,
     dihedral_4_standard,
@@ -21,7 +22,6 @@ from sp4lab.verifiers.decompose import (
     block_count_of,
     decompose_k1k2,
     expand_lower,
-    lower_from_params,
     lower_params,
     weyl_reps,
 )

@@ -7,6 +7,13 @@ additionally check that the compensator k1 lies in K, that the two
 reference diagonal rescalings of k1 beta^-1 alpha lie in K, and that k1
 is congruent mod pi^k to its symbolically reduced target on every
 congruence-restricted tuple.
+
+beta^-1, alpha and the merged matrix are torus multiples of lower-Borel
+elements, symplectic for every tuple (``sp4.lower_from_params`` gives the
+argument), and so are their products with k1 and with the diagonal
+rescalings once k1 is.  The k1-in-K check is therefore the one symplectic
+certificate per tuple; the product and the rescalings are checked only
+against their stated matrices and for integrality.
 """
 
 import itertools
@@ -16,8 +23,6 @@ import random
 from sp4lab import lemma_witnesses as lw
 from sp4lab.exactfield import residue_ring
 from sp4lab.sp4 import (
-    GroupElement,
-    SymplecticError,
     cartan_invariants,
     is_symplectic,
     wedge_norm_exponent,
@@ -86,8 +91,6 @@ def _cell_failures(lemma, spec, i, j, k_level, a, b, x, eps, target,
         prod = wit.product
         if not prod == wit.merged_reference:
             return [{"check": "factor-product"}]
-        if not is_symplectic(spec, prod.rows):
-            return [{"check": "product-symplectic"}]
         cell = cartan_invariants(prod)[0]
         if wit.expected_cell is None:
             record_cells.add((eps, cell))
@@ -96,8 +99,6 @@ def _cell_failures(lemma, spec, i, j, k_level, a, b, x, eps, target,
                      "expected": list(wit.expected_cell)}]
         if wit.k1 is not None:
             return _check_compensator(wit, k_level, target)
-    except SymplecticError as exc:
-        return [{"check": "symplectic-certification", "detail": str(exc)}]
     except lw.LemmaPreconditionError as exc:
         return [{"check": "precondition", "detail": str(exc)}]
     return []
@@ -105,9 +106,8 @@ def _cell_failures(lemma, spec, i, j, k_level, a, b, x, eps, target,
 
 def _check_compensator(wit, k_level, target):
     """The failed compensator check of a non-spherical witness, if any."""
-    spec = wit.field
     k1 = wit.k1
-    if not (k1.is_integral() and is_symplectic(spec, k1.rows)):
+    if not (k1.is_integral() and is_symplectic(wit.field, k1.rows)):
         return [{"check": "k1-in-K"}]
     g1 = k1 * wit.product
     if not g1 == wit.extras["g1_reference"]:
@@ -115,9 +115,9 @@ def _check_compensator(wit, k_level, target):
     for code, scale, reference in wit.scaled_branches:
         if wit.eps_code == code:
             scaled = scale * g1
-            if not scaled == GroupElement(spec, reference, certify=False):
+            if scaled.rows != reference:
                 return [{"check": f"scaled-reference-eps{code}"}]
-            if not (scaled.is_integral() and is_symplectic(spec, scaled.rows)):
+            if not scaled.is_integral():
                 return [{"check": f"scaled-in-K-eps{code}"}]
     if k_level > 0 and target is not None:
         if k1.reduce(k_level) != target:
@@ -163,7 +163,7 @@ def _identity_failures(lemma, spec, i, j, k_level, a, b, x, eps, mutation):
     try:
         return [{"check": name} for name in
                 _identity_checks(lemma, spec, i, j, k_level, a, b, x, eps, mutation)]
-    except (SymplecticError, lw.LemmaPreconditionError) as exc:
+    except lw.LemmaPreconditionError as exc:
         return [{"check": "build", "detail": str(exc)}]
 
 

@@ -27,9 +27,9 @@ it re-tests what it has already decided:
 - h = n b2^-1 = I mod pi in the fallback: n mod pi is lower triangular,
   by the residue solve, and b2 lifts exactly its parameters.
 
-``lower_from_params`` (its column pairings are J's for all a..f) and
-``sampling.lift_symplectic`` (its repairs set all six) are symplectic by
-construction and skip certification.
+``sp4.lower_from_params`` (its docstring pairs the columns) and
+``sampling.lift_symplectic`` (its repairs set all six pairings) are
+symplectic by construction and skip certification.
 """
 
 import functools
@@ -42,6 +42,7 @@ from sp4lab.sp4 import (
     GroupElement,
     identity,
     j_form,
+    lower_from_params,
     mu21,
     mu32,
     subgroup_membership,
@@ -106,16 +107,6 @@ def block_count_of(factors):
 
 # ---------------------------------------------------------------------------
 # lower-triangular subgroup B: parameters (a, b, c, d, e, f)
-
-
-def lower_from_params(field, a, b, c, d, e, f):
-    z = field.zero()
-    fi = 1 / f
-    return GroupElement(field, (
-        (e, z, z, z),
-        (a * e, f, z, z),
-        (c * e, b * f, fi, z),
-        (d * e, (c - a * b) * f, -a * fi, 1 / e)), certify=False)
 
 
 def lower_params(g):

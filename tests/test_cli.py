@@ -70,6 +70,18 @@ def test_witness_command():
         assert "not a residue code" in res.stderr
 
 
+def test_witness_names_the_failed_hypothesis():
+    # the residues are read at the lemma's depth only once its cell
+    # hypotheses hold, so the error names the hypothesis that failed
+    for lemma, i, j, message in (("SPHER01", "1", "0", "residue depth 0 < 1"),
+                                 ("SPHER1M1", "3", "0", "SPHER1M1: j = 0 < 2")):
+        res = run("witness", "--field", "Q3", "--lemma", lemma,
+                  "--i", i, "--j", j)
+        assert res.returncode == 2
+        assert message in res.stderr
+        assert "residue level" not in res.stderr
+
+
 def _capped(nbytes):
     """preexec_fn capping the child's address space, so an enumeration that
     outgrows it fails with MemoryError instead of exhausting the host."""

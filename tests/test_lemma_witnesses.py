@@ -5,6 +5,7 @@ import pytest
 from sp4lab import lemma_witnesses as lw
 from sp4lab.exactfield import residue_ring
 from sp4lab.sp4 import is_symplectic
+from sp4lab.verifiers import verify_cell_lemma
 
 
 def test_spher01_example_q3(fields):
@@ -52,6 +53,9 @@ def test_congruence_layer_tuple_constraints(fields):
 
 
 def test_factor_product_consistency_small_sweep(fields):
+    # the witnesses skip certification: beta^-1, alpha, their product and
+    # the merged matrix are symplectic by construction under every
+    # mutation, and k1 fails only where drop-eps1 drops a nonzero eps1
     cases = [
         (lw.SPHER01, fields["Q3"], 3, 1, 0),
         (lw.SPHER1M1, fields["F3((t))"], 4, 2, 0),
@@ -59,25 +63,40 @@ def test_factor_product_consistency_small_sweep(fields):
         (lw.NONSPHER1M1, fields["Q3"], 4, 4, 1),
         (lw.CHAR2_02, fields["F4((t))"], 4, 0, 0),
     ]
-    for lemma, spec, i, j, k in cases:
-        depth = lw.lemma_depth(lemma, spec, i, j)
-        ring = residue_ring(spec, depth)
-        a_dom = ring.pi_multiples(k) if k else ring.elements()
-        b_dom = ring.pi_multiples(2 * k) if (k and lemma != lw.NONSPHER1M1) else ring.elements()
-        count = 0
-        for a in a_dom[:3]:
-            for b in b_dom[:3]:
-                for x in a_dom[-3:]:
-                    for eps in range(spec.q):
-                        wit = lw.build_witness(lemma, spec, i, j, k, a, b, x, eps)
-                        assert wit.product == wit.merged_reference
-                        assert is_symplectic(spec, wit.beta_inv.rows)
-                        assert is_symplectic(spec, wit.alpha_mat.rows)
-                        if wit.k1 is not None:
-                            assert is_symplectic(spec, wit.k1.rows)
-                            assert wit.k1.is_integral()
-                        count += 1
-        assert count > 0
+    for mutation in (None,) + lw.MUTATIONS:
+        broken = 0
+        for lemma, spec, i, j, k in cases:
+            depth = lw.lemma_depth(lemma, spec, i, j)
+            ring = residue_ring(spec, depth)
+            a_dom = ring.pi_multiples(k) if k else ring.elements()
+            b_dom = (ring.pi_multiples(2 * k) if (k and lemma != lw.NONSPHER1M1)
+                     else ring.elements())
+            count = 0
+            for a in a_dom[:3]:
+                for b in b_dom[:3]:
+                    for x in a_dom[-3:]:
+                        for eps in range(spec.q):
+                            wit = lw.build_witness(lemma, spec, i, j, k, a, b, x, eps,
+                                                   mutation=mutation)
+                            assert wit.product == wit.merged_reference
+                            for g in (wit.beta_inv, wit.alpha_mat, wit.product,
+                                      wit.merged_reference):
+                                assert is_symplectic(spec, g.rows)
+                            if wit.k1 is not None:
+                                dropped = (lemma == lw.NONSPHER1M1
+                                           and mutation == "drop-eps1"
+                                           and not wit.eps1.is_zero())
+                                assert is_symplectic(spec, wit.k1.rows) == (not dropped)
+                                assert wit.k1.is_integral()
+                                broken += dropped
+                            count += 1
+            assert count > 0
+        assert (broken > 0) == (mutation == "drop-eps1"), mutation
+    # the cell sweep's one certificate of k1 reports exactly that case
+    rep = verify_cell_lemma(lw.NONSPHER1M1, fields["Q3"], 4, 4, 1, mode="sample",
+                            sample_n=60, seed=7, mutation="drop-eps1")
+    assert rep.counterexamples
+    assert {c["check"] for c in rep.counterexamples} == {"k1-in-K"}
 
 
 def test_wedge_norm_claims(fields):
