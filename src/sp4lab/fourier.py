@@ -340,6 +340,8 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
         raise ValueError(f"unknown strategy {strategy!r} (exhaustive or random)")
     if strategy == "exhaustive" and not space.is_hilbert:
         raise ValueError(f"the exhaustive strategy needs a Hilbert space, not {space}")
+    if strategy == "random" and trials < 1:
+        raise ValueError(f"the random strategy needs trials >= 1, got {trials}")
     params = {"field": str(spec), "h": h, "n": n, "k": k, "space": str(space),
               "strategy": strategy}
     report = VerificationReport(task=f"fft:{spec}:h{h}:n{n}:k{k}:{space}",

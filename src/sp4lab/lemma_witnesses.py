@@ -6,24 +6,27 @@ diagonal and a unipotent factor, such that the Cartan cell of
 beta^-1 * alpha is (i, j) when eps = 0 and a shifted cell when eps is
 the designated nonzero residue.  The non-spherical variants add a
 compensator k1 in K whose reduction mod pi^k is constant on the
-congruence-restricted tuples, plus two diagonal rescalings of
-k1 * beta^-1 * alpha that must land in K.
+congruence-restricted tuples, with k1 * beta^-1 * alpha = g1_reference,
+plus two diagonal rescalings D * g1_reference that must land in K.
 
 Everything here is transcription.  Each family states its three
 unipotent factors (of beta^-1, of alpha and of the merged matrix) by
 their lower-Borel parameters (a, b, c, d) and its two diagonal factors by
 their torus exponents, so beta^-1, alpha and the merged matrix are
 symplectic by construction (``sp4.lower_from_params``) and none of them is
-certified; the compensator k1 is stated entry by entry, and the cell
-sweep's k1-in-K check is its one certificate.  The product beta^-1 * alpha
-is multiplied out from the factors (once per witness) independently of
-the stated merged matrix, so the exhaustive verifiers can catch any slip.
+certified; the compensator k1 and g1_reference are stated entry by
+entry, and the cell sweep's k1-in-K check is k1's one certificate.  Each
+in-K rescaling is stated only by its eps code and its diagonal D, so the
+rescaled matrix is D * g1_reference and its one per-tuple claim is that
+it is integral.  The product beta^-1 * alpha is multiplied out from the
+factors (once per witness) independently of the stated merged matrix, so
+the exhaustive verifiers can catch any slip.
 The ``mutation`` hook deliberately corrupts one formula at a time; the
 verifier suites must detect every catalogued corruption.
 """
 
 import functools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 from sp4lab.exactfield import EQUAL, residue_ring, two_valuation
@@ -74,9 +77,11 @@ class LemmaWitness:
     k1: Optional[GroupElement] = None
     eps1: object = None
     a1: object = None
-    # (eps_code, scale D, reference scaled matrix) for the two in-K branches
+    a1_den: object = None             # CHAR2_02: 1 + pi a, with a1_sq = a1_den^2
+    g1_reference: Optional[GroupElement] = None   # the stated k1 * beta^-1 * alpha
+    # (eps_code, diagonal D) for the two in-K branches: D * g1_reference
+    # lies in K at that eps code
     scaled_branches: tuple = ()
-    extras: dict = dataclass_field(default_factory=dict)
 
     @functools.cached_property
     def product(self):
@@ -262,7 +267,7 @@ def _scale(spec, dl, params, dr):
     rows = lower_from_params(spec, *params, one, one).rows
     return GroupElement(spec, tuple(
         tuple(x.shift(el[r] + er[c]) for c, x in enumerate(row))
-        for r, row in enumerate(rows)), certify=False)
+        for r, row in enumerate(rows)))
 
 
 def _assemble(head, d_beta, p_beta, p_alpha, d_alpha, p_merged, expected):
@@ -287,32 +292,20 @@ def _attach_nonspher01(wit, t, sa, sb, sx, sy):
     if not eps1.is_integral():
         raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
     t_k1 = t.shift(i - 2 * m + j)
-    k1 = GroupElement(spec, (
+    wit.k1 = GroupElement(spec, (
         (z, z, one, z),
         (z, z, -t_k1, one),
         (-one, z, -t.shift(i - 2 * m + 3 * j + 1), pi(2 * j + 1)),
-        (-t_k1, -one, pi(2 * i - 2 * m + 2 * j), z)), certify=False)
-    g1_reference = GroupElement(spec, (
+        (-t_k1, -one, pi(2 * i - 2 * m + 2 * j), z)))
+    wit.g1_reference = GroupElement(spec, (
         (t.shift(-i), pi(-i), pi(-i + 2 * m - 2 * j), z),
         (eps1.shift(-j - 1), z, -t.shift(-j), pi(-j)),
         ((eps1 - one).shift(j), z, -t.shift(j + 1), pi(j + 1)),
-        (z, z, pi(i), z)), certify=False)
-    scale0 = d_matrix(spec, -i, -j)
-    reference0 = ((t, one, pi(2 * m - 2 * j), z),
-                  (eps1.shift(-1), z, -t, one),
-                  (eps1 - one, z, -t.shift(1), pi(1)),
-                  (z, z, one, z))
-    scale1 = d_matrix(spec, -i, -(j + 1))
-    reference1 = ((t, one, pi(2 * m - 2 * j), z),
-                  (eps1, z, -t.shift(1), pi(1)),
-                  ((eps1 - one).shift(-1), z, -t, one),
-                  (z, z, one, z))
-    wit.k1 = k1
+        (z, z, pi(i), z)))
     wit.eps1 = eps1
     wit.scaled_branches = (
-        (0, scale0, reference0),
-        (designated_eps_code(NONSPHER01, spec), scale1, reference1))
-    wit.extras["g1_reference"] = g1_reference
+        (0, d_matrix(spec, -i, -j)),
+        (designated_eps_code(NONSPHER01, spec), d_matrix(spec, -i, -(j + 1))))
 
 
 def _attach_nonspher1m1(wit, s, sx, mutation):
@@ -330,33 +323,21 @@ def _attach_nonspher1m1(wit, s, sx, mutation):
     entry32 = -c.shift(j - 1) - a1i * sx
     if mutation == "drop-eps1":
         entry32 = -(a1i * sx)
-    k1 = GroupElement(spec, (
+    wit.k1 = GroupElement(spec, (
         (z, z, z, one),
         (z, one, z, -a1.shift(i - j + 1)),
         (z, entry32, one, a1i.shift(i)),
         (-one, ui.shift(i) - sx.shift(i - j + 1),
-         a1.shift(i - j + 1), pi(2 * i - j + 1))), certify=False)
-    g1_reference = GroupElement(spec, (
+         a1.shift(i - j + 1), pi(2 * i - j + 1))))
+    wit.g1_reference = GroupElement(spec, (
         (eps1.shift(-i - 1), sx.shift(-i), -a1.shift(-i), pi(-i + j)),
         (u.shift(-j), one - (a1 * sx).shift(-j + 1),
          (a1 * a1).shift(-j + 1), -a1.shift(1)),
         (z, -c.shift(j - 1), z, a1i.shift(j)),
-        (z, ui.shift(i), z, pi(i + 1))), certify=False)
-    scale0 = d_matrix(spec, -i, -j)
-    reference0 = ((eps1.shift(-1), sx, -a1, pi(j)),
-                  (u, pi(j) - (a1 * sx).shift(1), (a1 * a1).shift(1),
-                   -a1.shift(j + 1)),
-                  (z, -c.shift(-1), z, a1i),
-                  (z, ui, z, pi(1)))
-    scale1 = d_matrix(spec, -(i + 1), -(j - 1))
-    reference1 = ((eps1, sx.shift(1), -a1.shift(1), pi(j + 1)),
-                  (u.shift(-1), pi(j - 1) - a1 * sx, a1 * a1, -a1.shift(j)),
-                  (z, -c, z, a1i.shift(1)),
-                  (z, ui.shift(-1), z, one))
-    wit.k1 = k1
+        (z, ui.shift(i), z, pi(i + 1))))
     wit.eps1 = eps1
-    wit.scaled_branches = ((0, scale0, reference0), (1, scale1, reference1))
-    wit.extras["g1_reference"] = g1_reference
+    wit.scaled_branches = ((0, d_matrix(spec, -i, -j)),
+                           (1, d_matrix(spec, -(i + 1), -(j - 1))))
 
 
 def _attach_char2(wit, a1_den, a1_sq, full, sa, sb, sx, sy):
@@ -369,33 +350,22 @@ def _attach_char2(wit, a1_den, a1_sq, full, sa, sb, sx, sy):
         raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
     den2 = one / a1_sq
     a1_k1 = a1.shift(i - 2 * m + j)
-    k1 = GroupElement(spec, (
+    wit.k1 = GroupElement(spec, (
         (z, z, one, z),
         (z, z, a1_k1, one),
         (one, z, a1.shift(i - 2 * m + 3 * j + 2), pi(2 * j + 2)),
-        (a1_k1, one, den2.shift(2 * i - 2 * m + 2 * j), z)), certify=False)
+        (a1_k1, one, den2.shift(2 * i - 2 * m + 2 * j), z)))
     e2 = eps1 * eps1 * den2
-    g1_reference = GroupElement(spec, (
+    wit.g1_reference = GroupElement(spec, (
         (full.shift(-i), a1_sq.shift(-i), pi(-i + 2 * m - 2 * j), z),
         (e2.shift(-j - 2), z, a1.shift(-j), pi(-j)),
         ((e2 + one).shift(j), z, a1.shift(j + 2), pi(j + 2)),
-        (z, z, den2.shift(i), z)), certify=False)
-    scale0 = d_matrix(spec, -i, -j)
-    reference0 = ((full, a1_sq, pi(2 * m - 2 * j), z),
-                  (e2.shift(-2), z, a1, one),
-                  (e2 + one, z, a1.shift(2), pi(2)),
-                  (z, z, den2, z))
-    scale1 = d_matrix(spec, -i, -(j + 2))
-    reference1 = ((full, a1_sq, pi(2 * m - 2 * j), z),
-                  (e2, z, a1.shift(2), pi(2)),
-                  ((e2 + one).shift(-2), z, a1, one),
-                  (z, z, den2, z))
-    wit.k1 = k1
+        (z, z, den2.shift(i), z)))
     wit.eps1 = eps1
     wit.a1 = a1
-    wit.extras["a1_den"] = a1_den
-    wit.extras["g1_reference"] = g1_reference
-    wit.scaled_branches = ((0, scale0, reference0), (1, scale1, reference1))
+    wit.a1_den = a1_den
+    wit.scaled_branches = ((0, d_matrix(spec, -i, -j)),
+                           (1, d_matrix(spec, -i, -(j + 2))))
 
 
 def congruence_target(lemma, spec, i, j, k_level, mutation=None):

@@ -1,6 +1,8 @@
 """The group Sp4(F) over an exact local-field model.
 
-Group elements are 4x4 matrices of exact field elements certified
+Group elements are 4x4 matrices of exact field elements.  Building one
+never certifies it: the constructors here are symplectic by their form,
+and so are products and inverses.  ``symplectic_check`` certifies input
 against the fixed skew form J: m is symplectic iff t(m) J m = J.  Entry
 (a, b) of t(m) J m is the pairing omega(c_a, c_b) of columns a and b,
 omega(u, w) = u0 w3 + u1 w2 - u2 w1 - u3 w0, and omega is alternating, so
@@ -34,7 +36,7 @@ class SymplecticError(ValueError):
 
 
 class InternalSoundnessError(AssertionError):
-    """A certified element violated an invariant the theory guarantees."""
+    """A group element violated an invariant the theory guarantees."""
 
 
 ROWS = range(4)
@@ -42,21 +44,23 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class GroupElement:
-    """A certified element of Sp4(F) with exact entries."""
+    """An element of Sp4(F) with exact entries.
+
+    The constructor never certifies: callers pass rows that are
+    symplectic by construction, and ``symplectic_check`` certifies input.
+    """
 
     __slots__ = ("field", "rows")
 
-    def __init__(self, field, rows, certify=True):
+    def __init__(self, field, rows):
         self.field = field
         self.rows = tuple(tuple(r) for r in rows)
-        if certify:
-            _check_symplectic(field, self.rows)
 
     def __mul__(self, other):
         if self.field != other.field:
             raise TypeError("mixing elements over different fields")
-        # product of certified elements stays in the group (exact arithmetic)
-        return GroupElement(self.field, mat_mul(self.rows, other.rows), certify=False)
+        # Sp4 is closed under products, and the arithmetic is exact
+        return GroupElement(self.field, mat_mul(self.rows, other.rows))
 
     def inverse(self):
         # g^(-1) = -J t(g) J written out: entry (r, c) is g[3-c][3-r],
@@ -64,7 +68,7 @@ class GroupElement:
         g = self.rows
         return GroupElement(self.field, tuple(
             tuple(-g[3 - c][3 - r] if (r >= 2) != (c >= 2) else g[3 - c][3 - r]
-                  for c in ROWS) for r in ROWS), certify=False)
+                  for c in ROWS) for r in ROWS))
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -156,11 +160,16 @@ def _check_symplectic(field, rows):
 
 
 def symplectic_check(field, rows):
-    """Certify a 4x4 matrix of field elements; raises SymplecticError on failure."""
-    return GroupElement(field, rows, certify=True)
+    """The group element with these rows, certified; raises SymplecticError
+    naming the first violated entry.  This is the one certifying
+    constructor."""
+    g = GroupElement(field, rows)
+    _check_symplectic(field, g.rows)
+    return g
 
 
 def is_symplectic(field, rows):
+    """``symplectic_check`` as a boolean."""
     try:
         _check_symplectic(field, tuple(tuple(r) for r in rows))
         return True
@@ -174,12 +183,11 @@ def is_symplectic(field, rows):
 
 def identity(field):
     z, o = _zero_one(field)
-    return GroupElement(field, ((o, z, z, z), (z, o, z, z), (z, z, o, z), (z, z, z, o)),
-                        certify=False)
+    return GroupElement(field, ((o, z, z, z), (z, o, z, z), (z, z, o, z), (z, z, z, o)))
 
 
 def j_form(field):
-    return GroupElement(field, j_rows(field), certify=False)
+    return GroupElement(field, j_rows(field))
 
 
 def d_matrix(field, i, j):
@@ -189,19 +197,17 @@ def d_matrix(field, i, j):
         (field.pi(-i), z, z, z),
         (z, field.pi(-j), z, z),
         (z, z, field.pi(j), z),
-        (z, z, z, field.pi(i))), certify=False)
+        (z, z, z, field.pi(i))))
 
 
 def weyl_w21(field):
     z, o = _zero_one(field)
-    return GroupElement(field, ((z, o, z, z), (o, z, z, z), (z, z, z, o), (z, z, o, z)),
-                        certify=False)
+    return GroupElement(field, ((z, o, z, z), (o, z, z, z), (z, z, z, o), (z, z, o, z)))
 
 
 def weyl_w32(field):
     z, o = _zero_one(field)
-    return GroupElement(field, ((o, z, z, z), (z, z, o, z), (z, -o, z, z), (z, z, z, o)),
-                        certify=False)
+    return GroupElement(field, ((o, z, z, z), (z, z, o, z), (z, -o, z, z), (z, z, z, o)))
 
 
 def _require_integral(name, *elems):
@@ -219,45 +225,40 @@ def _require_unit(name, *elems):
 def mu21(field, a):
     _require_integral("mu21", a)
     z, o = _zero_one(field)
-    return GroupElement(field, ((o, z, z, z), (a, o, z, z), (z, z, o, z), (z, z, -a, o)),
-                        certify=False)
+    return GroupElement(field, ((o, z, z, z), (a, o, z, z), (z, z, o, z), (z, z, -a, o)))
 
 
 def mu32(field, a):
     _require_integral("mu32", a)
     z, o = _zero_one(field)
-    return GroupElement(field, ((o, z, z, z), (z, o, z, z), (z, a, o, z), (z, z, z, o)),
-                        certify=False)
+    return GroupElement(field, ((o, z, z, z), (z, o, z, z), (z, a, o, z), (z, z, z, o)))
 
 
 def mu31(field, a):
     _require_integral("mu31", a)
     z, o = _zero_one(field)
-    return GroupElement(field, ((o, z, z, z), (z, o, z, z), (a, z, o, z), (z, a, z, o)),
-                        certify=False)
+    return GroupElement(field, ((o, z, z, z), (z, o, z, z), (a, z, o, z), (z, a, z, o)))
 
 
 def mu41(field, a):
     _require_integral("mu41", a)
     z, o = _zero_one(field)
-    return GroupElement(field, ((o, z, z, z), (z, o, z, z), (z, z, o, z), (a, z, z, o)),
-                        certify=False)
+    return GroupElement(field, ((o, z, z, z), (z, o, z, z), (z, z, o, z), (a, z, z, o)))
 
 
 def torus(field, e, f):
     _require_unit("torus", e, f)
     z = field.zero()
     return GroupElement(field, (
-        (e, z, z, z), (z, f, z, z), (z, z, 1 / f, z), (z, z, z, 1 / e)), certify=False)
+        (e, z, z, z), (z, f, z, z), (z, z, 1 / f, z), (z, z, z, 1 / e)))
 
 
 def lower_from_params(field, a, b, c, d, e, f):
     """The element of the lower Borel B with parameters (a, b, c, d, e, f).
 
-    It is symplectic for all a..f with e, f != 0, so it skips
-    certification.  Its columns are c0 = e (1, a, c, d),
-    c1 = f (0, 1, b, c - ab), c2 = (0, 0, 1, -a) / f and
-    c3 = (0, 0, 0, 1/e), and their six pairings are J's entries:
+    It is symplectic for all a..f with e, f != 0.  Its columns are
+    c0 = e (1, a, c, d), c1 = f (0, 1, b, c - ab), c2 = (0, 0, 1, -a) / f
+    and c3 = (0, 0, 0, 1/e), and their six pairings are J's entries:
     omega(c0, c1) = ef ((c - ab) + ab - c) = 0,
     omega(c0, c2) = (e/f) (-a + a) = 0, omega(c0, c3) = e/e = 1,
     omega(c1, c2) = f/f = 1, and omega(c1, c3) = omega(c2, c3) = 0 term
@@ -270,11 +271,21 @@ def lower_from_params(field, a, b, c, d, e, f):
         (e, z, z, z),
         (a * e, f, z, z),
         (c * e, b * f, fi, z),
-        (d * e, (c - a * b) * f, -a * fi, 1 / e)), certify=False)
+        (d * e, (c - a * b) * f, -a * fi, 1 / e)))
 
 
 def k1_embed(field, a_block):
-    """diag(A, Q tA^-1 Q) for A in GL2(O); a_block is a 2x2 matrix of elements."""
+    """diag(A, Q tA^-1 Q) for A in GL2(O); a_block is a 2x2 matrix of elements.
+
+    It is symplectic for every invertible A.  With A = [[a, b], [c, d]]
+    and det = ad - bc, its columns are c0 = (a, c, 0, 0),
+    c1 = (b, d, 0, 0), c2 = (0, 0, a, -c) / det and
+    c3 = (0, 0, -b, d) / det, and their six pairings are J's entries:
+    omega(c0, c2) = (-ac + ca) / det = 0, omega(c0, c3) = (ad - cb) / det
+    = 1, omega(c1, c2) = (-bc + da) / det = 1,
+    omega(c1, c3) = (bd - db) / det = 0, and omega(c0, c1) =
+    omega(c2, c3) = 0 term by term.
+    """
     (a, b), (c, d) = a_block
     _require_integral("k1_embed", a, b, c, d)
     det = a * d - b * c
@@ -285,7 +296,7 @@ def k1_embed(field, a_block):
         (a, b, z, z),
         (c, d, z, z),
         (z, z, a / det, -b / det),
-        (z, z, -c / det, d / det)), certify=True)
+        (z, z, -c / det, d / det)))
 
 
 def k2_embed(field, b_block):
@@ -299,7 +310,7 @@ def k2_embed(field, b_block):
         (o, z, z, z),
         (z, a, b, z),
         (z, c, d, z),
-        (z, z, z, o)), certify=False)
+        (z, z, z, o)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +362,7 @@ def cartan_invariants(g):
     """(i, j), the norm exponents (i, i+j) and the length i+j of g.
 
     Aborts with InternalSoundnessError if the computed pair leaves the
-    dominant cone, which certified input cannot do.
+    dominant cone, which no symplectic matrix can do.
     """
     i = norm_exponent(g.rows)
     ij = wedge_norm_exponent(g.rows)
@@ -473,7 +484,8 @@ def subgroup_membership(g, tag):
 
 
 def matrix_from_strings(field, data):
-    """Build a certified element from a 4x4 array of entry strings."""
+    """The element of a 4x4 array of entry strings, certified by
+    ``symplectic_check``: the input boundary."""
     if len(data) != 4 or any(len(r) != 4 for r in data):
         raise ValueError("matrix input must be a 4x4 array of entry strings")
     rows = tuple(tuple(parse_element(field, s) for s in r) for r in data)

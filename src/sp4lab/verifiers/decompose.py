@@ -213,8 +213,7 @@ def j_word(field):
 
 def j_inverse_word(field):
     w1, w2 = weyl_w21(field), weyl_w32(field)
-    neg_w1 = GroupElement(field, tuple(tuple(-e for e in r) for r in w1.rows),
-                          certify=False)
+    neg_w1 = GroupElement(field, tuple(tuple(-e for e in r) for r in w1.rows))
     return [(K1, neg_w1), (K2, w2), (K1, w1), (K2, w2)]
 
 

@@ -121,6 +121,8 @@ def parity_volumes(g, depth, mode="exhaustive", sample_n=10000, seed=0):
             raise ValueError(f"{n} classes exceed the exhaustive limit; sample instead")
         classes = enumerate_symplectic_residue(spec, depth)
     elif mode == "sample":
+        if sample_n < 1:
+            raise ValueError(f"sample size must be at least 1, got {sample_n}")
         n = sample_n
         rng = random.Random(seed)
         classes = (sample_symplectic_residue(spec, depth, rng) for _ in range(n))

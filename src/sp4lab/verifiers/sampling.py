@@ -150,7 +150,7 @@ def lift_symplectic(spec, n, reps):
         raise ValueError("input is not symplectic at the given depth")
     c3 = [x / u2 for x in c3]
     # the repairs set all six column pairings to those of J exactly
-    g = GroupElement(spec, _columns_to_rows((c1, c2, c3, c4)), certify=False)
+    g = GroupElement(spec, _columns_to_rows((c1, c2, c3, c4)))
     if g.reduce(n) != tuple(tuple(r) for r in reps):
         raise AssertionError("symplectic lift failed to reduce to its input")
     return g

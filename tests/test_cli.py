@@ -135,6 +135,23 @@ def test_verify_command_exit_codes():
     assert jsonl(res.stdout)[0]["status"] == "violated"
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "SPHER01", "--field", "Q3", "--i", "3", "--j", "1",
+     "--mode", "sample", "--n", "0"],
+    ["verify", "SPHER01", "--field", "Q3", "--i", "3", "--j", "1",
+     "--checks", "identities", "--n", "-3"],
+    ["fft-check", "--field", "Q2", "--h", "1", "--n", "2", "--space", "l1.5:2",
+     "--trials", "0"],
+    ["parity", "--field", "F2((t))", "--depth", "2", "--mode", "sample", "--n", "0"],
+])
+def test_sample_size_below_one_is_a_usage_error(args):
+    # a sample of no draws would check nothing and pass vacuously
+    res = run(*args)
+    assert res.returncode == 2, res.stderr[-400:]
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and args[-1] in res.stderr
+
+
 def test_decompose_command():
     mat = json.dumps([["1", "0", "0", "0"], ["0", "1", "0", "0"],
                       ["0", "0", "1", "0"], ["3", "0", "0", "1"]])

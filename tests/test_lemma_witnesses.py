@@ -137,8 +137,7 @@ def test_char2_squared_unit_bound(fields):
     ring = residue_ring(f4, depth)
     for a in ring.elements()[:4]:
         wit = lw.build_witness(lw.CHAR2_02, f4, 6, 0, 0, a, ring.elements()[1], (), 1)
-        a1_den = wit.extras["a1_den"]
-        val = (wit.eps1 * wit.eps1 / (a1_den * a1_den) + f4.one()).valuation()
+        val = (wit.eps1 * wit.eps1 / (wit.a1_den * wit.a1_den) + f4.one()).valuation()
         assert val >= 2
 
 

@@ -172,6 +172,9 @@ CASES = (
     (("identities:SPHER01:Q3:4,1", "identities",
       {"lemma": lw.SPHER01, "field": "Q3", "i": 4, "j": 1, "n": 20}), "wrong-n1"),
     (_cells(lw.SPHER01, "Q3", 3, 1, cap=0, sample_n=100), "minor-row-pair"),
+    # the char-2 compensator and its in-K rescalings at congruence level 1
+    (_cells(lw.CHAR2_02, "F2((t))", 7, 1, k=1), None),
+    (_cells(lw.CHAR2_02, "F4((t))", 7, 1, k=1), None),
 )
 
 # (runner, mutation) pairs whose replay passes: the identities rebuild every

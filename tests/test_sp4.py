@@ -147,13 +147,14 @@ def test_memberships(fields):
 
 def test_dominance_failure_is_internal_error(fields):
     q3 = fields["Q3"]
-    # near-rank-one matrix smuggled past certification: every 2x2 minor is a
-    # unit or smaller while one entry is large, so the computed pair leaves
-    # the dominant cone and must trip the soundness assertion
+    # a non-symplectic near-rank-one matrix, which the constructor accepts
+    # since it never certifies: every 2x2 minor is a unit or smaller while
+    # one entry is large, so the computed pair leaves the dominant cone and
+    # must trip the soundness assertion
     base = q3.pi(-1)
     rows = tuple(tuple(base + (q3.pi(1) if r == c else q3.zero())
                        for c in range(4)) for r in range(4))
-    fake = GroupElement(q3, rows, certify=False)
+    fake = GroupElement(q3, rows)
     with pytest.raises(InternalSoundnessError):
         cartan_invariants(fake)
 
@@ -206,7 +207,10 @@ def _random_generator(spec, rnd):
     def unit():
         return spec.from_residue_code(rnd.randrange(1, spec.q)) + spec.pi(1) * integral()
 
-    pick = rnd.randrange(7)
+    def nonzero():
+        return unit().shift(rnd.randrange(3))
+
+    pick = rnd.randrange(8)
     if pick == 0:
         return sp4.d_matrix(spec, rnd.randrange(4), rnd.randrange(-2, 3))
     if pick == 1:
@@ -219,6 +223,10 @@ def _random_generator(spec, rnd):
         return sp4.k1_embed(spec, ((unit(), integral()), (spec.pi(1) * integral(), unit())))
     if pick == 5:
         return random_k_element(spec, 1, rnd)
+    if pick == 6:
+        # a, b both nonzero, so the c - ab entry is exercised
+        return sp4.lower_from_params(spec, nonzero(), nonzero(), integral(), integral(),
+                                     unit(), unit())
     return _random_generator(spec, rnd).inverse()
 
 

@@ -30,6 +30,7 @@ from sp4lab.verifiers import (
     weyl_reps,
 )
 from sp4lab.verifiers import decompose
+from sp4lab.verifiers.cells import _check_compensator, tuple_space
 from sp4lab.verifiers.parity import _classify
 
 
@@ -56,6 +57,28 @@ def test_cell_suite_char2_k1_congruence(fields):
     rep = verify_cell_lemma(lw.CHAR2_02, fields["F4((t))"], 5, 1)
     assert rep.status == "pass"
     assert "unpinned_eps_cells" in rep.margins  # q=4 has residues beyond {0,1}
+
+
+@pytest.mark.parametrize("lemma, field, i, j", [
+    (lw.NONSPHER01, "Q3", 4, 1),
+    (lw.NONSPHER1M1, "Q3", 4, 4),
+    (lw.CHAR2_02, "F2((t))", 7, 1),
+])
+def test_swapped_rescalings_fail_scaled_in_k(fields, lemma, field, i, j):
+    # a rescaling is stated only by its diagonal D, so D * g1_reference
+    # being integral is its one per-tuple claim; each branch's D applied at
+    # the other branch's eps code must break it, and only it
+    spec = fields[field]
+    target = lw.congruence_target(lemma, spec, i, j, 1)
+    a_dom, b_dom, x_dom, _ = tuple_space(lemma, spec, i, j, 1)
+    for a, b, x in ((a_dom[0], b_dom[0], x_dom[0]), (a_dom[-1], b_dom[-1], x_dom[-1])):
+        for code in (0, lw.designated_eps_code(lemma, spec)):
+            wit = lw.build_witness(lemma, spec, i, j, 1, a, b, x, code)
+            assert _check_compensator(wit, 1, target) == []
+            (code0, d0), (code1, d1) = wit.scaled_branches
+            wit.scaled_branches = ((code0, d1), (code1, d0))
+            assert _check_compensator(wit, 1, target) == [
+                {"check": f"scaled-in-K-eps{code}"}]
 
 
 def test_budget_enforced(fields):

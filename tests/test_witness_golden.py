@@ -1,8 +1,9 @@
 """Witness contract: at fixed inputs, every built matrix repeats byte for byte.
 
 ``build_witness`` assembles beta^-1, alpha, the merged reference, the
-compensator k1, g1_reference and the two scaled references of each
-lemma family.  Each case below dumps all of them as entry strings,
+compensator k1 and g1_reference of each lemma family, and states each
+in-K rescaling by its diagonal D.  Each case below dumps all of them, and
+each rescaled matrix D * g1_reference, as entry strings,
 together with every field ``sp4lab witness`` emits, and compares the
 dump with its line in a golden JSONL file.  The cases cover each lemma
 at a small legal cell, eps codes 0, 1 and 2 where q > 2, and each
@@ -66,8 +67,6 @@ def cases():
 def _strings(value):
     if isinstance(value, GroupElement):
         return value.to_strings()
-    if isinstance(value, tuple):
-        return [_strings(v) for v in value]
     return value.to_str()
 
 
@@ -89,14 +88,13 @@ def dump(lemma, field, i, j, k, a, b, x, eps, mutation):
             "expected_cell": list(wit.expected_cell) if wit.expected_cell else None,
             "observed_cell": list(wit.observed_cell()),
         })
-        for name in ("k1", "eps1", "a1"):
+        for name in ("k1", "eps1", "a1", "a1_den", "g1_reference"):
             value = getattr(wit, name)
             if value is not None:
                 out[name] = _strings(value)
-        for name, value in sorted(wit.extras.items()):
-            out[name] = _strings(value)
-        out["scaled_branches"] = [[code, _strings(scale), _strings(reference)]
-                                  for code, scale, reference in wit.scaled_branches]
+        out["scaled_branches"] = [
+            [code, _strings(scale), _strings(scale * wit.g1_reference)]
+            for code, scale in wit.scaled_branches]
         if k > 0:
             ring_k = residue_ring(spec, k)
             target = lw.congruence_target(lemma, spec, i, j, k, mutation)
