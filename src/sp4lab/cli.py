@@ -204,17 +204,19 @@ def cmd_witness(args, emitter, field, seed, threads):
 
 def cmd_verify(args, emitter, field, seed, threads):
     spec = parse_field(field)
-    status = 0
+    # every check runs before any report is written, so a usage error
+    # raised by a later check leaves no report ahead of it
+    reports = []
     if args.checks in ("cells", "both"):
-        rep = verify_cell_lemma(args.lemma, spec, args.i, args.j, args.k,
-                                mode=args.mode, sample_n=args.n, seed=seed,
-                                mutation=args.mutation)
-        emitter.emit(rep.to_dict())
-        status = max(status, 0 if rep.status == PASS else CHECK_FAILED)
+        reports.append(verify_cell_lemma(
+            args.lemma, spec, args.i, args.j, args.k, mode=args.mode,
+            sample_n=args.n, seed=seed, mutation=args.mutation))
     if args.checks in ("identities", "both"):
-        rep = verify_witness_identities(args.lemma, spec, args.i, args.j,
-                                        sample_n=args.n, seed=seed,
-                                        mutation=args.mutation)
+        reports.append(verify_witness_identities(
+            args.lemma, spec, args.i, args.j, sample_n=args.n, seed=seed,
+            mutation=args.mutation))
+    status = 0
+    for rep in reports:
         emitter.emit(rep.to_dict())
         status = max(status, 0 if rep.status == PASS else CHECK_FAILED)
     return status

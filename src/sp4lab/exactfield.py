@@ -31,7 +31,11 @@ two p-free integers, or of two polynomials with nonzero constant terms,
 is already in lowest terms over 1; every other product and quotient goes
 through the normalising constructor.  Sums stay with each kind: integral
 sums skip the gcd, since a p- (t-) stripped sum over 1 is in lowest
-terms, and a zero sum is the memoised zero.
+terms, and a zero sum is the memoised zero.  A difference x - y is one
+signed sum, with no negated copy of y (in characteristic 2 it is the
+sum).  An operand of the same class over the same ``FieldSpec`` object
+skips coercion; ints, Fractions and elements over an equal but distinct
+spec still go through ``_coerce``.
 
 The uniformizer is p respectively t, the residue field has q elements,
 and ``|x| = q^(-v(x))``.  A residue ring O/pi^n is one of two classes,
@@ -264,7 +268,8 @@ class _FieldElem:
         return type(self)(self.spec, self.v + k, self.num, self.den, normalize=False)
 
     def __mul__(self, other):
-        other = _coerce(self.spec, other)
+        if type(other) is not type(self) or other.spec is not self.spec:
+            other = _coerce(self.spec, other)
         if not self.num or not other.num:
             return self.spec.zero()
         unit = self._unit
@@ -281,7 +286,8 @@ class _FieldElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(self.spec, other)
+        if type(other) is not type(self) or other.spec is not self.spec:
+            other = _coerce(self.spec, other)
         if not other.num:
             raise ZeroDivisionError("division by zero field element")
         if not self.num:
@@ -290,10 +296,11 @@ class _FieldElem:
                           self._times(self.den, other.num))
 
     def __sub__(self, other):
-        return self + (-_coerce(self.spec, other))
+        return self._sum(other, True)
 
     def __rsub__(self, other):
-        return _coerce(self.spec, other) + (-self)
+        # only a left operand that is not an element of this class gets here
+        return _coerce(self.spec, other)._sum(self, True)
 
     def __rtruediv__(self, other):
         return _coerce(self.spec, other) / self
@@ -359,12 +366,14 @@ class PadicElem(_FieldElem):
         self.num = num
         self.den = den
 
-    def __add__(self, other):
-        other = _coerce(self.spec, other)
-        if self.num == 0:
-            return other
+    def _sum(self, other, negate=False):
+        """self + other, or self - other as one signed sum when negate."""
+        if type(other) is not PadicElem or other.spec is not self.spec:
+            other = _coerce(self.spec, other)
         if other.num == 0:
             return self
+        if self.num == 0:
+            return -other if negate else other
         p = self.spec.p
         v = min(self.v, other.v)
         integral = self.den == 1 == other.den
@@ -374,7 +383,7 @@ class PadicElem(_FieldElem):
         b = other.num if integral else other.num * self.den
         if other.v > v:
             b *= p ** (other.v - v)
-        s = a + b
+        s = a - b if negate else a + b
         if s == 0:
             return self.spec.zero()
         dv, s = _strip_p(s, p)
@@ -382,7 +391,7 @@ class PadicElem(_FieldElem):
             return PadicElem(self.spec, v + dv, s, 1, normalize=False)
         return PadicElem(self.spec, v + dv, s, self.den * other.den)
 
-    __radd__ = __add__
+    __add__ = __radd__ = _sum
 
     def __neg__(self):
         return PadicElem(self.spec, self.v, -self.num, self.den, normalize=False)
@@ -455,12 +464,15 @@ class LaurentElem(_FieldElem):
         self.num = num
         self.den = den
 
-    def __add__(self, other):
-        other = _coerce(self.spec, other)
-        if not self.num:
-            return other
+    def _sum(self, other, negate=False):
+        """self + other, or self - other as one signed sum when negate (in
+        characteristic 2 a difference is a sum)."""
+        if type(other) is not LaurentElem or other.spec is not self.spec:
+            other = _coerce(self.spec, other)
         if not other.num:
             return self
+        if not self.num:
+            return -other if negate else other
         k = self.spec.residue_gf
         v = min(self.v, other.v)
         polynomial = self.den == ONE_POLY == other.den
@@ -470,13 +482,13 @@ class LaurentElem(_FieldElem):
         b = other.num if polynomial else poly_mul(k, other.num, self.den)
         if other.v > v:
             b = (0,) * (other.v - v) + b
-        num = poly_add(k, a, b)
+        num = poly_sub(k, a, b) if negate and k.p != 2 else poly_add(k, a, b)
         if not num:
             return self.spec.zero()
         den = ONE_POLY if polynomial else poly_mul(k, self.den, other.den)
         return LaurentElem(self.spec, v, num, den)
 
-    __radd__ = __add__
+    __add__ = __radd__ = _sum
 
     def __neg__(self):
         k = self.spec.residue_gf

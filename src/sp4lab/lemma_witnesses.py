@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from sp4lab.exactfield import EQUAL, residue_ring, two_valuation
-from sp4lab.sp4 import GroupElement, cartan_invariants, d_matrix, lower_from_params
+from sp4lab.sp4 import GroupElement, cartan_invariants, d_matrix, unipotent_entries
 
 SPHER01 = "SPHER01"
 SPHER1M1 = "SPHER1M1"
@@ -260,14 +260,24 @@ _UNSCALED = (0, 0)
 def _scale(spec, dl, params, dr):
     """D(dl) B(params) D(dr), where B(a, b, c, d) is lower_from_params(a, b,
     c, d, 1, 1) and D(u, v) = diag(pi^u, pi^v, pi^-v, pi^-u) is in the
-    torus: symplectic by construction, and each entry is a shift."""
-    one = spec.one()
-    el = (dl[0], dl[1], -dl[1], -dl[0])
-    er = (dr[0], dr[1], -dr[1], -dr[0])
-    rows = lower_from_params(spec, *params, one, one).rows
-    return GroupElement(spec, tuple(
-        tuple(x.shift(el[r] + er[c]) for c, x in enumerate(row))
-        for r, row in enumerate(rows)))
+    torus: symplectic by construction.
+
+    With dl = (u, v) and dr = (s, w), its ten nonzero entries are written
+    directly: the diagonal pi^(u+s), pi^(v+w), pi^-(v+w), pi^-(u+s), and
+    below it the shifts of B's entries (``sp4.unipotent_entries``) by the
+    row's exponent plus the column's: a pi^(v+s) in row 2, c pi^(s-v) and
+    b pi^(w-v) in row 3, and d pi^(s-u), (c - ab) pi^(w-u) and
+    -a pi^-(u+w) in row 4.
+    """
+    (u, v), (s, w) = dl, dr
+    x10, x20, x21, x30, x31, x32 = unipotent_entries(*params)
+    # one.shift(0) is the memoised one, which mat_mul multiplies by for free
+    z, pi = spec.zero(), spec.one().shift
+    return GroupElement(spec, (
+        (pi(u + s), z, z, z),
+        (x10.shift(v + s), pi(v + w), z, z),
+        (x20.shift(s - v), x21.shift(w - v), pi(-v - w), z),
+        (x30.shift(s - u), x31.shift(w - u), x32.shift(-u - w), pi(-u - s))))
 
 
 def _assemble(head, d_beta, p_beta, p_alpha, d_alpha, p_merged, expected):

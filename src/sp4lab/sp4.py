@@ -253,8 +253,20 @@ def torus(field, e, f):
         (e, z, z, z), (z, f, z, z), (z, z, 1 / f, z), (z, z, z, 1 / e)))
 
 
+def unipotent_entries(a, b, c, d):
+    """The entries of the unipotent B(a, b, c, d) =
+    ``lower_from_params(a, b, c, d, 1, 1)`` below its unit diagonal, in
+    row-major order: (a), (c, b) and (d, c - ab, -a) in rows 2, 3 and 4.
+
+    This is the one statement of B's entries; ``lower_from_params`` and
+    ``lemma_witnesses._scale`` both place them.
+    """
+    return a, c, b, d, c - a * b, -a
+
+
 def lower_from_params(field, a, b, c, d, e, f):
-    """The element of the lower Borel B with parameters (a, b, c, d, e, f).
+    """The element of the lower Borel B with parameters (a, b, c, d, e, f):
+    B(a, b, c, d) times diag(e, f, 1/f, 1/e).
 
     It is symplectic for all a..f with e, f != 0.  Its columns are
     c0 = e (1, a, c, d), c1 = f (0, 1, b, c - ab), c2 = (0, 0, 1, -a) / f
@@ -267,11 +279,12 @@ def lower_from_params(field, a, b, c, d, e, f):
     """
     z = field.zero()
     fi = 1 / f
+    b10, b20, b21, b30, b31, b32 = unipotent_entries(a, b, c, d)
     return GroupElement(field, (
         (e, z, z, z),
-        (a * e, f, z, z),
-        (c * e, b * f, fi, z),
-        (d * e, (c - a * b) * f, -a * fi, 1 / e)))
+        (b10 * e, f, z, z),
+        (b20 * e, b21 * f, fi, z),
+        (b30 * e, b31 * f, b32 * fi, 1 / e)))
 
 
 def k1_embed(field, a_block):
@@ -446,9 +459,11 @@ def subgroup_membership(g, tag):
         det = a * d - b * c
         if not det.is_unit():
             return False
-        # lower-right block must be Q tA^-1 Q exactly
-        return (rows[2][2] == a / det and rows[2][3] == -b / det
-                and rows[3][2] == -c / det and rows[3][3] == d / det)
+        # the lower-right block must be Q tA^-1 Q = [[a, -b], [-c, d]] / det
+        # exactly; det is a unit, so entry == x / det is entry * det == x,
+        # the same test without four normalising quotients
+        return (rows[2][2] * det == a and rows[2][3] * det == -b
+                and rows[3][2] * det == -c and rows[3][3] * det == d)
     if tag == "K2":
         if not g.is_integral():
             return False

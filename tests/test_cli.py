@@ -143,6 +143,9 @@ def test_verify_command_exit_codes():
     ["fft-check", "--field", "Q2", "--h", "1", "--n", "2", "--space", "l1.5:2",
      "--trials", "0"],
     ["parity", "--field", "F2((t))", "--depth", "2", "--mode", "sample", "--n", "0"],
+    # the exhaustive cell sweep needs no count, but the identities do
+    ["verify", "SPHER01", "--field", "Q3", "--i", "3", "--j", "1",
+     "--checks", "both", "--n", "-3"],
 ])
 def test_sample_size_below_one_is_a_usage_error(args):
     # a sample of no draws would check nothing and pass vacuously

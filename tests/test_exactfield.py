@@ -517,14 +517,48 @@ def test_integers_are_shared_and_same_field_operands_pass_through(fields):
     assert q3.integer(7) is q3.integer(7)
     assert q3.zero() is q3.integer(0) and q3.one() is q3.integer(1)
     x = q3.rational(2, 9)
-    assert x + 0 is x and x * 1 == x
+    assert x + 0 is x and x * 1 == x and x - 0 is x
+    # int and Fraction operands coerce, on either side
+    assert 1 - x == q3.rational(7, 9) == x - 1 + 2 * (1 - x) + 0
+    assert 3 * x == x * 3 == q3.rational(2, 3) == x * Fraction(3)
+    assert x - Fraction(1, 9) == q3.rational(1, 9) == Fraction(5, 9) - x - x
+    # a zero on either side of a same-field operation
+    zero = q3.zero()
+    assert x + zero is x and zero + x is x and x - zero is x
+    assert zero - x == -x and (zero - x).spec is q3
+    assert x * zero is zero and zero * x is zero and x - x is zero
     # an equal spec that is not the interned one still coerces by value
     twin = FieldSpec(MIXED, 3, 1)
     assert twin is not q3
-    assert (x + twin.integer(1)).spec is q3
-    assert x + twin.integer(1) == q3.rational(11, 9)
+    y = twin.integer(1)
+    for result, value in ((x + y, q3.rational(11, 9)), (y + x, q3.rational(11, 9)),
+                          (x - y, q3.rational(-7, 9)), (y - x, q3.rational(7, 9)),
+                          (x * y, x), (y * x, x)):
+        assert result == value
+    assert (x + y).spec is q3 and (x - y).spec is q3 and (y - x).spec is twin
+    f2 = fields["F2((t))"]
+    assert (f2.pi(1) - FieldSpec(EQUAL, 2, 1).one()).spec is f2
     with pytest.raises(TypeError, match="different fields"):
         x + fields["Q5"].one()
+    with pytest.raises(TypeError, match="different fields"):
+        x - fields["Q5"].one()
+    with pytest.raises(TypeError, match="different fields"):
+        f2.pi(1) * fields["Q2"].one()
+    with pytest.raises(TypeError, match="different fields"):
+        fields["Q2"].one() * f2.pi(1)
+    with pytest.raises(TypeError, match="cannot coerce"):
+        f2.pi(1) - Fraction(1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(FIELD_NAMES), seed=st.integers(0, 2 ** 32 - 1),
+       zeros=st.tuples(st.booleans(), st.booleans()))
+def test_difference_is_sum_with_negation(fields, name, seed, zeros):
+    spec = fields[name]
+    rnd = random.Random(seed)
+    x, y = (spec.zero() if zero else random_element(spec, rnd) for zero in zeros)
+    assert x - y == x + (-y)
+    assert y - x == -(x - y)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3])

@@ -1,11 +1,18 @@
 """Witness construction: reference matrices, derived scalars, expected cells."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sp4lab import lemma_witnesses as lw
+from sp4lab import sp4
 from sp4lab.exactfield import residue_ring
 from sp4lab.sp4 import is_symplectic
 from sp4lab.verifiers import verify_cell_lemma
+from conftest import random_element
+from test_sp4 import _fresh_one
 
 
 def test_spher01_example_q3(fields):
@@ -193,3 +200,46 @@ def test_free_y_probe(fields):
     for y in ring.elements():
         wit = lw.build_witness(lw.SPHER1M1, q3, 3, 3, 0, 1, 2, 4, 0, y_override=y)
         assert norm_exponent(wit.product.rows) == lw.spher1m1_norm_formula(wit)
+
+
+# ---------------------------------------------------------------------------
+# the entrywise factor builder against the product route
+
+
+def _param(spec, rnd, zero):
+    """A B-parameter: zero, or a random element, integral or not."""
+    return spec.zero() if zero else random_element(spec, rnd)
+
+
+def _unit(spec, rnd, kind):
+    """The memoised one, an equal element that is not it, or a random unit."""
+    if kind == 0:
+        return spec.one()
+    if kind == 1:
+        return _fresh_one(spec)
+    tail = spec.from_residue_code(rnd.randrange(spec.q)).shift(rnd.randrange(1, 4))
+    return spec.from_residue_code(rnd.randrange(1, spec.q)) + tail
+
+
+_EXPONENT = st.integers(-6, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["Q2", "Q3", "Q5", "F2((t))", "F4((t))"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       zeros=st.tuples(*[st.booleans()] * 4),
+       dl=st.tuples(_EXPONENT, _EXPONENT), dr=st.tuples(_EXPONENT, _EXPONENT),
+       units=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_scale_matches_the_product_route(fields, name, seed, zeros, dl, dr, units):
+    spec = fields[name]
+    rnd = random.Random(seed)
+    params = tuple(_param(spec, rnd, zero) for zero in zeros)
+    one = spec.one()
+    unipotent = sp4.lower_from_params(spec, *params, one, one)
+    # D(u, v) = diag(pi^u, pi^v, pi^-v, pi^-u) is d_matrix(-u, -v)
+    left, right = sp4.d_matrix(spec, -dl[0], -dl[1]), sp4.d_matrix(spec, -dr[0], -dr[1])
+    oracle = sp4.mat_mul(sp4.mat_mul(left.rows, unipotent.rows), right.rows)
+    assert lw._scale(spec, dl, params, dr).rows == oracle
+    # with units e, f the builder is the unipotent times diag(e, f, 1/f, 1/e)
+    e, f = (_unit(spec, rnd, kind) for kind in units)
+    assert sp4.lower_from_params(spec, *params, e, f) == unipotent * sp4.torus(spec, e, f)

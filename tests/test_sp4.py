@@ -145,6 +145,42 @@ def test_memberships(fields):
     assert not subgroup_membership(sp4.weyl_w21(q3), "Blow")
 
 
+def _lower_right_by_quotients(rows):
+    """Whether the lower-right block is Q tA^-1 Q, compared entry by entry
+    with the four quotients [[a, -b], [-c, d]] / det."""
+    a, b, c, d = rows[0][0], rows[0][1], rows[1][0], rows[1][1]
+    det = a * d - b * c
+    return (rows[2][2] == a / det and rows[2][3] == -b / det
+            and rows[3][2] == -c / det and rows[3][3] == d / det)
+
+
+@pytest.mark.parametrize("name", ["Q2", "Q3", "F2((t))", "F3((t))", "F4((t))"])
+def test_k1_product_form_matches_quotients(fields, name):
+    spec = fields[name]
+    rnd = random.Random(0xB10C + len(name))
+
+    def integral():
+        return spec.from_residue_code(rnd.randrange(spec.q)).shift(rnd.randrange(3))
+
+    def unit():
+        return spec.from_residue_code(rnd.randrange(1, spec.q)) + integral().shift(1)
+
+    for _ in range(40):
+        # a unit diagonal or a unit antidiagonal keeps det a unit
+        block = ((unit(), integral()), (integral().shift(1), unit()))
+        if rnd.randrange(2):
+            block = ((integral().shift(1), unit()), (unit(), integral()))
+        g = sp4.k1_embed(spec, block)
+        assert subgroup_membership(g, "K1") and _lower_right_by_quotients(g.rows)
+        # one lower-right entry moved by pi^k leaves K1 under both forms
+        for k in range(4):
+            r, c = rnd.choice(((2, 2), (2, 3), (3, 2), (3, 3)))
+            rows = [list(row) for row in g.rows]
+            rows[r][c] = rows[r][c] + spec.pi(k)
+            assert not subgroup_membership(GroupElement(spec, rows), "K1")
+            assert not _lower_right_by_quotients(rows)
+
+
 def test_dominance_failure_is_internal_error(fields):
     q3 = fields["Q3"]
     # a non-symplectic near-rank-one matrix, which the constructor accepts
