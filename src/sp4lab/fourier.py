@@ -327,6 +327,8 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
     a family-by-family scan would decide.  Any ratio above 1 + FFT_TOL is
     reported as a violation.
     """
+    if h < 1:
+        raise ValueError(f"the decay exponent needs h >= 1, got {h}")
     if k < 0 or k > n // 2:
         raise ValueError("congruence level must satisfy 0 <= k <= n/2")
     if k > 0 and n < 2 * k + 1:
@@ -488,6 +490,9 @@ def estimate_type_constant(space, p_exp, n_vectors, trials=100, seed=0):
     """
     if p_exp < 1:
         raise ValueError("type exponent must satisfy p >= 1")
+    if n_vectors < 1 or trials < 0:
+        raise ValueError("a type estimate needs n_vectors >= 1 and trials >= 0, "
+                         f"got {n_vectors} and {trials}")
     rng = np.random.default_rng(seed)
     best = 0.0
     best_desc = None

@@ -12,6 +12,14 @@ unipotent; u is returned to lower-triangular form by conjugating with
 the antidiagonal Weyl element, which is itself a w21/w32 word.  Both
 routes reconstruct g exactly and stay within 30 alternating blocks.
 
+``_solve_staircase_exact`` is the one Bruhat solver: the direct route
+runs it over the field, the fallback on g mod pi over F_q, taken as the
+constants of F_q((t)) itself or of F_p((t)) for Q_p.  Each element of
+Sp4(F_q) lies in exactly one Bruhat cell U^- w B^- (Borel, Linear
+Algebraic Groups, 14.12), so only its own pattern can pass; that s is
+the lexicographically first of the q^4 residue tuples is measured by
+the oracle in ``tests/test_verifiers.py``, not proven.
+
 ``_finish`` is the one certificate of a factorization: every merged
 factor passes its K1/K2 membership test and the exact product of the
 factors equals g (so g is symplectic, whatever built it).  No step before
@@ -33,11 +41,10 @@ symplectic by construction and skip certification.
 """
 
 import functools
-import itertools
 import types
 from dataclasses import dataclass
 
-from sp4lab.exactfield import residue_ring
+from sp4lab.exactfield import EQUAL, make_field, residue_ring
 from sp4lab.sp4 import (
     GroupElement,
     identity,
@@ -47,6 +54,7 @@ from sp4lab.sp4 import (
     mu32,
     subgroup_membership,
     torus,
+    unipotent_entries,
     weyl_w21,
     weyl_w32,
 )
@@ -65,8 +73,7 @@ class FactorList:
 
     factors: list          # [(tag, GroupElement)]
     block_count: int
-    route: str             # identity | paper | fallback
-    weyl_pattern: tuple = None
+    route: str             # identity | direct | fallback
 
     def product(self, field):
         return _word_product(field, self.factors)
@@ -281,49 +288,41 @@ def _solve_staircase_exact(g, pat):
     sc, sb = pair
     if not (sb.is_integral() and sc.is_integral()):
         return None
-    t = sc - sa * sb
-    eqs = []
-    for c in range(pat[3] + 1, 4):
-        eqs.append((rows[0][c], t * rows[1][c] - sa * rows[2][c] + rows[3][c]))
-    sd = _solve_single(field, eqs)
+    # row 4 of U(s) is (sd, sc - sa sb, -sa, 1), with sd the unknown
+    _, _, _, _, b31, b32 = unipotent_entries(sa, sb, sc, field.zero())
+    sd = _solve_single(field, [(rows[0][c], b31 * rows[1][c] + b32 * rows[2][c] + rows[3][c])
+                               for c in range(pat[3] + 1, 4)])
     if sd is None or not sd.is_integral():
         return None
     return sa, sb, sc, sd
 
 
 # ---------------------------------------------------------------------------
-# residue-level Bruhat solve (always succeeds over the residue field)
+# residue Bruhat step: F_q as the constants of an equal-characteristic field
 
 
-def _residue_unipotent_rows(ring, s, g):
-    sa, sb, sc, sd = s
-    r1 = g[0]
-    r2 = tuple(ring.add(ring.mul(sa, r1[c]), g[1][c]) for c in range(4))
-    r3 = tuple(ring.add(ring.add(ring.mul(sc, r1[c]), ring.mul(sb, g[1][c])),
-                        g[2][c]) for c in range(4))
-    t = ring.sub(sc, ring.mul(sa, sb))
-    r4 = tuple(ring.add(ring.sub(ring.add(ring.mul(sd, r1[c]),
-                                          ring.mul(t, g[1][c])),
-                                 ring.mul(sa, g[2][c])), g[3][c])
-               for c in range(4))
-    return (r1, r2, r3, r4)
+def _residue_image(g):
+    """g mod pi over the constants of F_q((t)) itself, or of F_p((t)) for Q_p."""
+    field = g.field
+    res = field if field.kind == EQUAL else make_field(EQUAL, field.p)
+    ring = residue_ring(field, 1)
+    return GroupElement(res, tuple(tuple(res.from_residue_code(ring.residue_code(x))
+                                         for x in row) for row in g.reduce(1)))
 
 
-def _residue_staircase_ok(rows, pat, ring):
-    for r in range(4):
-        for c in range(pat[r] + 1, 4):
-            if rows[r][c] != ring.zero:
-                return False
-    return True
+def _lift_constants(field, xs):
+    """Canonical lifts to O of constants of the field of ``_residue_image``."""
+    ring = residue_ring(xs[0].spec, 1)
+    return tuple(field.from_residue_code(ring.residue_code(x.reduce(ring))) for x in xs)
 
 
-def _solve_staircase_residue(spec, gbar, patterns):
-    ring = residue_ring(spec, 1)
-    elems = ring.elements()
-    for pat in patterns:
-        for s in itertools.product(elems, repeat=4):
-            if _residue_staircase_ok(_residue_unipotent_rows(ring, s, gbar), pat, ring):
-                return pat, s
+def _residue_bruhat(g, reps):
+    """(pattern, s) with U(s) g in the w-staircase mod pi, s lifted to O."""
+    gbar = _residue_image(g)
+    for pat in reps:
+        s = _solve_staircase_exact(gbar, pat)
+        if s is not None:
+            return pat, _lift_constants(g.field, s)
     raise DecompositionError("residue Bruhat factorization not found (impossible)")
 
 
@@ -372,38 +371,27 @@ def decompose_k1k2(g):
             factors = expand_lower(u.inverse()) + list(word) + expand_lower(b2)
         except DecompositionError:
             continue
-        return _finish(g, factors, "direct", pat)
+        return _finish(g, factors, "direct")
     return _fallback(g, reps)
 
 
 def _fallback(g, reps):
     field = g.field
-    gbar = g.reduce(1)
-    pat, sbar = _solve_staircase_residue(field, gbar, reps)
-    ring1 = residue_ring(field, 1)
-    s = tuple(ring1.section(x) for x in sbar)
-    u1 = lower_from_params(field, *s, field.one(), field.one())
-    m = u1 * g
+    pat, s = _residue_bruhat(g, reps)
     w_elem, word = reps[pat]
-    n = w_elem.inverse() * m
-    nbar = n.reduce(1)
-    e = ring1.section(nbar[0][0])
-    f = ring1.section(nbar[1][1])
-    a = ring1.section(ring1.mul(nbar[1][0], ring1.inv(nbar[0][0])))
-    b = ring1.section(ring1.mul(nbar[2][1], ring1.inv(nbar[1][1])))
-    c = ring1.section(ring1.mul(nbar[2][0], ring1.inv(nbar[0][0])))
-    d = ring1.section(ring1.mul(nbar[3][0], ring1.inv(nbar[0][0])))
-    b2 = lower_from_params(field, a, b, c, d, e, f)
+    u1 = lower_from_params(field, *s, field.one(), field.one())
+    n = w_elem.inverse() * (u1 * g)
+    b2 = lower_from_params(field, *_lift_constants(field, lower_params(_residue_image(n))))
     lower, upper = symplectic_lu(n * b2.inverse())
     jm = j_form(field)
     lprime = jm * upper * jm.inverse()
     factors = (expand_lower(u1.inverse()) + list(word) + expand_lower(lower)
                + j_inverse_word(field) + expand_lower(lprime)
                + j_word(field) + expand_lower(b2))
-    return _finish(g, factors, "fallback", pat)
+    return _finish(g, factors, "fallback")
 
 
-def _finish(g, factors, route, pat):
+def _finish(g, factors, route):
     field = g.field
     merged = _merge_factors(field, factors)
     for tag, x in merged:
@@ -411,4 +399,4 @@ def _finish(g, factors, route, pat):
             raise DecompositionError(f"factor failed {tag} membership check")
     if not _word_product(field, merged) == g:
         raise DecompositionError("factor product does not reconstruct the input")
-    return FactorList(merged, block_count_of(merged), route, pat)
+    return FactorList(merged, block_count_of(merged), route)

@@ -89,6 +89,8 @@ class Regime:
     def __post_init__(self):
         if self.kind not in (CHAR_NE2, CHAR_2):
             raise ValueError(f"unknown regime kind {self.kind!r}")
+        if self.v0 < 0:
+            raise ValueError(f"v0 = v(2) is >= 0 in every local field, got {self.v0}")
         if self.kind == CHAR_2 and self.v0 != 0:
             raise ValueError("v0 plays no role in characteristic 2")
         if self.k < 0:
@@ -639,6 +641,7 @@ def ledger_sweep(regime, rates, max_length=300, stride=7):
     ledgers = [_ScaledLedger(regime, *rate) for rate in rates]
     sups = [0.0] * len(ledgers)
     worst = [None] * len(ledgers)
+    planned = False
     for i in range(2, max_length + 1, 1):
         for j in range(0, i + 1, max(1, stride)):
             if i + j > max_length:
@@ -647,6 +650,7 @@ def ledger_sweep(regime, rates, max_length=300, stride=7):
                 path = plan_path((i, j), regime)
             except PlannerError:
                 continue
+            planned = True
             for n, led in enumerate(ledgers):
                 total, tail, closed = led.totals(
                     path, [math.exp(led.numerator(mv) / led.den) for mv in path.moves])
@@ -654,5 +658,7 @@ def ledger_sweep(regime, rates, max_length=300, stride=7):
                 if implied > sups[n]:
                     sups[n] = implied
                     worst[n] = (i, j)
+    if not planned:
+        raise ValueError(f"no start on grid {max_length} could be planned")
     return [{"sup_constant": sup, "worst_start": start, "rate": str(led.rate)}
             for sup, start, led in zip(sups, worst, ledgers)]

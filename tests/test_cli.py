@@ -146,13 +146,34 @@ def test_verify_command_exit_codes():
     # the exhaustive cell sweep needs no count, but the identities do
     ["verify", "SPHER01", "--field", "Q3", "--i", "3", "--j", "1",
      "--checks", "both", "--n", "-3"],
+    # --trials 0 still scores the structured families; -2 scored none
+    ["type-const", "--space", "l2:4", "--p", "2", "--n-vectors", "0"],
+    ["type-const", "--space", "l2:4", "--p", "2", "--trials", "-2"],
 ])
 def test_sample_size_below_one_is_a_usage_error(args):
     # a sample of no draws would check nothing and pass vacuously
+    _assert_usage_error(args)
+
+
+@pytest.mark.parametrize("args", [
+    # the decay rate is n / h; h < 1 crashed or reported `violated`
+    ["fft-check", "--field", "Q2", "--n", "2", "--h", "0"],
+    ["fft-check", "--field", "Q2", "--n", "2", "--h", "-1"],
+    # no start on the grid: a sup over nothing read 0.0
+    ["zigzag", "bound", "--alpha", "0.7", "--grid", "1"],
+    # v(2) >= 0 in every local field
+    ["zigzag", "plan", "--start", "9,2", "--v0", "-1"],
+])
+def test_input_outside_the_claims_domain_is_a_usage_error(args):
+    _assert_usage_error(args)
+
+
+def _assert_usage_error(args):
     res = run(*args)
     assert res.returncode == 2, res.stderr[-400:]
     assert res.stdout == ""
     assert res.stderr.startswith("error:") and args[-1] in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_decompose_command():

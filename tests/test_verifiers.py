@@ -1,5 +1,6 @@
 """Verifier layer: cell suites, identities, decomposition, averaging, parity."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from sp4lab import lemma_witnesses as lw
 from sp4lab import sp4
-from sp4lab.exactfield import residue_ring
+from sp4lab.exactfield import parse_field, residue_ring
 from sp4lab.verifiers import (
     BudgetExceededError,
     DecompositionError,
@@ -191,17 +192,36 @@ def test_weyl_reps_cached_per_field(fields):
                 [[c == pat[r] for c in range(4)] for r in range(4)]
 
 
+def _assert_factorization(g, fl):
+    assert fl.block_count <= 30
+    tags = [t for t, _ in fl.factors]
+    assert all(a != b for a, b in zip(tags, tags[1:])), "tags must alternate"
+    for tag, x in fl.factors:
+        assert sp4.subgroup_membership(x, tag)
+    assert fl.product(g.field) == g
+
+
 def test_decompose_random_corpus(fields, rng):
     for name in ("Q3", "F2((t))"):
         spec = fields[name]
         for _ in range(40):
             g = random_k_element(spec, rng.randrange(1, 4), rng)
+            _assert_factorization(g, decompose_k1k2(g))
+
+
+@pytest.mark.parametrize("name", ["F8((t))", "F9((t))", "Q7"])
+def test_decompose_random_corpus_larger_fields(name):
+    # residue fields of 7 to 9 elements, where q^4 work per fallback would show
+    spec = parse_field(name)
+    rnd = random.Random(8097)
+    routes = []
+    for depth in (1, 2, 3):
+        for _ in range(7):
+            g = random_k_element(spec, depth, rnd)
             fl = decompose_k1k2(g)
-            assert fl.block_count <= 30
-            tags = [t for t, _ in fl.factors]
-            assert all(a != b for a, b in zip(tags, tags[1:])), "tags must alternate"
-            for tag, x in fl.factors:
-                assert sp4.subgroup_membership(x, tag)
+            _assert_factorization(g, fl)
+            routes.append(fl.route)
+    assert "fallback" in routes and "direct" in routes
 
 
 def test_staircase_solution_puts_u_g_in_the_staircase(fields, rng):
@@ -222,6 +242,87 @@ def test_staircase_solution_puts_u_g_in_the_staircase(fields, rng):
                            for r in range(4) for c in range(pat[r] + 1, 4)), (name, pat)
                 solved += 1
     assert solved >= 16
+
+
+# the q^4 search that the fallback's residue step replaced, kept as its oracle
+
+
+def _oracle_unipotent_rows(ring, s, g):
+    sa, sb, sc, sd = s
+    r1 = g[0]
+    r2 = tuple(ring.add(ring.mul(sa, r1[c]), g[1][c]) for c in range(4))
+    r3 = tuple(ring.add(ring.add(ring.mul(sc, r1[c]), ring.mul(sb, g[1][c])),
+                        g[2][c]) for c in range(4))
+    t = ring.sub(sc, ring.mul(sa, sb))
+    r4 = tuple(ring.add(ring.sub(ring.add(ring.mul(sd, r1[c]),
+                                          ring.mul(t, g[1][c])),
+                                 ring.mul(sa, g[2][c])), g[3][c])
+               for c in range(4))
+    return (r1, r2, r3, r4)
+
+
+def _in_staircase(rows, pat, ring):
+    return all(rows[r][c] == ring.zero for r in range(4) for c in range(pat[r] + 1, 4))
+
+
+def _oracle_residue_step(spec, gbar, patterns):
+    """The first pattern, then the lexicographically first s in O/pi, with
+    U(s) gbar in the w-staircase, searched over all q^4 tuples s."""
+    ring = residue_ring(spec, 1)
+    elems = ring.elements()
+    for pat in patterns:
+        for s in itertools.product(elems, repeat=4):
+            if _in_staircase(_oracle_unipotent_rows(ring, s, gbar), pat, ring):
+                return pat, s
+    raise AssertionError("every element of Sp4(F_q) lies in a Bruhat cell")
+
+
+@pytest.mark.parametrize("name,count", [
+    ("F2((t))", None), ("Q2", None),  # all 720 classes of Sp4(F_2)
+    ("F3((t))", 60), ("F4((t))", 25), ("Q3", 200), ("Q5", 30),
+])
+def test_residue_step_matches_the_q4_search(name, count):
+    spec = parse_field(name)
+    ring = residue_ring(spec, 1)
+    reps = weyl_reps(spec)
+    one = spec.one()
+    if count is None:
+        classes = list(enumerate_symplectic_residue(spec, 1))
+        assert len(classes) == 720
+    else:
+        rnd = random.Random(1301)
+        classes = [sample_symplectic_residue(spec, 1, rnd) for _ in range(count)]
+    for gbar in classes:
+        g = lift_symplectic(spec, 1, gbar)
+        pat, s = decompose._residue_bruhat(g, reps)
+        want_pat, want_s = _oracle_residue_step(spec, gbar, reps)
+        assert pat == want_pat, gbar
+        assert s == tuple(ring.section(x) for x in want_s), gbar
+        u = decompose.lower_from_params(spec, *s, one, one)
+        assert _in_staircase((u * g).reduce(1), pat, ring), gbar
+
+
+def test_fallback_solves_each_pattern_at_most_twice(fields, monkeypatch):
+    # eight patterns over O, then at most eight over the residue field
+    # through the same solver: a search over residue tuples through it
+    # would show up here as thousands of calls
+    calls = []
+    real_solve = decompose._solve_staircase_exact
+
+    def counting(g, pat):
+        calls.append(pat)
+        return real_solve(g, pat)
+
+    monkeypatch.setattr(decompose, "_solve_staircase_exact", counting)
+    q3 = fields["Q3"]
+    inputs = [sp4.k2_embed(q3, ((q3.one(), q3.pi(1)), (q3.zero(), q3.one())))]
+    for name, depth, seed in (("Q2", 2, 3), ("Q5", 3, 6), ("F3((t))", 3, 1),
+                              ("F4((t))", 3, 2)):
+        inputs.append(random_k_element(fields[name], depth, random.Random(seed)))
+    for g in inputs:
+        calls.clear()
+        assert decompose_k1k2(g).route == "fallback"
+        assert 8 < len(calls) <= 16
 
 
 def test_fallback_congruence_part_and_lu_factors(fields, monkeypatch):

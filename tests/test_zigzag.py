@@ -361,13 +361,14 @@ def test_ledger_matches_fraction_route(regime, h, alpha, beta_frac, c, i, j,
             assert res[key] == want, key
     # the sweep's supremum is the maximum of the reference over its grid, and
     # the sweep stops at the first start whose reference closed form underflows
-    sup, worst, underflow = 0.0, None, None
+    sup, worst, underflow, planned = 0.0, None, None, False
     for si in range(2, max_length + 1):
         for sj in range(0, min(si, max_length - si) + 1, stride):
             try:
                 p = zz.plan_path((si, sj), regime)
             except zz.PlannerError:
                 continue
+            planned = True
             implied = _reference_ledger(p, alpha, h, beta, c)[2]["implied_constant"]
             if implied is None:
                 underflow = (si, sj)
@@ -380,6 +381,11 @@ def test_ledger_matches_fraction_route(regime, h, alpha, beta_frac, c, i, j,
     if underflow:
         with pytest.raises(zz.LedgerUnderflowError,
                            match=_underflow_message(regime, alpha, h, beta, c, underflow)):
+            zz.ledger_sweep(regime, rates, max_length=max_length, stride=stride)
+        return
+    if not planned:
+        # a supremum over no start would check nothing
+        with pytest.raises(ValueError, match=f"no start on grid {max_length}"):
             zz.ledger_sweep(regime, rates, max_length=max_length, stride=stride)
         return
     [sweep] = zz.ledger_sweep(regime, rates, max_length=max_length, stride=stride)
