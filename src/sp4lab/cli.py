@@ -279,10 +279,16 @@ def cmd_type_const(args, emitter, field, seed, threads):
 
 
 def cmd_zigzag(args, emitter, field, seed, threads):
-    if args.zigzag_cmd == "plan":
+    sweep = args.zigzag_cmd == "bound" and not args.start
+    if not sweep:
         i, j = (int(t) for t in args.start.split(","))
-        regime = zz.Regime.named(args.regime, args.v0, args.k)
-        path = zz.plan_path((i, j), regime)
+    regime = zz.Regime.named(args.regime, args.v0, args.k)
+    if sweep:
+        rate = (Fraction(args.alpha), args.h, Fraction(args.beta), Fraction(args.C))
+        emitter.emit(zz.ledger_sweep(regime, [rate], max_length=args.grid)[0])
+        return 0
+    path = zz.plan_path((i, j), regime)
+    if args.zigzag_cmd == "plan":
         emitter.emit({
             "start": [i, j],
             "cells": [list(c) for c in path.cells],
@@ -294,21 +300,14 @@ def cmd_zigzag(args, emitter, field, seed, threads):
             "notes": {k: v for k, v in path.notes.items() if k != "diagonal"},
         })
         return 0
-    regime = zz.Regime.named(args.regime, args.v0, args.k)
-    if args.start:
-        i, j = (int(t) for t in args.start.split(","))
-        path = zz.plan_path((i, j), regime)
-        res = zz.bound_ledger(path, Fraction(args.alpha), args.h,
-                              Fraction(args.beta), Fraction(args.C))
-        emitter.emit({"start": [i, j], "total": res["total"],
-                      "tail_sum": res["tail_sum"],
-                      "closed_form": res["closed_form"],
-                      "implied_constant": res["implied_constant"],
-                      "rate": str(res["rate"]),
-                      "ledger": res["rows"]})
-        return 0
-    rate = (Fraction(args.alpha), args.h, Fraction(args.beta), Fraction(args.C))
-    emitter.emit(zz.ledger_sweep(regime, [rate], max_length=args.grid)[0])
+    res = zz.bound_ledger(path, Fraction(args.alpha), args.h,
+                          Fraction(args.beta), Fraction(args.C))
+    emitter.emit({"start": [i, j], "total": res["total"],
+                  "tail_sum": res["tail_sum"],
+                  "closed_form": res["closed_form"],
+                  "implied_constant": res["implied_constant"],
+                  "rate": str(res["rate"]),
+                  "ledger": res["rows"]})
     return 0
 
 

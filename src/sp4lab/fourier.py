@@ -190,6 +190,8 @@ def transform_norm(spec, h, space, iters=2000, seed=0):
     q^(-h/2)); other spaces get an adversarial-search lower bound and the
     interpolation upper bound.
     """
+    if h < 1:
+        raise ValueError(f"the transform needs a residue level h >= 1, got {h}")
     mat = transform_matrix(spec, h)
     if space.is_hilbert:
         value = float(np.linalg.svd(mat, compute_uv=False)[0])

@@ -88,9 +88,6 @@ class GroupElement:
     def to_strings(self):
         return [[e.to_str() for e in r] for r in self.rows]
 
-    def to_json(self):
-        return json.dumps(self.to_strings())
-
     def __repr__(self):
         return f"GroupElement({self.field}, {self.to_strings()})"
 
@@ -445,7 +442,12 @@ def _is_zero_block(rows, rs, cs):
 
 
 def subgroup_membership(g, tag):
-    """Membership tests for K, K1, K2, B1, B2 and the lower Borel of K."""
+    """Membership of g in K, or in the subgroup K1 ("K1") or K2 ("K2").
+
+    K is Sp4(O), K1 the block-diagonal GL2(O) embedding (a, Q tA^-1 Q)
+    and K2 the SL2(O) acting on the middle coordinates.  These are the
+    three tags the K1/K2 factorization certifies its factors with.
+    """
     rows = g.rows
     field = g.field
     if tag == "K":
@@ -475,22 +477,6 @@ def subgroup_membership(g, tag):
             return False
         det = rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1]
         return det == one
-    if tag == "B1":
-        return (subgroup_membership(g, "K1")
-                and rows[0][0].is_unit() and rows[1][1].is_unit()
-                and rows[0][1].valuation() >= 1)
-    if tag == "B2":
-        return (subgroup_membership(g, "K1")
-                and rows[0][0].is_unit() and rows[1][1].is_unit()
-                and rows[1][0].valuation() >= 1)
-    if tag == "Blow":
-        if not g.is_integral():
-            return False
-        for r in ROWS:
-            for c in range(r + 1, 4):
-                if not rows[r][c].is_zero():
-                    return False
-        return all(rows[r][r].is_unit() for r in ROWS)
     raise ValueError(f"unknown subgroup tag {tag!r}")
 
 

@@ -3,13 +3,16 @@
 The primary route factors g = b1 w b2 with b1, b2 lower triangular in K
 and w one of the eight monomial Weyl representatives, then expands each
 lower-triangular factor through the stated product of root elements
-mu21 mu32 mu31 mu41 and a torus factor, and each Weyl word through w21
-and w32.  The b1 w b2 factorization can genuinely fail over O (an upper
+mu21 mu32 mu31 mu41 and a torus factor.  Each Weyl representative is the
+product of a word stated in ``WEYL_WORDS``: the type-C2 Weyl group has
+eight elements, each with a shortest word in the simple reflections
+w21 and w32 (Humphreys, Reflection Groups and Coxeter Groups, 1990).
+The b1 w b2 factorization can genuinely fail over O (an upper
 unipotent with entries in pi O is in no such cell), so a fallback first
 solves the factorization over the residue field, lifts it, and peels
 the remaining principal-congruence part h as l * u with u upper
 unipotent; u is returned to lower-triangular form by conjugating with
-the antidiagonal Weyl element, which is itself a w21/w32 word.  Both
+the antidiagonal Weyl element J, the longest of the stated words.  Both
 routes reconstruct g exactly and stay within 30 alternating blocks.
 
 ``_solve_staircase_exact`` is the one Bruhat solver: the direct route
@@ -48,7 +51,6 @@ from sp4lab.exactfield import EQUAL, make_field, residue_ring
 from sp4lab.sp4 import (
     GroupElement,
     identity,
-    j_form,
     lower_from_params,
     mu21,
     mu32,
@@ -74,9 +76,6 @@ class FactorList:
     factors: list          # [(tag, GroupElement)]
     block_count: int
     route: str             # identity | direct | fallback
-
-    def product(self, field):
-        return _word_product(field, self.factors)
 
 
 def _word_product(field, word):
@@ -174,48 +173,34 @@ def expand_lower(g):
 # ---------------------------------------------------------------------------
 # Weyl representatives as shortest w21/w32 words
 
+# The type-C2 Weyl group has eight elements; each is stated here as a
+# shortest word in w21 (a K1 factor) and w32 (a K2 factor), shortest first
+# and then by the pattern of its product.  The last word is the longest
+# element, whose product is J = ``sp4.j_form``.
+WEYL_WORDS = ((), (K2,), (K1,), (K2, K1), (K1, K2), (K2, K1, K2), (K1, K2, K1),
+              (K1, K2, K1, K2))
+
 
 def _pattern(rows):
-    pat = []
-    for r in range(4):
-        nz = [c for c in range(4) if not rows[r][c].is_zero()]
-        if len(nz) != 1:
-            return None
-        pat.append(nz[0])
-    return tuple(pat)
+    """Column of the one nonzero entry of each row of a monomial matrix."""
+    return tuple(next(c for c in range(4) if not row[c].is_zero()) for row in rows)
 
 
 @functools.lru_cache(maxsize=None)
 def weyl_reps(field):
-    """pattern -> (element, word) for the eight Weyl permutations.
+    """pattern -> (element, word) for the eight words of ``WEYL_WORDS``.
 
     Built once per field, in the order both decomposition routes try the
     patterns: shortest word first, then by pattern.  The mapping is
     read-only and the words are tuples, so callers share it.
     """
-    gens = ((K1, weyl_w21(field)), (K2, weyl_w32(field)))
+    gens = {K1: weyl_w21(field), K2: weyl_w32(field)}
     reps = {}
-    frontier = [(identity(field), ())]
-    reps[(0, 1, 2, 3)] = (identity(field), ())
-    for _ in range(4):
-        nxt = []
-        for g, word in frontier:
-            for tag, h in gens:
-                g2 = g * h
-                pat = _pattern(g2.rows)
-                if pat not in reps:
-                    reps[pat] = (g2, word + ((tag, h),))
-                    nxt.append(reps[pat])
-        frontier = nxt
-    assert len(reps) == 8, "Weyl representative search must find 8 patterns"
-    return types.MappingProxyType(
-        dict(sorted(reps.items(), key=lambda kv: (len(kv[1][1]), kv[0]))))
-
-
-def j_word(field):
-    w1, w2 = weyl_w21(field), weyl_w32(field)
-    word = [(K1, w1), (K2, w2), (K1, w1), (K2, w2)]
-    return word
+    for tags in WEYL_WORDS:
+        word = tuple((tag, gens[tag]) for tag in tags)
+        elem = _word_product(field, word)
+        reps[_pattern(elem.rows)] = (elem, word)
+    return types.MappingProxyType(reps)
 
 
 def j_inverse_word(field):
@@ -383,11 +368,11 @@ def _fallback(g, reps):
     n = w_elem.inverse() * (u1 * g)
     b2 = lower_from_params(field, *_lift_constants(field, lower_params(_residue_image(n))))
     lower, upper = symplectic_lu(n * b2.inverse())
-    jm = j_form(field)
+    jm, j_word = list(reps.values())[-1]  # the longest word: J
     lprime = jm * upper * jm.inverse()
     factors = (expand_lower(u1.inverse()) + list(word) + expand_lower(lower)
                + j_inverse_word(field) + expand_lower(lprime)
-               + j_word(field) + expand_lower(b2))
+               + list(j_word) + expand_lower(b2))
     return _finish(g, factors, "fallback")
 
 

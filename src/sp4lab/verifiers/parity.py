@@ -20,8 +20,16 @@ capped at n as ``PolyResidueRing.valuation`` caps it, decides the class
 iff v < n, and its parity is then v mod 2.  Every lift of the class
 gets the same answer, in particular the exact lift the oracle route
 ``_classify(g, lift_symplectic(...))`` assesses.
+
+The classes are tallied once, as a ``Counter`` of their capped
+valuations, and ``split_tally`` reads (even, odd, undecided) off it at
+any depth up to the one the valuations were capped at: a class drawn at
+depth n reduces to its class at each depth d <= n, decided iff v < d.
+``parity_volumes``, ``parity_depth_profile`` and
+``scripts/parity_depth_scan.py`` all split their tallies this way.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import math
@@ -97,6 +105,15 @@ def residue_wedge(g, i, depth):
     return wedge
 
 
+def split_tally(tally, depth):
+    """(even, odd, undecided) class counts at depth from a ``Counter`` of
+    capped wedge valuations: a class is decided iff its value is below
+    depth, with the parity of that value."""
+    even = sum(n for v, n in tally.items() if v < depth and v % 2 == 0)
+    odd = sum(n for v, n in tally.items() if v < depth and v % 2 == 1)
+    return even, odd, sum(tally.values()) - even - odd
+
+
 def parity_volumes(g, depth, mode="exhaustive", sample_n=10000, seed=0):
     """Interval estimates for (alpha(g), beta(g)) at finite depth.
 
@@ -128,16 +145,8 @@ def parity_volumes(g, depth, mode="exhaustive", sample_n=10000, seed=0):
         classes = (sample_symplectic_residue(spec, depth, rng) for _ in range(n))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    wedge = residue_wedge(g, i, depth)
-    even = odd = undecided = 0
-    for reps in classes:
-        v = wedge(reps)
-        if v == depth:
-            undecided += 1
-        elif v % 2 == 0:
-            even += 1
-        else:
-            odd += 1
+    tally = Counter(map(residue_wedge(g, i, depth), classes))
+    even, odd, undecided = split_tally(tally, depth)
     if mode == "exhaustive":
         alpha = (Fraction(even, n), Fraction(n - odd, n))
         beta = (Fraction(odd, n), Fraction(n - even, n))
@@ -166,18 +175,16 @@ def parity_depth_profile(g, max_depth, sample_n=2000, seed=0):
     """Per-sample decidedness across depths 1..max_depth from one residue pass.
 
     Each class is drawn at max_depth and its capped wedge valuation v of
-    pi^i g k is taken once there.  A class at depth d <= max_depth is the
-    reduction of the one drawn, and it is decided iff v < d, so decided
-    sets are nested by construction and the reported decided masses are
-    monotone in the depth.
+    pi^i g k is tallied once there.  A class at depth d <= max_depth is
+    the reduction of the one drawn, and it is decided iff v < d
+    (``split_tally``), so decided sets are nested by construction and the
+    reported decided masses are monotone in the depth.
     """
     spec = g.field
     (i, _j), _, _ = cartan_invariants(g)
     rng = random.Random(seed)
     wedge = residue_wedge(g, i, max_depth)
-    decided_counts = [0] * (max_depth + 1)
-    for _ in range(sample_n):
-        v = wedge(sample_symplectic_residue(spec, max_depth, rng))
-        for depth in range(v + 1, max_depth + 1):
-            decided_counts[depth] += 1
-    return [c / sample_n for c in decided_counts[1:]]
+    tally = Counter(wedge(sample_symplectic_residue(spec, max_depth, rng))
+                    for _ in range(sample_n))
+    return [sum(split_tally(tally, depth)[:2]) / sample_n
+            for depth in range(1, max_depth + 1)]

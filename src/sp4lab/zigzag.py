@@ -21,9 +21,12 @@ and cone inequality is affine in the step index.  When a run is cut
 short, its first illegal move still goes through ``_step``, which words
 the ``PlannerError``.  Each planned move is judged once: templates are
 tried by pushing with rollback, and the moves of a route found by
-search are adopted as they were judged.  The composite diagonal step
-depends only on (regime, diagonal cell), so it is built once and shared
-as a tuple of (move, cell) pairs.  ``validate_path`` re-checks a
+search are adopted as they were judged.  The char-2 slide closes each
+strip residue i - 2j by the first legal template of its case in
+``CHAR2_CASE_STEPS``; which one ran shows in the path's cells, so no
+trace of it is kept.  The composite diagonal step depends only on
+(regime, diagonal cell), so it is built once and shared as a tuple of
+(move, cell) pairs.  ``validate_path`` re-checks a
 finished path from scratch, independently of the planner.
 
 The ledger's exponents are exact rationals, evaluated as integers.
@@ -35,10 +38,12 @@ D * exponent = a i + b j + e off the rule at three anchors, and takes
 the tail's first term and ratio and the closed form from
 ``decay_rate``; a coefficient that is not integral after scaling
 raises instead of being truncated.  An exponent then costs two integer
-products, and its float is n / D.  CPython divides ints with correct
-rounding, and ``float(Fraction(n, D))`` is the same quotient of the
-same rational in lowest terms, so every float the ledger exponentiates
-is bit for bit the float of the Fraction route.
+products, and its float is n / D.  ``_ScaledLedger.evaluate`` is the
+one evaluation of a path, for ``bound_ledger`` and ``ledger_sweep``
+alike.  CPython divides ints with correct rounding, and
+``float(Fraction(n, D))`` is the same quotient of the same rational in
+lowest terms, so every float the ledger exponentiates is bit for bit
+the float of the Fraction route.
 """
 
 import functools
@@ -92,7 +97,7 @@ class Regime:
         if self.v0 < 0:
             raise ValueError(f"v0 = v(2) is >= 0 in every local field, got {self.v0}")
         if self.kind == CHAR_2 and self.v0 != 0:
-            raise ValueError("v0 plays no role in characteristic 2")
+            raise ValueError(f"v0 plays no role in characteristic 2, got {self.v0}")
         if self.k < 0:
             raise ValueError("congruence level must be >= 0")
         object.__setattr__(self, "bounds", {
@@ -101,10 +106,10 @@ class Regime:
 
     @classmethod
     def named(cls, name, v0, k):
-        """The regime a suite or CLI names: "char2", or "char-ne2" with
-        2-valuation v0 (v0 plays no role in characteristic 2)."""
+        """The regime a suite or CLI names, "char2" or "char-ne2", with
+        2-valuation v0 (which must be 0 in characteristic 2)."""
         if name == "char2":
-            return cls(CHAR_2, k=k)
+            return cls(CHAR_2, v0=v0, k=k)
         if name == "char-ne2":
             return cls(CHAR_NE2, v0=v0, k=k)
         raise ValueError(f"unknown regime name {name!r}")
@@ -129,12 +134,20 @@ _NEW_MOVE = functools.partial(tuple.__new__, Move)
 
 @dataclass
 class ZigzagPath:
+    """A planned path: cells[n] -> cells[n + 1] is moves[n].
+
+    The first ``approach_len`` moves reach the diagonal, and the last
+    ``notes["tail_moves"]`` are the composite diagonal step.  ``notes``
+    also holds the diagonal cell, whether a search replaced a template
+    (``bfs_fallback``) and, for an odd start in char != 2 where both
+    lateral offsets enter the wide strip, ``both_lateral_offsets``.
+    """
+
     start: tuple
     regime: Regime
     cells: list
     moves: list
     approach_len: int = 0
-    template_trace: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
 
     @property
@@ -322,12 +335,13 @@ def _climb_to_strip(b):
 
 
 def _slide_to_diagonal_ne2(b):
+    """Climb to the diagonal; True when both lateral offsets were workable."""
     i, j = b.cur
     if i % 2 == 0:
         b.push_run(UP1, max(0, i // 2 - j))
-        return
+        return False
     # odd first coordinate: optional climb, one lateral move, then climb;
-    # the smallest workable lateral offset is taken and ties are recorded
+    # the smallest workable lateral offset is taken and ties are reported
     choices = []
     for k in (0, 1):
         tgt = (i + 1, j + k - 1)
@@ -335,11 +349,11 @@ def _slide_to_diagonal_ne2(b):
             choices.append(k)
     if not choices:
         raise PlannerError(b.cur, "no lateral entry into the wide strip")
-    b.both_offsets = len(choices) > 1
     k = choices[0]
     b.push_run(UP1, k)
     b.push(RIGHT)
     b.push_run(UP1, max(0, (i + 1) // 2 - b.cur[1]))
+    return len(choices) > 1
 
 
 CHAR2_CASE_STEPS = {
@@ -351,27 +365,17 @@ CHAR2_CASE_STEPS = {
     4: (((UP2, False),),),
 }
 
-CHAR2_CASE_HOPS = {
-    1: lambda i, j: [(i, j), (i + 1, j - 1), (i + 1, j + 1)],
-    2: lambda i, j: [(i, j), (i + 2, j - 2), (i + 2, j + 2)],
-    3: lambda i, j: [(i, j), (i - 1, j + 1)],
-    4: lambda i, j: [(i, j), (i, j + 2)],
-}
-
-
 def _slide_to_diagonal_char2(b):
-    trace = []
+    """Close the strip residue i - 2j by the first legal template of its case."""
     while True:
         i, j = b.cur
         gap = i - 2 * j
         if gap == 0:
-            return trace
+            return
         if gap not in CHAR2_CASE_STEPS:
             raise PlannerError(b.cur, f"strip residue {gap} outside the case split")
-        for vi, steps in enumerate(CHAR2_CASE_STEPS[gap]):
+        for steps in CHAR2_CASE_STEPS[gap]:
             if b.try_steps(steps):
-                if vi == 0:
-                    trace.append(CHAR2_CASE_HOPS[gap](i, j))
                 break
         else:
             raise PlannerError(b.cur, f"no legal case-{gap} template")
@@ -417,15 +421,14 @@ def plan_path(start, regime):
     if not in_cone(start):
         raise ValueError(f"start {start} is not a dominant cell")
     b = _Builder(start, regime)
-    bfs_used = False
-    trace = []
+    bfs_used = both_offsets = False
     try:
         _climb_to_strip(b)
         approach = len(b.moves)
         if regime.kind == CHAR_2:
-            trace = _slide_to_diagonal_char2(b)
+            _slide_to_diagonal_char2(b)
         else:
-            _slide_to_diagonal_ne2(b)
+            both_offsets = _slide_to_diagonal_ne2(b)
     except PlannerError:
         b = _Builder(start, regime)
         limit = max(2 * start[0] + 8, 16)
@@ -445,12 +448,11 @@ def plan_path(start, regime):
         raise PlannerError(diag, "diagonal step blocked (cell too close to the walls)")
     tail_route, tail_bfs = tail
     b.adopt(tail_route)
-    path = ZigzagPath(start, regime, b.cells, b.moves, approach_len=approach,
-                      template_trace=trace)
+    path = ZigzagPath(start, regime, b.cells, b.moves, approach_len=approach)
     path.notes["tail_moves"] = len(tail_route)
     path.notes["diagonal"] = list(diag)
     path.notes["bfs_fallback"] = bfs_used or tail_bfs
-    if getattr(b, "both_offsets", False):
+    if both_offsets:
         path.notes["both_lateral_offsets"] = True
     if regime.kind == CHAR_2:
         parities = {(i + j) % 2 for i, j in b.cells}
@@ -570,15 +572,20 @@ class _ScaledLedger:
         self.dj = regime.up_delta()[1]
         self.step = math.exp(-2 * self.dj * self.scaled_rate / den)
 
-    def numerator(self, move):
-        """den * move_exponent(move, ...)."""
-        a, b, e = self.forms[move.delta]
-        i, j = move.anchor
-        return a * i + b * j + e
+    def evaluate(self, path):
+        """(numerators, values, (path total, diagonal tail, closed form)).
 
-    def totals(self, path, values):
-        """(path total, diagonal tail, closed form) from the per-move values."""
+        Per move, in path order, the numerator is den * move_exponent and
+        the value exp(numerator / den); the path total sums the values in
+        that order.
+        """
         den, rate = self.den, self.scaled_rate
+        nums = []
+        for move in path.moves:
+            a, b, e = self.forms[move.delta]
+            i, j = move.anchor
+            nums.append(a * i + b * j + e)
+        values = [math.exp(n / den) for n in nums]
         # composite steps (2j,j) -> (2j+2dj,j+dj): terms exp(2c - 2 rate (j+dj t))
         jd = path.diagonal_cell()[1]
         first = math.exp((self.two_c - 2 * rate * (jd + self.dj)) / den)
@@ -588,7 +595,7 @@ class _ScaledLedger:
             raise LedgerUnderflowError(
                 f"closed form exp({Fraction(closed_num, den)}) underflows to 0.0 "
                 f"at start {path.start}")
-        return sum(values), first / (1.0 - self.step), closed
+        return nums, values, (sum(values), first / (1.0 - self.step), closed)
 
 
 def bound_ledger(path, alpha, h, beta, c=0):
@@ -607,16 +614,13 @@ def bound_ledger(path, alpha, h, beta, c=0):
     docstring).  Only the exponentials are floating point.
     """
     led = _ScaledLedger(path.regime, alpha, h, beta, c)
-    den = led.den
-    rows = []
-    for mv in path.moves:
-        n = led.numerator(mv)
-        rows.append({"anchor": list(mv.anchor),
-                     "delta": list(mv.delta),
-                     "lemma": mv.lemma(path.regime),
-                     "exponent": str(Fraction(n, den)),
-                     "value": math.exp(n / den)})
-    total, tail, closed = led.totals(path, [r["value"] for r in rows])
+    nums, values, (total, tail, closed) = led.evaluate(path)
+    rows = [{"anchor": list(mv.anchor),
+             "delta": list(mv.delta),
+             "lemma": mv.lemma(path.regime),
+             "exponent": str(Fraction(n, led.den)),
+             "value": value}
+            for mv, n, value in zip(path.moves, nums, values)]
     total_with_tail = total + tail
     return {
         "rows": rows,
@@ -652,8 +656,7 @@ def ledger_sweep(regime, rates, max_length=300, stride=7):
                 continue
             planned = True
             for n, led in enumerate(ledgers):
-                total, tail, closed = led.totals(
-                    path, [math.exp(led.numerator(mv) / led.den) for mv in path.moves])
+                _, _, (total, tail, closed) = led.evaluate(path)
                 implied = (total + tail) / closed
                 if implied > sups[n]:
                     sups[n] = implied

@@ -163,6 +163,13 @@ def test_sample_size_below_one_is_a_usage_error(args):
     ["zigzag", "bound", "--alpha", "0.7", "--grid", "1"],
     # v(2) >= 0 in every local field
     ["zigzag", "plan", "--start", "9,2", "--v0", "-1"],
+    # and in characteristic 2 it is 0: the char2 regime read no v0
+    ["zigzag", "plan", "--start", "9,2", "--regime", "char2", "--v0", "-1"],
+    ["zigzag", "bound", "--alpha", "7/10", "--grid", "30", "--regime", "char2",
+     "--v0", "3"],
+    # the transform on O/pi^h needs h >= 1, and the error names h
+    ["fourier-norm", "--field", "Q2", "--space", "l2:2", "--h", "0"],
+    ["fourier-norm", "--field", "Q2", "--space", "l1.5:2", "--h", "-1"],
 ])
 def test_input_outside_the_claims_domain_is_a_usage_error(args):
     _assert_usage_error(args)

@@ -63,7 +63,7 @@ def test_lower_triangular_expansion_reconstructs(a, b, c, d, e, f):
                              Q3.integer(d), Q3.integer(e), Q3.integer(f))
     fl = decompose_k1k2(elem)
     assert fl.block_count <= 30
-    assert fl.product(Q3) == elem
+    assert _word_product(Q3, fl.factors) == elem
 
 
 @settings(max_examples=40, deadline=None)

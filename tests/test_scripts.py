@@ -11,6 +11,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 SMALLEST_ARGS = {
+    "code_lines.py": ["scripts"],
     "fourier_norm_sweep.py": ["--fields", "Q2", "--h-values", "1",
                               "--exponents", "1.5", "2.0", "--dim", "1",
                               "--iters", "100"],

@@ -1,5 +1,6 @@
 """Group layer: certification, generators, Cartan invariants, memberships."""
 
+import json
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from sp4lab.sp4 import (
     matrix_from_json,
     subgroup_membership,
 )
-from sp4lab.verifiers import random_k_element
+from sp4lab.verifiers import DecompositionError, lower_params, random_k_element
 from conftest import FIELD_NAMES, random_element
 
 
@@ -138,11 +139,16 @@ def test_memberships(fields):
     assert not subgroup_membership(sp4.d_matrix(q3, 1, 0), "K")
     assert subgroup_membership(sp4.mu21(q3, q3.pi(1)), "K1")
     b1 = sp4.k1_embed(q3, ((q3.one(), q3.pi(1)), (q3.integer(2), q3.one())))
-    assert subgroup_membership(b1, "B1")
-    assert not subgroup_membership(b1, "B2")
+    assert subgroup_membership(b1, "K1")
+    assert not subgroup_membership(b1, "K2")
+    with pytest.raises(ValueError, match="unknown subgroup tag 'B1'"):
+        subgroup_membership(b1, "B1")
+    # the lower Borel of K is what decompose.lower_params accepts
     low = sp4.mu41(q3, q3.integer(2)) * sp4.mu21(q3, q3.one())
-    assert subgroup_membership(low, "Blow")
-    assert not subgroup_membership(sp4.weyl_w21(q3), "Blow")
+    assert lower_params(low) == (q3.one(), q3.zero(), q3.zero(), q3.integer(2),
+                                 q3.one(), q3.one())
+    with pytest.raises(DecompositionError, match="not lower triangular"):
+        lower_params(sp4.weyl_w21(q3))
 
 
 def _lower_right_by_quotients(rows):
@@ -200,7 +206,7 @@ def test_matrix_json_roundtrip(fields):
     for name in ("Q3", "F4((t))"):
         spec = fields[name]
         g = random_k_element(spec, 2, rnd)
-        again = matrix_from_json(spec, g.to_json())
+        again = matrix_from_json(spec, json.dumps(g.to_strings()))
         assert again == g
 
 

@@ -33,6 +33,7 @@ from sp4lab.verifiers import (
 from sp4lab.verifiers import decompose
 from sp4lab.verifiers.cells import _check_compensator, tuple_space
 from sp4lab.verifiers.parity import _classify
+from conftest import FIELD_NAMES
 
 
 def test_cell_suite_passes_spher01(fields):
@@ -192,13 +193,56 @@ def test_weyl_reps_cached_per_field(fields):
                 [[c == pat[r] for c in range(4)] for r in range(4)]
 
 
+def _weyl_word_lengths(spec):
+    """pattern -> length of a shortest w21/w32 word, by a breadth-first
+    search over products: the search the stated words replaced."""
+    gens = (sp4.weyl_w21(spec), sp4.weyl_w32(spec))
+
+    def pattern(g):
+        cols = [[c for c in range(4) if not row[c].is_zero()] for row in g.rows]
+        assert all(len(c) == 1 for c in cols)
+        return tuple(c[0] for c in cols)
+
+    frontier = [sp4.identity(spec)]
+    lengths = {pattern(frontier[0]): 0}
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                gh = g * h
+                if pattern(gh) not in lengths:
+                    lengths[pattern(gh)] = lengths[pattern(g)] + 1
+                    nxt.append(gh)
+        frontier = nxt
+    return lengths
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES)
+def test_weyl_words_are_shortest(fields, name):
+    spec = fields[name]
+    lengths = _weyl_word_lengths(spec)
+    assert len(lengths) == 8
+    reps = weyl_reps(spec)
+    assert [tuple(tag for tag, _ in word) for _, word in reps.values()] == \
+        list(decompose.WEYL_WORDS)
+    assert set(reps) == set(lengths)
+    for pat, (_, word) in reps.items():
+        assert len(word) == lengths[pat], pat
+    order = [(len(word), pat) for pat, (_, word) in reps.items()]
+    assert order == sorted(order)
+    # the last word is the longest element J
+    j_elem, j_word = list(reps.values())[-1]
+    assert len(j_word) == max(lengths.values()) == 4
+    assert j_elem == sp4.j_form(spec)
+
+
 def _assert_factorization(g, fl):
     assert fl.block_count <= 30
     tags = [t for t, _ in fl.factors]
     assert all(a != b for a, b in zip(tags, tags[1:])), "tags must alternate"
     for tag, x in fl.factors:
         assert sp4.subgroup_membership(x, tag)
-    assert fl.product(g.field) == g
+    assert decompose._word_product(g.field, fl.factors) == g
 
 
 def test_decompose_random_corpus(fields, rng):
@@ -346,7 +390,7 @@ def test_fallback_congruence_part_and_lu_factors(fields, monkeypatch):
     for h, lower, upper in seen:
         spec = h.field
         assert h.reduce(1) == sp4.identity(spec).reduce(1)
-        assert sp4.subgroup_membership(lower, "Blow")
+        decompose.lower_params(lower)  # raises unless lower is in the lower Borel of K
         assert all(upper.rows[r][r] == spec.one() for r in range(4))
         assert all(upper.rows[r][c].is_zero() for r in range(4) for c in range(r))
         assert lower * upper == h
