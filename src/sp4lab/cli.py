@@ -39,14 +39,10 @@ from sp4lab.sp4 import (
     identity,
     matrix_from_json,
 )
-from sp4lab.verifiers import (
-    BudgetExceededError,
-    decompose_k1k2,
-    parity_volumes,
-    verify_cell_lemma,
-    verify_witness_identities,
-)
-from sp4lab.verifiers.reports import PASS
+from sp4lab.verifiers.cells import verify_cell_lemma, verify_witness_identities
+from sp4lab.verifiers.decompose import decompose_k1k2
+from sp4lab.verifiers.parity import parity_volumes
+from sp4lab.verifiers.reports import PASS, BudgetExceededError
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -237,8 +233,7 @@ def cmd_decompose(args, emitter, field, seed, threads):
 def cmd_parity(args, emitter, field, seed, threads):
     spec = parse_field(field)
     if args.d:
-        i, j = (int(t) for t in args.d.split(","))
-        g = d_matrix(spec, i, j)
+        g = d_matrix(spec, *args.d)
     elif args.matrix:
         g = _read_matrix_arg(spec, args.matrix)
     else:
@@ -280,17 +275,15 @@ def cmd_type_const(args, emitter, field, seed, threads):
 
 def cmd_zigzag(args, emitter, field, seed, threads):
     sweep = args.zigzag_cmd == "bound" and not args.start
-    if not sweep:
-        i, j = (int(t) for t in args.start.split(","))
     regime = zz.Regime.named(args.regime, args.v0, args.k)
     if sweep:
         rate = (Fraction(args.alpha), args.h, Fraction(args.beta), Fraction(args.C))
         emitter.emit(zz.ledger_sweep(regime, [rate], max_length=args.grid)[0])
         return 0
-    path = zz.plan_path((i, j), regime)
+    path = zz.plan_path(args.start, regime)
     if args.zigzag_cmd == "plan":
         emitter.emit({
-            "start": [i, j],
+            "start": list(args.start),
             "cells": [list(c) for c in path.cells],
             "moves": [{"delta": list(m.delta), "anchor": list(m.anchor),
                        "reversed": m.reversed_, "lemma": m.lemma(regime)}
@@ -302,7 +295,7 @@ def cmd_zigzag(args, emitter, field, seed, threads):
         return 0
     res = zz.bound_ledger(path, Fraction(args.alpha), args.h,
                           Fraction(args.beta), Fraction(args.C))
-    emitter.emit({"start": [i, j], "total": res["total"],
+    emitter.emit({"start": list(args.start), "total": res["total"],
                   "tail_sum": res["tail_sum"],
                   "closed_form": res["closed_form"],
                   "implied_constant": res["implied_constant"],
@@ -367,6 +360,15 @@ COMMANDS = {
 # argument parsing
 
 
+def _cell(text):
+    """argparse type of a cell 'i,j': a pair of ints."""
+    try:
+        i, j = (int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a cell 'i,j', got {text!r}") from None
+    return i, j
+
+
 def _global_options():
     # SUPPRESS keeps a subcommand's copy of an unset option from clobbering
     # a value parsed before the subcommand name
@@ -425,8 +427,9 @@ def build_parser():
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--d", help="use g = D(i,j), as 'i,j'")
-    p.add_argument("--matrix")
+    g_source = p.add_mutually_exclusive_group()
+    g_source.add_argument("--d", type=_cell, help="use g = D(i,j), as 'i,j'")
+    g_source.add_argument("--matrix")
 
     p = add("fourier-norm")
     p.add_argument("--h", type=int, required=True)
@@ -452,7 +455,7 @@ def build_parser():
     p = add("zigzag")
     zsub = p.add_subparsers(dest="zigzag_cmd", required=True)
     pp = zsub.add_parser("plan", parents=[shared])
-    pp.add_argument("--start", required=True, help="start cell as 'i,j'")
+    pp.add_argument("--start", type=_cell, required=True, help="start cell as 'i,j'")
     pp.add_argument("--regime", choices=("char-ne2", "char2"), default="char-ne2")
     pp.add_argument("--v0", type=int, default=0)
     pp.add_argument("--k", type=int, default=0)
@@ -461,7 +464,7 @@ def build_parser():
     pb.add_argument("--h", type=int, default=1)
     pb.add_argument("--beta", default="0")
     pb.add_argument("--C", default="0")
-    pb.add_argument("--start")
+    pb.add_argument("--start", type=_cell)
     pb.add_argument("--grid", type=int, default=120)
     pb.add_argument("--regime", choices=("char-ne2", "char2"), default="char-ne2")
     pb.add_argument("--v0", type=int, default=0)

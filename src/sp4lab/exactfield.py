@@ -196,15 +196,6 @@ def parse_field(text):
     raise FieldConfigError(f"cannot parse field spec {text!r} (expected e.g. Q3 or F4((t)))")
 
 
-def valuation_and_norm(x):
-    """(v, |x|) with the norm as the exact power q^(-v); |0| = 0."""
-    v = x.valuation()
-    if v is INF:
-        return v, Fraction(0)
-    q = x.spec.q
-    return v, (Fraction(q) ** (-v) if v > 0 else Fraction(q ** (-v)))
-
-
 def two_valuation(spec):
     """Valuation of the element 2; undefined in equal characteristic 2."""
     if spec.kind == EQUAL:
@@ -818,8 +809,3 @@ class PolyView(Sequence):
 def residue_ring(spec, n):
     """O/pi^n: the one place that picks the ring class for a field's kind."""
     return (IntResidueRing if spec.kind == MIXED else PolyResidueRing)(spec, n)
-
-
-def reduce_mod(x, n):
-    """Class of x in O/pi^n; raises NonIntegralError if v(x) < 0."""
-    return x.reduce(residue_ring(x.spec, n))

@@ -25,21 +25,20 @@ from sp4lab.fourier import (
     transform_norm,
 )
 from sp4lab.sp4 import d_matrix, identity
-from sp4lab.verifiers import (
-    decompose_k1k2,
+from sp4lab.verifiers.averaging import (
     dihedral_4_standard,
-    enumerate_symplectic_residue,
-    lift_symplectic,
-    parity_depth_profile,
-    parity_volumes,
-    random_k_element,
     symmetric_3_standard,
     verify_averaging,
-    verify_cell_lemma,
-    verify_witness_identities,
 )
-from sp4lab.verifiers.cells import case_count
+from sp4lab.verifiers.cells import case_count, verify_cell_lemma, verify_witness_identities
+from sp4lab.verifiers.decompose import decompose_k1k2
+from sp4lab.verifiers.parity import parity_depth_profile, parity_volumes
 from sp4lab.verifiers.reports import VerificationReport
+from sp4lab.verifiers.sampling import (
+    enumerate_symplectic_residue,
+    lift_symplectic,
+    random_k_element,
+)
 
 QUICK_EXHAUSTIVE_CAP = 25_000
 FULL_EXHAUSTIVE_CAP = 250_000
@@ -298,17 +297,19 @@ def _cells_grid(lemma, fields, pairs, k=0, cap=QUICK_EXHAUSTIVE_CAP, sample_n=15
     return tasks
 
 
+def _licensed(lemma, spec, i, j, k=0):
+    """Whether the lemma's hypotheses hold at cell (i, j), level k."""
+    try:
+        lw.check_preconditions(lemma, spec, i, j, k)
+    except lw.LemmaPreconditionError:
+        return False
+    return True
+
+
 def spher01_pairs(field_name, max_len=8):
     spec = parse_field(field_name)
-    least_diff, least_j = lw.anchor_bounds(lw.SPHER01, 0, two_valuation(spec))
-    out = []
-    for i in range(0, max_len + 1):
-        for j in range(least_j, i + 1):
-            if i + j > max_len or i - j < least_diff:
-                continue
-            if lw.lemma_depth(lw.SPHER01, spec, i, j) >= 1:
-                out.append((i, j))
-    return out
+    return [(i, j) for i in range(max_len + 1) for j in range(i + 1)
+            if i + j <= max_len and _licensed(lw.SPHER01, spec, i, j)]
 
 
 def spher1m1_pairs(max_len=8, j_range=(2, 4)):
@@ -318,13 +319,8 @@ def spher1m1_pairs(max_len=8, j_range=(2, 4)):
 
 def char2_pairs(field_name, diffs=(2, 3, 4, 5, 6), j_values=(0, 1, 2)):
     spec = parse_field(field_name)
-    out = []
-    for dd in diffs:
-        for j in j_values:
-            i = j + dd
-            if lw.lemma_depth(lw.CHAR2_02, spec, i, j) >= 1:
-                out.append((i, j))
-    return out
+    return [(j + dd, j) for dd in diffs for j in j_values
+            if _licensed(lw.CHAR2_02, spec, j + dd, j)]
 
 
 def quick_profile():
@@ -433,7 +429,7 @@ def full_profile():
         for k in (1, 2):
             j = 1
             i = j + lw.anchor_bounds(lw.CHAR2_02, k, 0)[0]
-            if lw.lemma_depth(lw.CHAR2_02, parse_field(f), i, j) >= 1:
+            if _licensed(lw.CHAR2_02, parse_field(f), i, j, k):
                 tasks += _cells_grid(lw.CHAR2_02, [f], [(i, j)], k=k,
                                      cap=FULL_EXHAUSTIVE_CAP, sample_n=2000)
     for lemma, f, i, j in ((lw.SPHER01, "Q3", 4, 1), (lw.SPHER01, "Q5", 3, 1),

@@ -66,27 +66,19 @@ def symmetric_3_standard():
 
 
 def dihedral_4_standard():
-    """D4 (order 8) acting on the plane: rotations by 90 degrees and a
-    reflection, all exactly unitary."""
+    """D4 (order 8) acting on the plane: (r, s) is rot^r ref^s, with rot the
+    rotation by 90 degrees and ref a reflection, all exactly unitary.
+
+    The table comes from the group law: ref rot ref = rot^-1 gives
+    (r1, s1)(r2, s2) = (r1 + (-1)^s1 r2 mod 4, s1 xor s2).
+    """
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     ref = np.array([[1.0, 0.0], [0.0, -1.0]])
-    mats = []
-    keys = []
-    for r in range(4):
-        for s in range(2):
-            m = np.linalg.matrix_power(rot, r) @ (ref if s else np.eye(2))
-            mats.append(m)
-            keys.append((r, s))
+    keys = [(r, s) for r in range(4) for s in range(2)]
+    mats = [np.linalg.matrix_power(rot, r) @ (ref if s else np.eye(2)) for r, s in keys]
     index = {k: i for i, k in enumerate(keys)}
-
-    def mul(k1, k2):
-        m = mats[index[k1]] @ mats[index[k2]]
-        for k, cand in zip(keys, mats):
-            if np.max(np.abs(m - cand)) < 1e-9:
-                return index[k]
-        raise AssertionError("dihedral table closure failed")
-
-    mult = [[mul(a, b) for b in keys] for a in keys]
+    mult = [[index[(r1 + (-1) ** s1 * r2) % 4, s1 ^ s2] for r2, s2 in keys]
+            for r1, s1 in keys]
     subgroups = {
         "K1": [index[(0, 0)], index[(0, 1)]],      # reflection
         "K2": [index[(r, 0)] for r in range(4)],   # rotations

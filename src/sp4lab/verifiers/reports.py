@@ -4,7 +4,6 @@ One report covers one whole task: its tuple count, the cases it ran,
 its first counterexamples and its margins.
 """
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -55,7 +54,4 @@ class VerificationReport:
             "elapsed_ms": self.elapsed_ms,
             "seed": self.seed,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 

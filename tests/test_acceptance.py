@@ -25,20 +25,19 @@ from sp4lab import zigzag as zz
 from sp4lab.exactfield import parse_field, residue_ring, two_valuation
 from sp4lab.fourier import SpaceSpec, check_fft_lemma, shifted_rewrite_families, transform_norm
 from sp4lab.suite import char2_pairs, spher01_pairs, spher1m1_pairs
-from sp4lab.verifiers import (
-    decompose_k1k2,
+from sp4lab.verifiers.averaging import (
     dihedral_4_standard,
-    enumerate_symplectic_residue,
-    lift_symplectic,
-    parity_depth_profile,
-    parity_volumes,
-    random_k_element,
     symmetric_3_standard,
     verify_averaging,
-    verify_cell_lemma,
-    verify_witness_identities,
 )
-from sp4lab.verifiers.cells import case_count
+from sp4lab.verifiers.cells import case_count, verify_cell_lemma, verify_witness_identities
+from sp4lab.verifiers.decompose import decompose_k1k2
+from sp4lab.verifiers.parity import parity_depth_profile, parity_volumes
+from sp4lab.verifiers.sampling import (
+    enumerate_symplectic_residue,
+    lift_symplectic,
+    random_k_element,
+)
 
 CLI = [sys.executable, "-m", "sp4lab.cli"]
 

@@ -155,6 +155,19 @@ def test_sample_size_below_one_is_a_usage_error(args):
     _assert_usage_error(args)
 
 
+# rejected by argparse itself; args[-2] is the flag its error names
+ARGPARSE_ERRORS = [
+    # g comes from --d or from --matrix, not both: --d won unread
+    ["parity", "--field", "F2((t))", "--depth", "1", "--d", "1,0",
+     "--matrix", "not json"],
+    # a cell is 'i,j'; these failed to unpack, naming no flag
+    ["parity", "--field", "F2((t))", "--depth", "1", "--d", "1"],
+    ["zigzag", "plan", "--start", "9"],
+    ["zigzag", "plan", "--start", "9,2,1"],
+    ["zigzag", "bound", "--alpha", "7/10", "--start", "9,x"],
+]
+
+
 @pytest.mark.parametrize("args", [
     # the decay rate is n / h; h < 1 crashed or reported `violated`
     ["fft-check", "--field", "Q2", "--n", "2", "--h", "0"],
@@ -170,9 +183,18 @@ def test_sample_size_below_one_is_a_usage_error(args):
     # the transform on O/pi^h needs h >= 1, and the error names h
     ["fourier-norm", "--field", "Q2", "--space", "l2:2", "--h", "0"],
     ["fourier-norm", "--field", "Q2", "--space", "l1.5:2", "--h", "-1"],
+    *ARGPARSE_ERRORS,
 ])
 def test_input_outside_the_claims_domain_is_a_usage_error(args):
-    _assert_usage_error(args)
+    if args in ARGPARSE_ERRORS:
+        # argparse prints its usage, then an error line that names the flag
+        res = run(*args)
+        assert res.returncode == 2, res.stderr[-400:]
+        assert res.stdout == ""
+        assert f"error: argument {args[-2]}: " in res.stderr.splitlines()[-1]
+        assert "Traceback" not in res.stderr
+    else:
+        _assert_usage_error(args)
 
 
 def _assert_usage_error(args):

@@ -20,7 +20,8 @@ import sys
 
 from sp4lab import sp4
 from sp4lab.exactfield import parse_field
-from sp4lab.verifiers import decompose_k1k2, random_k_element
+from sp4lab.verifiers.decompose import decompose_k1k2
+from sp4lab.verifiers.sampling import random_k_element
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "decompose_golden.jsonl"
 

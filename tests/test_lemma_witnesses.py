@@ -10,7 +10,7 @@ from sp4lab import lemma_witnesses as lw
 from sp4lab import sp4
 from sp4lab.exactfield import residue_ring
 from sp4lab.sp4 import is_symplectic
-from sp4lab.verifiers import verify_cell_lemma
+from sp4lab.verifiers.cells import verify_cell_lemma
 from conftest import random_element
 from test_sp4 import _fresh_one
 

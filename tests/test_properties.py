@@ -9,17 +9,16 @@ from sp4lab import lemma_witnesses as lw
 from sp4lab import sp4
 from sp4lab import zigzag as zz
 from sp4lab.exactfield import parse_field, residue_ring
-from sp4lab.sp4 import cartan_invariants
+from sp4lab.sp4 import cartan_invariants, lower_from_params
 from sp4lab.exactfield import LaurentElem
 from sp4lab.gfq import poly_trim
-from sp4lab.verifiers import (
+from sp4lab.verifiers.decompose import (
+    _word_product,
     decompose_k1k2,
     expand_lower,
-    lower_from_params,
     lower_params,
-    random_k_element,
 )
-from sp4lab.verifiers.decompose import _word_product
+from sp4lab.verifiers.sampling import random_k_element
 
 Q3 = parse_field("Q3")
 F4 = parse_field("F4((t))")

@@ -19,7 +19,8 @@ from sp4lab.sp4 import (
     matrix_from_json,
     subgroup_membership,
 )
-from sp4lab.verifiers import DecompositionError, lower_params, random_k_element
+from sp4lab.verifiers.decompose import DecompositionError, lower_params
+from sp4lab.verifiers.sampling import random_k_element
 from conftest import FIELD_NAMES, random_element
 
 

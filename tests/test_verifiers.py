@@ -9,30 +9,35 @@ import pytest
 from sp4lab import lemma_witnesses as lw
 from sp4lab import sp4
 from sp4lab.exactfield import parse_field, residue_ring
-from sp4lab.verifiers import (
-    BudgetExceededError,
-    DecompositionError,
-    decompose_k1k2,
+from sp4lab.verifiers import decompose
+from sp4lab.verifiers.averaging import (
     dihedral_4_standard,
-    enumerate_symplectic_residue,
     invariance_forces_zero,
-    lift_symplectic,
-    parity_depth_profile,
-    parity_volumes,
     product_coverage,
-    random_k_element,
-    sample_symplectic_residue,
     symmetric_3_standard,
-    symplectic_group_order,
     verify_averaging,
+)
+from sp4lab.verifiers.cells import (
+    _check_compensator,
+    tuple_space,
     verify_cell_lemma,
     verify_witness_identities,
-    wedge_valuation,
-    weyl_reps,
 )
-from sp4lab.verifiers import decompose
-from sp4lab.verifiers.cells import _check_compensator, tuple_space
-from sp4lab.verifiers.parity import _classify
+from sp4lab.verifiers.decompose import DecompositionError, decompose_k1k2, weyl_reps
+from sp4lab.verifiers.parity import (
+    _classify,
+    parity_depth_profile,
+    parity_volumes,
+    wedge_valuation,
+)
+from sp4lab.verifiers.reports import BudgetExceededError
+from sp4lab.verifiers.sampling import (
+    enumerate_symplectic_residue,
+    lift_symplectic,
+    random_k_element,
+    sample_symplectic_residue,
+    symplectic_group_order,
+)
 from conftest import FIELD_NAMES
 
 
