@@ -16,21 +16,30 @@ their torus exponents, so beta^-1, alpha and the merged matrix are
 symplectic by construction (``sp4.lower_from_params``) and none of them is
 certified; the compensator k1 and g1_reference are stated entry by
 entry, and the cell sweep's k1-in-K check is k1's one certificate.  Each
-in-K rescaling is stated only by its eps code and its diagonal D, so the
-rescaled matrix is D * g1_reference and its one per-tuple claim is that
-it is integral.  The product beta^-1 * alpha is multiplied out from the
-factors (once per witness) independently of the stated merged matrix, so
-the exhaustive verifiers can catch any slip.
+in-K rescaling is stated only by its eps code and the torus exponents of
+its diagonal D, so the rescaled matrix is D * g1_reference and its one
+per-tuple claim is that it is integral, which the exponents and the
+valuations of g1_reference decide entry by entry.
+
+The identity beta^-1 * alpha = merged matrix is decided by the product
+law of the lower unipotent group (``LemmaWitness.merges``): both sides
+carry the same invertible D factors and B is injective, so it holds
+exactly when B(p_beta) B(p_alpha) = B(p_merged), four parameters instead
+of a 4x4 product.  The multiplied-out product ``LemmaWitness.product``
+stays the independent route: the tests compare it with the law's
+verdict, ``sp4lab witness`` prints it, and the verifiers read it wherever
+the law fails, so a slip in the factors or in the stated merged matrix
+is caught either way.
 The ``mutation`` hook deliberately corrupts one formula at a time; the
 verifier suites must detect every catalogued corruption.
 """
 
+import dataclasses
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 from sp4lab.exactfield import EQUAL, residue_ring, two_valuation
-from sp4lab.sp4 import GroupElement, cartan_invariants, d_matrix, unipotent_entries
+from sp4lab.sp4 import GroupElement, cartan_invariants, unipotent_entries, unipotent_product
 
 SPHER01 = "SPHER01"
 SPHER1M1 = "SPHER1M1"
@@ -54,9 +63,17 @@ class LemmaPreconditionError(ValueError):
     """A lemma hypothesis fails for the requested parameters."""
 
 
-@dataclass
+@dataclasses.dataclass
 class LemmaWitness:
-    """Assembled matrices and derived scalars for one lemma instance."""
+    """Assembled matrices and derived scalars for one lemma instance.
+
+    beta^-1 = D(d_beta) B(p_beta), alpha = B(p_alpha) D(d_alpha) and the
+    stated merged matrix D(d_beta) B(p_merged) D(d_alpha) are kept by
+    their torus exponents and lower-Borel parameters, in the notation of
+    ``_scale``.  Only the merged matrix is built with the witness;
+    beta^-1, alpha and their multiplied-out product are built on first
+    read.
+    """
 
     lemma: str
     field: object
@@ -70,23 +87,56 @@ class LemmaWitness:
     x: object
     y: object                       # derived: a x + b + pi^(depth-1) eps
     eps_code: int                   # residue-field element code
-    beta_inv: GroupElement
-    alpha_mat: GroupElement
-    merged_reference: GroupElement    # the stated combined matrix
+    d_beta: tuple
+    p_beta: tuple
+    p_alpha: tuple
+    d_alpha: tuple
+    p_merged: tuple
     expected_cell: Optional[tuple]
     k1: Optional[GroupElement] = None
     eps1: object = None
     a1: object = None
     a1_den: object = None             # CHAR2_02: 1 + pi a, with a1_sq = a1_den^2
     g1_reference: Optional[GroupElement] = None   # the stated k1 * beta^-1 * alpha
-    # (eps_code, diagonal D) for the two in-K branches: D * g1_reference
+    # (eps_code, (u, v)) for the two in-K branches: D(u, v) * g1_reference
     # lies in K at that eps code
     scaled_branches: tuple = ()
+    # the stated combined matrix, built from p_merged with the witness
+    merged_reference: GroupElement = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        self.merged_reference = _scale(self.field, self.d_beta, self.p_merged,
+                                       self.d_alpha)
+
+    @functools.cached_property
+    def beta_inv(self):
+        return _scale(self.field, self.d_beta, self.p_beta, _UNSCALED)
+
+    @functools.cached_property
+    def alpha_mat(self):
+        return _scale(self.field, _UNSCALED, self.p_alpha, self.d_alpha)
 
     @functools.cached_property
     def product(self):
-        """beta_inv * alpha_mat multiplied out from the factors, once per witness."""
+        """beta_inv * alpha_mat multiplied out from the factors.
+
+        This is the route independent of the product law ``merges``
+        reads: the tests compare the two, ``sp4lab witness`` prints it,
+        and the verifiers read it wherever the law fails.
+        """
         return self.beta_inv * self.alpha_mat
+
+    @functools.cached_property
+    def merges(self):
+        """Whether beta_inv * alpha_mat equals merged_reference.
+
+        Both sides are D(d_beta) (a unipotent) D(d_alpha) with the same
+        invertible D factors, and B is injective, so they are equal exactly
+        when B(p_beta) B(p_alpha) = B(p_merged): the product law
+        ``sp4.unipotent_product`` decides it on four parameters, with no
+        4x4 product.
+        """
+        return unipotent_product(self.p_beta, self.p_alpha) == self.p_merged
 
     def observed_cell(self):
         return cartan_invariants(self.product)[0]
@@ -210,8 +260,8 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
     if m is None:  # the (1,-1) families
         a1 = one + sa.shift(1)
         s = sy - sa * sx - sb
-        wit = _assemble(
-            head, (i, 0), (a1, z, z, -sb.shift(1)), (z, z, sx, sy.shift(1) + sx),
+        wit = LemmaWitness(
+            *head, (i, 0), (a1, z, z, -sb.shift(1)), (z, z, sx, sy.shift(1) + sx),
             (-j, 0), (a1, z, sx, s.shift(1)),
             (i + 1, j - 1) if eps_code else (max(i, j), min(i, j)))
         wit.a1 = a1
@@ -227,8 +277,8 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
         sb1 = sb.shift(1)
         w = sx + sy.shift(1)
         full = sb1 + w
-        wit = _assemble(
-            head, d_beta, (z, a1_sq, sb1, z), (z, z, w, sx * sx),
+        wit = LemmaWitness(
+            *head, d_beta, (z, a1_sq, sb1, z), (z, z, w, sx * sx),
             d_alpha, (z, a1_sq, full, sx * sx),
             # other residues: only the observed cell is recorded
             {0: (i, j), 1: (i, j + 2)}.get(eps_code))
@@ -245,8 +295,8 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
         alpha_41 = -alpha_41
     beta_41 = sa * sa - 2 * sb
     t = sa + sx
-    wit = _assemble(
-        head, d_beta, (z, one, sa, beta_41), (z, z, sx, alpha_41),
+    wit = LemmaWitness(
+        *head, d_beta, (z, one, sa, beta_41), (z, z, sx, alpha_41),
         d_alpha, (z, one, t, beta_41 + alpha_41),
         (i, j + 1) if eps_code else (i, j))
     if lemma == NONSPHER01:
@@ -280,20 +330,6 @@ def _scale(spec, dl, params, dr):
         (x30.shift(s - u), x31.shift(w - u), x32.shift(-u - w), pi(-u - s))))
 
 
-def _assemble(head, d_beta, p_beta, p_alpha, d_alpha, p_merged, expected):
-    """The witness with beta^-1 = D(d_beta) B(p_beta), alpha = B(p_alpha)
-    D(d_alpha) and the stated merged matrix D(d_beta) B(p_merged) D(d_alpha),
-    in the notation of ``_scale``; head is the tuple of the leading
-    LemmaWitness fields."""
-    spec = head[1]
-    return LemmaWitness(
-        *head,
-        _scale(spec, d_beta, p_beta, _UNSCALED),
-        _scale(spec, _UNSCALED, p_alpha, d_alpha),
-        _scale(spec, d_beta, p_merged, d_alpha),
-        expected)
-
-
 def _attach_nonspher01(wit, t, sa, sb, sx, sy):
     spec = wit.field
     pi, z, one = spec.pi, spec.zero(), spec.one()
@@ -313,9 +349,7 @@ def _attach_nonspher01(wit, t, sa, sb, sx, sy):
         ((eps1 - one).shift(j), z, -t.shift(j + 1), pi(j + 1)),
         (z, z, pi(i), z)))
     wit.eps1 = eps1
-    wit.scaled_branches = (
-        (0, d_matrix(spec, -i, -j)),
-        (designated_eps_code(NONSPHER01, spec), d_matrix(spec, -i, -(j + 1))))
+    wit.scaled_branches = ((0, (i, j)), (designated_eps_code(NONSPHER01, spec), (i, j + 1)))
 
 
 def _attach_nonspher1m1(wit, s, sx, mutation):
@@ -346,8 +380,7 @@ def _attach_nonspher1m1(wit, s, sx, mutation):
         (z, -c.shift(j - 1), z, a1i.shift(j)),
         (z, ui.shift(i), z, pi(i + 1))))
     wit.eps1 = eps1
-    wit.scaled_branches = ((0, d_matrix(spec, -i, -j)),
-                           (1, d_matrix(spec, -(i + 1), -(j - 1))))
+    wit.scaled_branches = ((0, (i, j)), (1, (i + 1, j - 1)))
 
 
 def _attach_char2(wit, a1_den, a1_sq, full, sa, sb, sx, sy):
@@ -374,8 +407,7 @@ def _attach_char2(wit, a1_den, a1_sq, full, sa, sb, sx, sy):
     wit.eps1 = eps1
     wit.a1 = a1
     wit.a1_den = a1_den
-    wit.scaled_branches = ((0, d_matrix(spec, -i, -j)),
-                           (1, d_matrix(spec, -i, -(j + 2))))
+    wit.scaled_branches = ((0, (i, j)), (1, (i, j + 2)))
 
 
 def congruence_target(lemma, spec, i, j, k_level, mutation=None):

@@ -261,6 +261,27 @@ def unipotent_entries(a, b, c, d):
     return a, c, b, d, c - a * b, -a
 
 
+def unipotent_product(p, q):
+    """The parameters of B(p) B(q): the product law of the lower unipotent
+    group, B(a, b, c, d) B(a', b', c', d') = B(a + a', b + b',
+    c + c' + b a', d + d' + (c - ab) a' - a c').
+
+    From the entries of ``unipotent_entries``: B(p) B(q) is unit lower
+    triangular, and row r of it is sum_k B(p)[r][k] * row k of B(q).  Its
+    (2,1) entry is a + a', its (3,2) entry b + b', its (3,1) entry
+    c + b a' + c' and its (4,1) entry d + (c - ab) a' - a c' + d'.  The
+    other two entries are those of B at these parameters: (4,3) is
+    -a - a', and (4,2) is (c - ab) - a b' + (c' - a'b'), which is
+    c'' - a''b'' once b a' cancels a' b.  The law holds over any
+    commutative ring, characteristic 2 included, and B is injective
+    because its parameters are entries, so B(p) B(q) = B(r) exactly when
+    ``unipotent_product(p, q) == r``.
+    """
+    a, b, c, d = p
+    a2, b2, c2, d2 = q
+    return a + a2, b + b2, c + c2 + b * a2, d + d2 + (c - a * b) * a2 - a * c2
+
+
 def lower_from_params(field, a, b, c, d, e, f):
     """The element of the lower Borel B with parameters (a, b, c, d, e, f):
     B(a, b, c, d) times diag(e, f, 1/f, 1/e).

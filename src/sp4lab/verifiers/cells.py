@@ -1,14 +1,23 @@
 """Exhaustive and sampled verification of the move-lemma claims.
 
-For every residue tuple the cell verifier rebuilds the witness matrices
-from their reference factors, recomputes the product, and compares the
-observed Cartan cell with the claimed one.  The non-spherical layers
-additionally check that the compensator k1 lies in K, that
-k1 beta^-1 alpha equals the stated g1_reference, that its diagonal
-rescaling D * g1_reference at the tuple's eps code lies in K, and that k1
-is congruent mod pi^k to its symbolically reduced target on every
-congruence-restricted tuple.  A rescaling is stated only by D, so
-integrality is its one per-tuple claim.
+For every residue tuple the cell verifier rebuilds the witness from its
+reference factors, checks that beta^-1 alpha equals the stated merged
+matrix, and compares the observed Cartan cell with the claimed one.  The
+non-spherical layers additionally check that the compensator k1 lies in
+K, that k1 beta^-1 alpha equals the stated g1_reference, that its
+diagonal rescaling D * g1_reference at the tuple's eps code lies in K,
+and that k1 is congruent mod pi^k to its symbolically reduced target on
+every congruence-restricted tuple.  A rescaling is stated only by the
+torus exponents of D, so integrality is its one per-tuple claim, read
+off the valuations of g1_reference's entries.
+
+beta^-1 alpha = merged is checked by the product law of the lower
+unipotent group (``LemmaWitness.merges``).  The check is exact: the
+three matrices share their invertible D factors and B is injective.
+Where the law holds, beta^-1 alpha is the merged matrix, and the
+verifiers read it; where the law fails they report factor-product and
+read the multiplied-out ``LemmaWitness.product``, so each counterexample
+is the one the 4x4 product gives.
 
 beta^-1, alpha and the merged matrix are torus multiples of lower-Borel
 elements, symplectic for every tuple (``sp4.lower_from_params`` gives the
@@ -91,10 +100,9 @@ def _cell_failures(lemma, spec, i, j, k_level, a, b, x, eps, target,
     try:
         wit = lw.build_witness(lemma, spec, i, j, k_level, a, b, x, eps,
                                mutation=mutation)
-        prod = wit.product
-        if not prod == wit.merged_reference:
+        if not wit.merges:
             return [{"check": "factor-product"}]
-        cell = cartan_invariants(prod)[0]
+        cell = cartan_invariants(wit.merged_reference)[0]
         if wit.expected_cell is None:
             record_cells.add((eps, cell))
         elif cell != wit.expected_cell:
@@ -107,16 +115,26 @@ def _cell_failures(lemma, spec, i, j, k_level, a, b, x, eps, target,
     return []
 
 
+def _product(wit):
+    """beta^-1 * alpha: the stated merged matrix where the product law says
+    it is equal, else the multiplied-out product."""
+    return wit.merged_reference if wit.merges else wit.product
+
+
 def _check_compensator(wit, k_level, target):
     """The failed compensator check of a non-spherical witness, if any."""
     k1 = wit.k1
     if not (k1.is_integral() and is_symplectic(wit.field, k1.rows)):
         return [{"check": "k1-in-K"}]
-    g1 = k1 * wit.product
-    if not g1 == wit.g1_reference:
+    if not k1 * _product(wit) == wit.g1_reference:
         return [{"check": "g1-reference"}]
-    for code, scale in wit.scaled_branches:
-        if wit.eps_code == code and not (scale * g1).is_integral():
+    for code, (u, v) in wit.scaled_branches:
+        # D(u, v) scales the rows by pi^u, pi^v, pi^-v, pi^-u; a zero
+        # entry has infinite valuation
+        if wit.eps_code == code and not all(
+                e.valuation() + shift >= 0
+                for shift, row in zip((u, v, -v, -u), wit.g1_reference.rows)
+                for e in row):
             return [{"check": f"scaled-in-K-eps{code}"}]
     if k_level > 0 and target is not None:
         if k1.reduce(k_level) != target:
@@ -170,9 +188,9 @@ def _identity_checks(lemma, spec, i, j, k_level, a, b, x, eps, mutation):
     ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
     wit = lw.build_witness(lemma, spec, i, j, k_level, a, b, x, eps,
                            mutation=mutation)
-    prod = wit.product
+    prod = _product(wit)
     failures = []
-    if not prod == wit.merged_reference:
+    if not wit.merges:
         failures.append("factor-product")
     beta = wit.beta_inv.inverse()
     if lemma == lw.SPHER01:
@@ -188,7 +206,7 @@ def _identity_checks(lemma, spec, i, j, k_level, a, b, x, eps, mutation):
         for y in ring.elements():
             fw = lw.build_witness(lemma, spec, i, j, 0, a, b, x, 0,
                                   mutation=mutation, y_override=y)
-            if wedge_norm_exponent(fw.product.rows) != lw.spher01_wedge_formula(fw):
+            if wedge_norm_exponent(_product(fw).rows) != lw.spher01_wedge_formula(fw):
                 failures.append(f"wedge-max-formula(y={ring.to_str(y)})")
                 break
     elif lemma == lw.SPHER1M1:
@@ -201,7 +219,7 @@ def _identity_checks(lemma, spec, i, j, k_level, a, b, x, eps, mutation):
         for y in ring.elements():
             fw = lw.build_witness(lemma, spec, i, j, 0, a, b, x, 0,
                                   mutation=mutation, y_override=y)
-            if norm_exponent(fw.product.rows) != lw.spher1m1_norm_formula(fw):
+            if norm_exponent(_product(fw).rows) != lw.spher1m1_norm_formula(fw):
                 failures.append(f"norm-max-formula(y={ring.to_str(y)})")
                 break
     elif lemma in (lw.NONSPHER01, lw.NONSPHER1M1):

@@ -1,5 +1,6 @@
 """Witness construction: reference matrices, derived scalars, expected cells."""
 
+import dataclasses
 import random
 
 import pytest
@@ -86,6 +87,8 @@ def test_factor_product_consistency_small_sweep(fields):
                             wit = lw.build_witness(lemma, spec, i, j, k, a, b, x, eps,
                                                    mutation=mutation)
                             assert wit.product == wit.merged_reference
+                            assert wit.merges == (
+                                wit.beta_inv * wit.alpha_mat == wit.merged_reference)
                             for g in (wit.beta_inv, wit.alpha_mat, wit.product,
                                       wit.merged_reference):
                                 assert is_symplectic(spec, g.rows)
@@ -104,6 +107,27 @@ def test_factor_product_consistency_small_sweep(fields):
                             sample_n=60, seed=7, mutation="drop-eps1")
     assert rep.counterexamples
     assert {c["check"] for c in rep.counterexamples} == {"k1-in-K"}
+
+
+def test_corrupted_merged_parameters_fail_both_routes(fields, monkeypatch):
+    # a stated merged matrix off by one in its d parameter: the product
+    # law and the multiplied-out product both reject it, and the cell
+    # sweep reports it as factor-product
+    q3 = fields["Q3"]
+    build = lw.build_witness
+
+    def corrupted(*args, **kwargs):
+        wit = build(*args, **kwargs)
+        a, b, c, d = wit.p_merged
+        return dataclasses.replace(wit, p_merged=(a, b, c, d + q3.one()))
+
+    sound = build(lw.SPHER01, q3, 3, 1, 0, 1, 2, 4, 1)
+    bad = corrupted(lw.SPHER01, q3, 3, 1, 0, 1, 2, 4, 1)
+    assert sound.merges and not bad.merges
+    assert bad.beta_inv * bad.alpha_mat == sound.merged_reference != bad.merged_reference
+    monkeypatch.setattr(lw, "build_witness", corrupted)
+    rep = verify_cell_lemma(lw.SPHER01, q3, 3, 1, mode="sample", sample_n=5, seed=3)
+    assert [c["check"] for c in rep.counterexamples] == ["factor-product"] * 5
 
 
 def test_wedge_norm_claims(fields):

@@ -472,3 +472,22 @@ def test_wedge_norm_sees_cancelling_ties(fields, name):
     for seed in range(40):
         rows = _near_rank_one(spec, random.Random(seed))
         assert sp4.wedge_norm_exponent(rows) == _wedge_oracle(rows)
+
+
+@pytest.mark.parametrize("name", ["Q2", "Q3", "Q5", "F2((t))", "F4((t))"])
+def test_unipotent_product_law(fields, name):
+    # the law against the 4x4 product of the two unipotents, on parameters
+    # that are zero or of any valuation, negative ones included
+    spec = fields[name]
+    rnd = random.Random(f"unipotent-law:{name}")
+    one = spec.one()
+
+    def params():
+        return tuple(spec.zero() if rnd.randrange(4) == 0 else random_element(spec, rnd)
+                     for _ in range(4))
+
+    for _ in range(200):
+        p, q = params(), params()
+        product = (sp4.lower_from_params(spec, *p, one, one)
+                   * sp4.lower_from_params(spec, *q, one, one))
+        assert sp4.lower_from_params(spec, *sp4.unipotent_product(p, q), one, one) == product

@@ -2,7 +2,7 @@
 
 ``build_witness`` assembles beta^-1, alpha, the merged reference, the
 compensator k1 and g1_reference of each lemma family, and states each
-in-K rescaling by its diagonal D.  Each case below dumps all of them, and
+in-K rescaling by the torus exponents of its diagonal D.  Each case below dumps all of them, and
 each rescaled matrix D * g1_reference, as entry strings,
 together with every field ``sp4lab witness`` emits, and compares the
 dump with its line in a golden JSONL file.  The cases cover each lemma
@@ -21,7 +21,7 @@ import sys
 
 from sp4lab import lemma_witnesses as lw
 from sp4lab.exactfield import parse_field, residue_ring
-from sp4lab.sp4 import GroupElement
+from sp4lab.sp4 import GroupElement, d_matrix
 from sp4lab.verifiers.cells import tuple_space
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "witness_golden.jsonl"
@@ -92,9 +92,11 @@ def dump(lemma, field, i, j, k, a, b, x, eps, mutation):
             value = getattr(wit, name)
             if value is not None:
                 out[name] = _strings(value)
+        # D(u, v) = diag(pi^u, pi^v, pi^-v, pi^-u) is d_matrix(-u, -v)
+        scales = [(code, d_matrix(spec, -u, -v)) for code, (u, v) in wit.scaled_branches]
         out["scaled_branches"] = [
             [code, _strings(scale), _strings(scale * wit.g1_reference)]
-            for code, scale in wit.scaled_branches]
+            for code, scale in scales]
         if k > 0:
             ring_k = residue_ring(spec, k)
             target = lw.congruence_target(lemma, spec, i, j, k, mutation)
