@@ -73,6 +73,15 @@ def _load_config(path):
     return conf
 
 
+def _int_setting(text, source):
+    """An integer setting read outside argparse; a malformed one names its
+    source."""
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"{source} must be an integer, not {text!r}") from None
+
+
 def _resolve_options(args):
     conf = {}
     config_path = getattr(args, "config", None)
@@ -82,14 +91,14 @@ def _resolve_options(args):
     fmt = getattr(args, "format", None) or conf.get("format", "json")
     seed = getattr(args, "seed", None)
     if seed is None:
-        seed = int(conf.get("seed", 0))
+        seed = _int_setting(conf.get("seed", 0), "config key 'seed'")
     threads = getattr(args, "threads", None)
     if threads is None:
         env = os.environ.get("SP4LAB_THREADS")
         if env is not None:
-            threads = int(env)
+            threads = _int_setting(env, "SP4LAB_THREADS")
         elif "threads" in conf:
-            threads = int(conf["threads"])
+            threads = _int_setting(conf["threads"], "config key 'threads'")
         else:
             threads = 1
     out = getattr(args, "out", None) or conf.get("out")
@@ -277,7 +286,7 @@ def cmd_zigzag(args, emitter, field, seed, threads):
     sweep = args.zigzag_cmd == "bound" and not args.start
     regime = zz.Regime.named(args.regime, args.v0, args.k)
     if sweep:
-        rate = (Fraction(args.alpha), args.h, Fraction(args.beta), Fraction(args.C))
+        rate = (args.alpha, args.h, args.beta, args.C)
         emitter.emit(zz.ledger_sweep(regime, [rate], max_length=args.grid)[0])
         return 0
     path = zz.plan_path(args.start, regime)
@@ -293,8 +302,7 @@ def cmd_zigzag(args, emitter, field, seed, threads):
             "notes": {k: v for k, v in path.notes.items() if k != "diagonal"},
         })
         return 0
-    res = zz.bound_ledger(path, Fraction(args.alpha), args.h,
-                          Fraction(args.beta), Fraction(args.C))
+    res = zz.bound_ledger(path, args.alpha, args.h, args.beta, args.C)
     emitter.emit({"start": list(args.start), "total": res["total"],
                   "tail_sum": res["tail_sum"],
                   "closed_form": res["closed_form"],
@@ -460,10 +468,10 @@ def build_parser():
     pp.add_argument("--v0", type=int, default=0)
     pp.add_argument("--k", type=int, default=0)
     pb = zsub.add_parser("bound", parents=[shared])
-    pb.add_argument("--alpha", required=True)
+    pb.add_argument("--alpha", type=Fraction, required=True)
     pb.add_argument("--h", type=int, default=1)
-    pb.add_argument("--beta", default="0")
-    pb.add_argument("--C", default="0")
+    pb.add_argument("--beta", type=Fraction, default=Fraction(0))
+    pb.add_argument("--C", type=Fraction, default=Fraction(0))
     pb.add_argument("--start", type=_cell)
     pb.add_argument("--grid", type=int, default=120)
     pb.add_argument("--regime", choices=("char-ne2", "char2"), default="char-ne2")

@@ -132,10 +132,8 @@ class FieldSpec:
         return _padic_from_fraction(self, Fraction(num, den))
 
     def pi(self, k=1):
-        """pi^k as a field element."""
-        if self.kind == MIXED:
-            return PadicElem(self, k, 1, 1, normalize=False)
-        return LaurentElem(self, k, ONE_POLY, ONE_POLY, normalize=False)
+        """pi^k as a field element; pi^0 is the memoised one."""
+        return self.one().shift(k)
 
     def from_residue_code(self, code):
         """Embed a residue-field element (integer code) as a canonical lift."""

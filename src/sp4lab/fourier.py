@@ -331,6 +331,8 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
     """
     if h < 1:
         raise ValueError(f"the decay exponent needs h >= 1, got {h}")
+    if n < 1:
+        raise ValueError(f"the line operator needs a residue level n >= 1, got {n}")
     if k < 0 or k > n // 2:
         raise ValueError("congruence level must satisfy 0 <= k <= n/2")
     if k > 0 and n < 2 * k + 1:

@@ -63,8 +63,16 @@ class GroupElement:
         return GroupElement(self.field, mat_mul(self.rows, other.rows))
 
     def inverse(self):
-        # g^(-1) = -J t(g) J written out: entry (r, c) is g[3-c][3-r],
-        # negated when exactly one of r, c is >= 2
+        """g^(-1) = -J t(g) J, written out: entry (r, c) is g[3-c][3-r],
+        negated when exactly one of r, c is >= 2.
+
+        So g^(-1) = S P t(g) P S with P the order-reversing permutation and
+        S = diag(1, 1, -1, -1).  The 2x2 minor of g^(-1) on rows r1, r2 and
+        columns c1, c2 is therefore +- the minor of g on rows 3-c2, 3-c1
+        and columns 3-r2, 3-r1, and its entries are +- those of g: g and
+        g^(-1) have the same ``norm_exponent`` and ``wedge_norm_exponent``,
+        and a norm of g^(-1) is read off g without inverting it.
+        """
         g = self.rows
         return GroupElement(self.field, tuple(
             tuple(-g[3 - c][3 - r] if (r >= 2) != (c >= 2) else g[3 - c][3 - r]

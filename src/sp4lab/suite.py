@@ -286,15 +286,11 @@ RUNNERS = {
 }
 
 
-def _cells_grid(lemma, fields, pairs, k=0, cap=QUICK_EXHAUSTIVE_CAP, sample_n=1500):
-    tasks = []
-    for f in fields:
-        for (i, j) in pairs:
-            tid = f"cells:{lemma}:{f}:{i},{j},k{k}"
-            tasks.append((tid, "cells", {"lemma": lemma, "field": f, "i": i,
-                                         "j": j, "k": k, "cap": cap,
-                                         "sample_n": sample_n}))
-    return tasks
+def _cells_grid(lemma, field, pairs, k=0, cap=QUICK_EXHAUSTIVE_CAP, sample_n=1500):
+    return [(f"cells:{lemma}:{field}:{i},{j},k{k}", "cells",
+             {"lemma": lemma, "field": field, "i": i, "j": j, "k": k, "cap": cap,
+              "sample_n": sample_n})
+            for i, j in pairs]
 
 
 def _licensed(lemma, spec, i, j, k=0):
@@ -306,36 +302,38 @@ def _licensed(lemma, spec, i, j, k=0):
     return True
 
 
-def spher01_pairs(field_name, max_len=8):
+def spher01_pairs(field_name):
+    """The licensed SPHER01 cells with i + j <= 8."""
     spec = parse_field(field_name)
-    return [(i, j) for i in range(max_len + 1) for j in range(i + 1)
-            if i + j <= max_len and _licensed(lw.SPHER01, spec, i, j)]
+    return [(i, j) for i in range(9) for j in range(i + 1)
+            if i + j <= 8 and _licensed(lw.SPHER01, spec, i, j)]
 
 
-def spher1m1_pairs(max_len=8, j_range=(2, 4)):
-    return [(i, j) for j in range(j_range[0], j_range[1] + 1)
-            for i in range(j, max_len + 1) if i + j <= 2 * max_len]
+def spher1m1_pairs():
+    """The SPHER1M1 cells with 2 <= j <= 4 and j <= i <= 8."""
+    return [(i, j) for j in range(2, 5) for i in range(j, 9)]
 
 
-def char2_pairs(field_name, diffs=(2, 3, 4, 5, 6), j_values=(0, 1, 2)):
+def char2_pairs(field_name):
+    """The licensed CHAR2_02 cells with i - j in 2..6 and j in 0..2."""
     spec = parse_field(field_name)
-    return [(j + dd, j) for dd in diffs for j in j_values
+    return [(j + dd, j) for dd in range(2, 7) for j in range(3)
             if _licensed(lw.CHAR2_02, spec, j + dd, j)]
 
 
 def quick_profile():
     tasks = []
-    tasks += _cells_grid(lw.SPHER01, ["Q3"], [(3, 1), (5, 2), (4, 1)])
-    tasks += _cells_grid(lw.SPHER01, ["Q5"], [(3, 1)], sample_n=600)
-    tasks += _cells_grid(lw.SPHER1M1, ["Q3"], [(4, 2), (3, 3)])
-    tasks += _cells_grid(lw.SPHER1M1, ["F2((t))"], [(5, 3)])
-    tasks += _cells_grid(lw.SPHER1M1, ["F4((t))"], [(4, 2)])
-    tasks += _cells_grid(lw.NONSPHER01, ["Q3"], [(4, 1)], k=1)
-    tasks += _cells_grid(lw.NONSPHER01, ["Q2"], [(5, 1)], k=1)
-    tasks += _cells_grid(lw.NONSPHER1M1, ["Q3"], [(4, 4), (3, 4)], k=1)
-    tasks += _cells_grid(lw.CHAR2_02, ["F2((t))"], [(5, 1), (7, 1)])
-    tasks += _cells_grid(lw.CHAR2_02, ["F4((t))"], [(5, 1)])
-    tasks += _cells_grid(lw.CHAR2_02, ["F2((t))"], [(11, 1)], k=1)
+    tasks += _cells_grid(lw.SPHER01, "Q3", [(3, 1), (5, 2), (4, 1)])
+    tasks += _cells_grid(lw.SPHER01, "Q5", [(3, 1)], sample_n=600)
+    tasks += _cells_grid(lw.SPHER1M1, "Q3", [(4, 2), (3, 3)])
+    tasks += _cells_grid(lw.SPHER1M1, "F2((t))", [(5, 3)])
+    tasks += _cells_grid(lw.SPHER1M1, "F4((t))", [(4, 2)])
+    tasks += _cells_grid(lw.NONSPHER01, "Q3", [(4, 1)], k=1)
+    tasks += _cells_grid(lw.NONSPHER01, "Q2", [(5, 1)], k=1)
+    tasks += _cells_grid(lw.NONSPHER1M1, "Q3", [(4, 4), (3, 4)], k=1)
+    tasks += _cells_grid(lw.CHAR2_02, "F2((t))", [(5, 1), (7, 1)])
+    tasks += _cells_grid(lw.CHAR2_02, "F4((t))", [(5, 1)])
+    tasks += _cells_grid(lw.CHAR2_02, "F2((t))", [(11, 1)], k=1)
     tasks += [
         ("identities:SPHER01:Q3:4,1", "identities",
          {"lemma": lw.SPHER01, "field": "Q3", "i": 4, "j": 1, "n": 300}),
@@ -403,14 +401,14 @@ def quick_profile():
 def full_profile():
     tasks = []
     for f in ("Q3", "Q5"):
-        tasks += _cells_grid(lw.SPHER01, [f], spher01_pairs(f),
+        tasks += _cells_grid(lw.SPHER01, f, spher01_pairs(f),
                              cap=FULL_EXHAUSTIVE_CAP, sample_n=2000)
     for f in ("Q3", "Q5", "F2((t))", "F4((t))"):
         cap = FULL_EXHAUSTIVE_CAP if f in ("Q3", "F2((t))") else 20_000
-        tasks += _cells_grid(lw.SPHER1M1, [f], spher1m1_pairs(), cap=cap,
+        tasks += _cells_grid(lw.SPHER1M1, f, spher1m1_pairs(), cap=cap,
                              sample_n=2000)
     for f in ("F2((t))", "F4((t))"):
-        tasks += _cells_grid(lw.CHAR2_02, [f], char2_pairs(f),
+        tasks += _cells_grid(lw.CHAR2_02, f, char2_pairs(f),
                              cap=FULL_EXHAUSTIVE_CAP, sample_n=2000)
     # non-spherical congruence layers at their hypothesis thresholds
     for f in ("Q3", "Q5", "Q2"):
@@ -418,19 +416,19 @@ def full_profile():
         for k in (1, 2):
             j = 1
             i = j + lw.anchor_bounds(lw.NONSPHER01, k, v0)[0]
-            tasks += _cells_grid(lw.NONSPHER01, [f], [(i, j)], k=k,
+            tasks += _cells_grid(lw.NONSPHER01, f, [(i, j)], k=k,
                                  cap=FULL_EXHAUSTIVE_CAP, sample_n=2000)
     for f in ("Q2", "Q3", "Q5", "F2((t))", "F4((t))"):
         for k in (1, 2):
             least_diff, j = lw.anchor_bounds(lw.NONSPHER1M1, k, 0)  # v0-free
-            tasks += _cells_grid(lw.NONSPHER1M1, [f], [(j, j), (j + least_diff, j)],
+            tasks += _cells_grid(lw.NONSPHER1M1, f, [(j, j), (j + least_diff, j)],
                                  k=k, cap=FULL_EXHAUSTIVE_CAP, sample_n=2000)
     for f in ("F2((t))", "F4((t))"):
         for k in (1, 2):
             j = 1
             i = j + lw.anchor_bounds(lw.CHAR2_02, k, 0)[0]
             if _licensed(lw.CHAR2_02, parse_field(f), i, j, k):
-                tasks += _cells_grid(lw.CHAR2_02, [f], [(i, j)], k=k,
+                tasks += _cells_grid(lw.CHAR2_02, f, [(i, j)], k=k,
                                      cap=FULL_EXHAUSTIVE_CAP, sample_n=2000)
     for lemma, f, i, j in ((lw.SPHER01, "Q3", 4, 1), (lw.SPHER01, "Q5", 3, 1),
                            (lw.SPHER1M1, "Q3", 3, 3), (lw.SPHER1M1, "F2((t))", 4, 2),

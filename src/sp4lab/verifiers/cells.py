@@ -82,10 +82,9 @@ def _tuples(domains, mode, sample_n, seed):
             for _ in range(sample_n))
 
 
-def _sweep(report, lemma, spec, i, j, tuples, check):
+def _sweep(report, ring, tuples, check):
     """Run check(a, b, x, eps) on each tuple and record every failure dict
-    it returns, tagged with the tuple's residues."""
-    ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
+    it returns, tagged with the tuple's residues in ring."""
     for a, b, x, eps in tuples:
         for desc in check(a, b, x, eps):
             desc.update({"a": ring.to_str(a), "b": ring.to_str(b),
@@ -126,7 +125,8 @@ def _check_compensator(wit, k_level, target):
     k1 = wit.k1
     if not (k1.is_integral() and is_symplectic(wit.field, k1.rows)):
         return [{"check": "k1-in-K"}]
-    if not k1 * _product(wit) == wit.g1_reference:
+    # runs only where ``merges`` held, so beta^-1 alpha is merged_reference
+    if not k1 * wit.merged_reference == wit.g1_reference:
         return [{"check": "g1-reference"}]
     for code, (u, v) in wit.scaled_branches:
         # D(u, v) scales the rows by pi^u, pi^v, pi^-v, pi^-u; a zero
@@ -166,7 +166,7 @@ def verify_cell_lemma(lemma, spec, i, j, k_level=0, mode="exhaustive",
             f"{total} tuples exceed the enumeration budget; use sample mode")
     observed_cells = set()
     tuples = _tuples(tuple_space(lemma, spec, i, j, k_level), mode, sample_n, seed)
-    _sweep(report, lemma, spec, i, j, tuples,
+    _sweep(report, residue_ring(spec, lw.lemma_depth(lemma, spec, i, j)), tuples,
            lambda a, b, x, eps: _cell_failures(lemma, spec, i, j, k_level, a, b, x,
                                                eps, target, mutation, observed_cells))
     if observed_cells:
@@ -175,53 +175,52 @@ def verify_cell_lemma(lemma, spec, i, j, k_level=0, mode="exhaustive",
     return report.done()
 
 
-def _identity_failures(lemma, spec, i, j, k_level, a, b, x, eps, mutation):
+def _identity_failures(lemma, spec, i, j, k_level, ring, a, b, x, eps, mutation):
     """The failed displayed identities of one tuple, or the build failure."""
     try:
         return [{"check": name} for name in
-                _identity_checks(lemma, spec, i, j, k_level, a, b, x, eps, mutation)]
+                _identity_checks(lemma, spec, i, j, k_level, ring, a, b, x, eps,
+                                 mutation)]
     except lw.LemmaPreconditionError as exc:
         return [{"check": "build", "detail": str(exc)}]
 
 
-def _identity_checks(lemma, spec, i, j, k_level, a, b, x, eps, mutation):
-    ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
+# lemma -> (norm, its capped-valuation formula, check name) of the free-y
+# probe: for every y of O/pi^depth the norm of beta^-1 alpha must follow
+# the formula
+_FREE_Y_PROBES = {
+    lw.SPHER01: (wedge_norm_exponent, lw.spher01_wedge_formula, "wedge-max-formula"),
+    lw.SPHER1M1: (norm_exponent, lw.spher1m1_norm_formula, "norm-max-formula"),
+}
+
+
+def _identity_checks(lemma, spec, i, j, k_level, ring, a, b, x, eps, mutation):
+    """The names of the failed identities of one tuple; ring is O/pi^depth
+    of the lemma instance, which the free-y probes walk."""
     wit = lw.build_witness(lemma, spec, i, j, k_level, a, b, x, eps,
                            mutation=mutation)
     prod = _product(wit)
     failures = []
     if not wit.merges:
         failures.append("factor-product")
-    beta = wit.beta_inv.inverse()
+    # beta's minors are those of beta^-1 up to sign (``GroupElement.inverse``),
+    # so beta's wedge norm is read off beta^-1
     if lemma == lw.SPHER01:
         if not lw.minor_rows34_cols12(prod, mutation=mutation) == lw.spher01_minor_value(wit):
             failures.append("minor-formula")
         if norm_exponent(prod.rows) != wit.i:
             failures.append("product-norm")
-        if wedge_norm_exponent(beta.rows) != wit.i + wit.j:
+        if wedge_norm_exponent(wit.beta_inv.rows) != wit.i + wit.j:
             failures.append("beta-wedge-norm")
         if wedge_norm_exponent(wit.alpha_mat.rows) != 2 * wit.m - 2 * wit.j:
             failures.append("alpha-wedge-norm")
-        # free-y sweep: the wedge norm must follow the capped-valuation formula
-        for y in ring.elements():
-            fw = lw.build_witness(lemma, spec, i, j, 0, a, b, x, 0,
-                                  mutation=mutation, y_override=y)
-            if wedge_norm_exponent(_product(fw).rows) != lw.spher01_wedge_formula(fw):
-                failures.append(f"wedge-max-formula(y={ring.to_str(y)})")
-                break
     elif lemma == lw.SPHER1M1:
-        if wedge_norm_exponent(beta.rows) != wit.i:
+        if wedge_norm_exponent(wit.beta_inv.rows) != wit.i:
             failures.append("beta-wedge-norm")
         if wedge_norm_exponent(wit.alpha_mat.rows) != wit.j:
             failures.append("alpha-wedge-norm")
         if wedge_norm_exponent(prod.rows) != wit.i + wit.j:
             failures.append("product-wedge-norm")
-        for y in ring.elements():
-            fw = lw.build_witness(lemma, spec, i, j, 0, a, b, x, 0,
-                                  mutation=mutation, y_override=y)
-            if norm_exponent(_product(fw).rows) != lw.spher1m1_norm_formula(fw):
-                failures.append(f"norm-max-formula(y={ring.to_str(y)})")
-                break
     elif lemma in (lw.NONSPHER01, lw.NONSPHER1M1):
         ring1 = residue_ring(spec, 1)
         red = wit.eps1.reduce(ring1)
@@ -241,7 +240,7 @@ def _identity_checks(lemma, spec, i, j, k_level, a, b, x, eps, mutation):
             failures.append("eps1-reduction")
         if not wit.k1 * prod == wit.g1_reference:
             failures.append("g1-reference")
-        if wedge_norm_exponent(beta.rows) != wit.i + wit.j:
+        if wedge_norm_exponent(wit.beta_inv.rows) != wit.i + wit.j:
             failures.append("beta-wedge-norm")
         if wedge_norm_exponent(wit.alpha_mat.rows) != 2 * wit.m - 2 * wit.j:
             failures.append("alpha-wedge-norm")
@@ -249,6 +248,14 @@ def _identity_checks(lemma, spec, i, j, k_level, a, b, x, eps, mutation):
             unit_sq = wit.eps1 * wit.eps1 / (wit.a1_den * wit.a1_den) + spec.one()
             if not unit_sq.valuation() >= 2:
                 failures.append("squared-unit-bound")
+    if lemma in _FREE_Y_PROBES:
+        norm, formula, name = _FREE_Y_PROBES[lemma]
+        for y in ring.elements():
+            fw = lw.build_witness(lemma, spec, i, j, 0, a, b, x, 0,
+                                  mutation=mutation, y_override=y)
+            if norm(_product(fw).rows) != formula(fw):
+                failures.append(f"{name}(y={ring.to_str(y)})")
+                break
     return failures
 
 
@@ -264,7 +271,8 @@ def verify_witness_identities(lemma, spec, i, j, sample_n=1000, seed=0,
     k_level = 0 if lemma in (lw.SPHER01, lw.SPHER1M1, lw.CHAR2_02) else 1
     report.cases_total = case_count(lemma, spec, i, j, k_level)
     tuples = _tuples(tuple_space(lemma, spec, i, j, k_level), "sample", sample_n, seed)
-    _sweep(report, lemma, spec, i, j, tuples,
-           lambda a, b, x, eps: _identity_failures(lemma, spec, i, j, k_level,
+    ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
+    _sweep(report, ring, tuples,
+           lambda a, b, x, eps: _identity_failures(lemma, spec, i, j, k_level, ring,
                                                    a, b, x, eps, mutation))
     return report.done()

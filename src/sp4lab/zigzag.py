@@ -21,13 +21,36 @@ and cone inequality is affine in the step index.  When a run is cut
 short, its first illegal move still goes through ``_step``, which words
 the ``PlannerError``.  Each planned move is judged once: templates are
 tried by pushing with rollback, and the moves of a route found by
-search are adopted as they were judged.  The char-2 slide closes each
-strip residue i - 2j by the first legal template of its case in
-``CHAR2_CASE_STEPS``; which one ran shows in the path's cells, so no
-trace of it is kept.  The composite diagonal step depends only on
-(regime, diagonal cell), so it is built once and shared as a tuple of
-(move, cell) pairs.  ``validate_path`` re-checks a
+search are adopted as they were judged.  The composite diagonal step
+depends only on (regime, diagonal cell), so it is built once and shared
+as a tuple of (move, cell) pairs.  ``validate_path`` re-checks a
 finished path from scratch, independently of the planner.
+
+Three facts of the route are proved here once instead of checked per
+path.  A cut-short climb or slide raises ``PlannerError`` and sends the
+start to the search, so each argument starts from a climb that ran in
+full.  Write r = i - 2j for the strip residue: RIGHT adds 3 to it, a
+reversed RIGHT subtracts 3, UP1 subtracts 2 and UP2 subtracts 4.
+
+- Parity (char 2).  UP2 changes i + j by 2 and RIGHT by 0, either way
+  round, and templates, searches and the diagonal step all move through
+  ``_step``.  So i + j keeps its parity along every char-2 path.
+- The char-2 slide.  ``_climb_to_strip`` leaves r in 0..4: ceil(-r/3)
+  RIGHT moves take a negative r into 0..2, and (r - 1) // 4 UP2 moves
+  take r >= 1 into 1..4.  Every template of case g in
+  ``CHAR2_CASE_STEPS`` changes r by exactly -g, so the first legal one
+  lands on the diagonal; which one ran shows in the path's cells.
+- The lateral offset (char != 2).  The climb leaves r in 0..2, or r = i
+  mod 2 after its UP1 moves, and i and r have the same parity, so an
+  odd i enters the slide at r = 1.  Offset 0 moves RIGHT at once, to
+  (i + 1, j - 1) at r = 4, which is in the cone iff j >= 1; offset 1
+  climbs once first, to (i + 1, j) at r = 2, always in the cone.  Both
+  lie in the wide strip 0 <= r <= 4, so the slide takes offset 0 when
+  j >= 1 and offset 1 otherwise, and notes ``both_lateral_offsets``
+  exactly when j >= 1.  An even i enters at r = 0 or 2 and climbs r / 2.
+
+So every slide ends on the diagonal i = 2j, as every search route does
+by its goal, and no path needs its diagonal cell checked.
 
 The ledger's exponents are exact rationals, evaluated as integers.
 ``move_exponent`` states the per-move rule once, in Fractions; it is
@@ -139,8 +162,9 @@ class ZigzagPath:
     The first ``approach_len`` moves reach the diagonal, and the last
     ``notes["tail_moves"]`` are the composite diagonal step.  ``notes``
     also holds the diagonal cell, whether a search replaced a template
-    (``bfs_fallback``) and, for an odd start in char != 2 where both
-    lateral offsets enter the wide strip, ``both_lateral_offsets``.
+    (``bfs_fallback``) and, when a char != 2 slide enters at an odd i
+    with j >= 1, so that both lateral offsets enter the wide strip,
+    ``both_lateral_offsets``.
     """
 
     start: tuple
@@ -335,25 +359,19 @@ def _climb_to_strip(b):
 
 
 def _slide_to_diagonal_ne2(b):
-    """Climb to the diagonal; True when both lateral offsets were workable."""
+    """Climb to the diagonal; True when both lateral offsets were workable.
+
+    An odd i enters at residue 1 (module docstring): the lateral move
+    comes first when j >= 1, else after one climb.
+    """
     i, j = b.cur
     if i % 2 == 0:
-        b.push_run(UP1, max(0, i // 2 - j))
+        b.push_run(UP1, i // 2 - j)
         return False
-    # odd first coordinate: optional climb, one lateral move, then climb;
-    # the smallest workable lateral offset is taken and ties are reported
-    choices = []
-    for k in (0, 1):
-        tgt = (i + 1, j + k - 1)
-        if in_cone(tgt) and 0 <= tgt[0] - 2 * tgt[1] <= 4:
-            choices.append(k)
-    if not choices:
-        raise PlannerError(b.cur, "no lateral entry into the wide strip")
-    k = choices[0]
-    b.push_run(UP1, k)
+    b.push_run(UP1, 0 if j else 1)
     b.push(RIGHT)
-    b.push_run(UP1, max(0, (i + 1) // 2 - b.cur[1]))
-    return len(choices) > 1
+    b.push_run(UP1, (i + 1) // 2 - b.cur[1])
+    return j >= 1
 
 
 CHAR2_CASE_STEPS = {
@@ -366,19 +384,12 @@ CHAR2_CASE_STEPS = {
 }
 
 def _slide_to_diagonal_char2(b):
-    """Close the strip residue i - 2j by the first legal template of its case."""
-    while True:
-        i, j = b.cur
-        gap = i - 2 * j
-        if gap == 0:
-            return
-        if gap not in CHAR2_CASE_STEPS:
-            raise PlannerError(b.cur, f"strip residue {gap} outside the case split")
-        for steps in CHAR2_CASE_STEPS[gap]:
-            if b.try_steps(steps):
-                break
-        else:
-            raise PlannerError(b.cur, f"no legal case-{gap} template")
+    """Close the strip residue i - 2j, which the climb left in 0..4, by the
+    first legal template of its case (module docstring)."""
+    i, j = b.cur
+    gap = i - 2 * j
+    if gap and not any(b.try_steps(steps) for steps in CHAR2_CASE_STEPS[gap]):
+        raise PlannerError(b.cur, f"no legal case-{gap} template")
 
 
 TAIL_NE2 = (((RIGHT, False), (UP1, False), (RIGHT, False), (UP1, False), (UP1, False)),
@@ -441,8 +452,6 @@ def plan_path(start, regime):
         approach = len(b.moves)
         bfs_used = True
     diag = b.cur
-    if diag[0] != 2 * diag[1]:
-        raise PlannerError(diag, "planner failed to reach the diagonal")
     tail = _tail_route(regime, diag)
     if tail is None:
         raise PlannerError(diag, "diagonal step blocked (cell too close to the walls)")
@@ -454,10 +463,6 @@ def plan_path(start, regime):
     path.notes["bfs_fallback"] = bfs_used or tail_bfs
     if both_offsets:
         path.notes["both_lateral_offsets"] = True
-    if regime.kind == CHAR_2:
-        parities = {(i + j) % 2 for i, j in b.cells}
-        if len(parities) != 1:
-            raise PlannerError(start, "parity of i+j drifted along the path")
     return path
 
 

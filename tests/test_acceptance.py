@@ -67,16 +67,16 @@ def test_criterion_1_cell_suites():
     t0 = time.time()
     runs = 0
     for field_name in ("Q3", "Q5"):
-        pairs = spher01_pairs(field_name, max_len=8)
+        pairs = spher01_pairs(field_name)
         assert pairs, "hypothesis-satisfying cells must exist"
         runs += len(_run_cells(lw.SPHER01, field_name, pairs))
     for field_name in ("Q3", "F2((t))", "F4((t))"):
         cap = 25_000 if not field_name.startswith("F4") else 4000
-        runs += len(_run_cells(lw.SPHER1M1, field_name, spher1m1_pairs(max_len=8),
+        runs += len(_run_cells(lw.SPHER1M1, field_name, spher1m1_pairs(),
                                cap=cap))
     for field_name in ("F2((t))", "F4((t))"):
         spec = parse_field(field_name)
-        pairs = char2_pairs(field_name, diffs=(2, 3, 4, 5, 6), j_values=(0, 1, 2))
+        pairs = char2_pairs(field_name)
         # gaps 2 and 3 leave no residue content (depth m-j-1 = 0): the
         # builder must reject them, and the verified sweep covers 4..6
         assert all(i - j >= 4 for i, j in pairs)

@@ -165,6 +165,10 @@ ARGPARSE_ERRORS = [
     ["zigzag", "plan", "--start", "9"],
     ["zigzag", "plan", "--start", "9,2,1"],
     ["zigzag", "bound", "--alpha", "7/10", "--start", "9,x"],
+    # a rate is a Fraction; these reached Fraction() unnamed
+    ["zigzag", "bound", "--alpha", "abc"],
+    ["zigzag", "bound", "--alpha", "7/10", "--start", "9,2", "--beta", "x"],
+    ["zigzag", "bound", "--alpha", "7/10", "--start", "9,2", "--C", "1e"],
 ]
 
 
@@ -184,6 +188,8 @@ ARGPARSE_ERRORS = [
     ["fourier-norm", "--field", "Q2", "--space", "l2:2", "--h", "0"],
     ["fourier-norm", "--field", "Q2", "--space", "l1.5:2", "--h", "-1"],
     *ARGPARSE_ERRORS,
+    # the line operator lives on O/pi^n, and the error names n
+    ["fft-check", "--field", "Q2", "--h", "1", "--n", "0"],
 ])
 def test_input_outside_the_claims_domain_is_a_usage_error(args):
     if args in ARGPARSE_ERRORS:
@@ -197,12 +203,30 @@ def test_input_outside_the_claims_domain_is_a_usage_error(args):
         _assert_usage_error(args)
 
 
-def _assert_usage_error(args):
-    res = run(*args)
+def _assert_usage_error(args, names=None, env_extra=None):
+    """args exit 2 with one error line naming names (default: the last arg)."""
+    res = run(*args, env_extra=env_extra)
     assert res.returncode == 2, res.stderr[-400:]
     assert res.stdout == ""
-    assert res.stderr.startswith("error:") and args[-1] in res.stderr
+    assert res.stderr.startswith("error:")
+    assert (args[-1] if names is None else names) in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("config, env, names", [
+    (None, {"SP4LAB_THREADS": "abc"}, "SP4LAB_THREADS"),
+    ("seed=x", None, "config key 'seed'"),
+    ("threads=2.5", None, "config key 'threads'"),
+])
+def test_malformed_number_outside_argparse_names_its_source(tmp_path, config, env,
+                                                           names):
+    # these reached int() and printed only its message
+    args = ["field-info"]
+    if config is not None:
+        path = tmp_path / "sp4lab.conf"
+        path.write_text(config + "\n")
+        args += ["--config", str(path)]
+    _assert_usage_error(args, names=names, env_extra=env)
 
 
 def test_decompose_command():

@@ -20,6 +20,7 @@ from sp4lab.sp4 import (
     subgroup_membership,
 )
 from sp4lab.verifiers.decompose import DecompositionError, lower_params
+from sp4lab.verifiers.cells import tuple_space
 from sp4lab.verifiers.sampling import random_k_element
 from conftest import FIELD_NAMES, random_element
 
@@ -457,6 +458,35 @@ def _near_rank_one(spec, rnd):
 def test_wedge_norm_matches_all_minors(fields, name, seed, kind):
     rows = kind(fields[name], random.Random(seed))
     assert sp4.wedge_norm_exponent(rows) == _wedge_oracle(rows)
+
+
+@pytest.mark.parametrize("name", WEDGE_FIELDS)
+def test_inverse_has_the_norms_of_g(fields, name):
+    # g^-1 = -J t(g) J: its entries and 2x2 minors are those of g up to sign
+    # and place, so the identity sweep reads beta's norms off beta^-1
+    spec = fields[name]
+    rnd = random.Random(f"inverse-norms:{name}")
+    mats = [random_k_element(spec, 3, rnd) for _ in range(10)]
+    mats += [GroupElement(spec, _kdk(spec, rnd)) for _ in range(20)]
+    if spec.kind == "equal":
+        cases = ((lw.CHAR2_02, 6, 2, 0), (lw.SPHER1M1, 3, 2, 0),
+                 (lw.NONSPHER1M1, 4, 4, 1))
+    else:
+        cases = ((lw.SPHER01, 4, 1, 0), (lw.SPHER1M1, 3, 2, 0),
+                 (lw.NONSPHER01, 5, 1, 1), (lw.NONSPHER1M1, 4, 4, 1))
+    for lemma, i, j, k in cases:
+        domains = tuple_space(lemma, spec, i, j, k)
+        for _ in range(5):
+            a, b, x, eps = (dom[rnd.randrange(len(dom))] for dom in domains)
+            wit = lw.build_witness(lemma, spec, i, j, k, a, b, x, eps)
+            mats += [wit.beta_inv, wit.alpha_mat, wit.merged_reference]
+            if wit.k1 is not None:
+                mats += [wit.k1, wit.g1_reference]
+    assert len({sp4.wedge_norm_exponent(g.rows) for g in mats}) > 2
+    for g in mats:
+        inv = g.inverse()
+        assert sp4.norm_exponent(inv.rows) == sp4.norm_exponent(g.rows)
+        assert sp4.wedge_norm_exponent(inv.rows) == sp4.wedge_norm_exponent(g.rows)
 
 
 @pytest.mark.parametrize("name", WEDGE_FIELDS)

@@ -77,11 +77,63 @@ def test_char2_case_split_templates():
         assert _visits_in_order(path.cells, hops), gap
 
 
+def _planned(regime, max_len=120):
+    """Every path the planner finds from a start with i + j <= max_len."""
+    for i in range(max_len + 1):
+        for j in range(min(i, max_len - i) + 1):
+            try:
+                yield zz.plan_path((i, j), regime)
+            except zz.PlannerError:
+                pass
+
+
+def _slide(path):
+    """(entry cell, (delta, reversed_) steps) of the path's slide: the moves
+    between the approach and the diagonal step."""
+    stop = len(path.moves) - path.notes["tail_moves"]
+    return (path.cells[path.approach_len],
+            tuple((m.delta, m.reversed_) for m in path.moves[path.approach_len:stop]))
+
+
 def test_char2_parity_invariant():
-    for start in ((8, 3), (11, 4), (20, 3), (7, 7), (30, 0)):
-        path = zz.plan_path(start, RC2)
-        parities = {(i + j) % 2 for i, j in path.cells}
-        assert len(parities) == 1
+    # UP2 changes i + j by 2 and RIGHT by 0, and every route moves through
+    # _step, so no char-2 path changes the parity of i + j
+    for k in (0, 1, 2):
+        paths = list(_planned(zz.Regime(zz.CHAR_2, k=k)))
+        assert len(paths) > 3000
+        for path in paths:
+            assert len({(i + j) % 2 for i, j in path.cells}) == 1, (k, path.start)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_char2_slide_closes_its_residue_with_one_template(k):
+    # the climb leaves i - 2j in 0..4, and each template of case g changes
+    # it by exactly -g
+    cases = set()
+    for path in _planned(zz.Regime(zz.CHAR_2, k=k)):
+        (i, j), steps = _slide(path)
+        gap = i - 2 * j
+        if gap == 0:
+            assert steps == ()
+        else:
+            assert steps in zz.CHAR2_CASE_STEPS[gap], path.start
+            cases.add(gap)
+    assert cases == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("v0, k", [(0, 0), (1, 0), (0, 1), (2, 1), (0, 2)])
+def test_both_lateral_offsets_iff_odd_entry_with_j_positive(v0, k):
+    # an odd i enters the slide at residue 1; offset 0 is workable iff
+    # j >= 1, and offset 1 always is
+    noted = 0
+    for path in _planned(zz.Regime(zz.CHAR_NE2, v0=v0, k=k)):
+        (i, j), _ = _slide(path)
+        both = path.notes.get("both_lateral_offsets", False)
+        assert both == (i % 2 == 1 and j >= 1), path.start
+        if i % 2:
+            assert i - 2 * j == 1, path.start
+        noted += both
+    assert noted > 0
 
 
 def test_move_legality_thresholds():
