@@ -1,8 +1,8 @@
 """Command-line front end: single verifications, suites, JSON report streams.
 
-Exit codes: 0 when everything passed, 1 when any check was violated or
-left undecided (a suite task that raises counts as violated), 2 on usage
-or configuration errors.  Reports stream as
+Exit codes: 0 when everything passed, 1 when any check was violated (a
+suite task that raises counts as violated), 2 on usage or configuration
+errors.  Reports stream as
 JSON lines; --format text renders one human-readable line per report.
 Global options may also come from a key=value config file and, for the
 worker count, the SP4LAB_THREADS environment variable; command-line
@@ -189,9 +189,9 @@ def cmd_witness(args, emitter, field, seed, threads):
     ring = residue_ring(spec, depth)
     dump = {
         "lemma": wit.lemma, "field": str(spec), "i": wit.i, "j": wit.j,
-        "k": wit.k_level, "depth": wit.depth, "m": wit.m,
-        "a": ring.to_str(wit.a), "b": ring.to_str(wit.b),
-        "x": ring.to_str(wit.x), "y": ring.to_str(wit.y), "eps": args.eps,
+        "k": args.k, "depth": wit.depth, "m": wit.m,
+        "a": ring.to_str(a), "b": ring.to_str(b), "x": ring.to_str(x),
+        "y": ring.to_str(wit.sy.reduce(ring)), "eps": args.eps,
         "beta_inv": wit.beta_inv.to_strings(),
         "alpha_mat": wit.alpha_mat.to_strings(),
         "product": wit.product.to_strings(),
@@ -337,10 +337,12 @@ def cmd_suite(args, emitter, field, seed, threads):
         reports = [suite_mod.run_task_reported(t, seed, args.mutation) for t in tasks]
     reports.sort(key=lambda r: r.task)
     worst = PASS
+    # every report is pass or violated; the undecided count stays 0 so the
+    # summary keeps its keys
     counts = {"pass": 0, "violated": 0, "undecided": 0}
     for rep in reports:
         emitter.emit(rep.to_dict())
-        counts[rep.status] = counts.get(rep.status, 0) + 1
+        counts[rep.status] += 1
         if rep.status != PASS:
             worst = rep.status
     emitter.emit({"summary": counts, "profile": args.profile, "seed": seed,

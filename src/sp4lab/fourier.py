@@ -192,6 +192,8 @@ def transform_norm(spec, h, space, iters=2000, seed=0):
     """
     if h < 1:
         raise ValueError(f"the transform needs a residue level h >= 1, got {h}")
+    if iters < 0:
+        raise ValueError(f"the search needs iters >= 0 steps, got {iters}")
     mat = transform_matrix(spec, h)
     if space.is_hilbert:
         value = float(np.linalg.svd(mat, compute_uv=False)[0])

@@ -9,7 +9,11 @@ compensator k1 in K whose reduction mod pi^k is constant on the
 congruence-restricted tuples, with k1 * beta^-1 * alpha = g1_reference,
 plus two diagonal rescalings D * g1_reference that must land in K.
 
-Everything here is transcription.  Each family states its three
+Everything here is transcription.  ``build_witness`` is the tuple step:
+it checks the hypotheses, derives y and lifts a, b, x, y once;
+``family_witness`` is the family itself, a function of those lifts alone,
+so the free-y probes re-evaluate it at each y without repeating the tuple
+step.  Each family states its three
 unipotent factors (of beta^-1, of alpha and of the merged matrix) by
 their lower-Borel parameters (a, b, c, d) and its two diagonal factors by
 their torus exponents, so beta^-1, alpha and the merged matrix are
@@ -35,7 +39,6 @@ verifier suites must detect every catalogued corruption.
 """
 
 import dataclasses
-import functools
 from typing import Optional
 
 from sp4lab.exactfield import EQUAL, residue_ring, two_valuation
@@ -59,6 +62,21 @@ MUTATIONS = (
 )
 
 
+class _cached:
+    """``functools.cached_property`` without its lock: on Python 3.11 that
+    takes a class-wide RLock at every first read, which cost the cell
+    sweeps 2-5% of their time on a 2-vCPU Xeon host."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, wit, owner=None):
+        if wit is None:
+            return self
+        value = wit.__dict__[self.name] = self.func(wit)
+        return value
+
+
 class LemmaPreconditionError(ValueError):
     """A lemma hypothesis fails for the requested parameters."""
 
@@ -70,29 +88,27 @@ class LemmaWitness:
     beta^-1 = D(d_beta) B(p_beta), alpha = B(p_alpha) D(d_alpha) and the
     stated merged matrix D(d_beta) B(p_merged) D(d_alpha) are kept by
     their torus exponents and lower-Borel parameters, in the notation of
-    ``_scale``.  Only the merged matrix is built with the witness;
-    beta^-1, alpha and their multiplied-out product are built on first
-    read.
+    ``_scale``, and each is built on first read, as is their
+    multiplied-out product.
     """
 
     lemma: str
     field: object
     i: int
     j: int
-    k_level: int
     depth: int                      # residue level (n1, j-1 or m-j-1)
     m: Optional[int]
-    a: object
-    b: object
-    x: object
-    y: object                       # derived: a x + b + pi^(depth-1) eps
+    sa: object                      # the lifts of a, b, x and y to O
+    sb: object
+    sx: object
+    sy: object
     eps_code: int                   # residue-field element code
     d_beta: tuple
     p_beta: tuple
     p_alpha: tuple
     d_alpha: tuple
-    p_merged: tuple
     expected_cell: Optional[tuple]
+    p_merged: Optional[tuple] = None  # the (1,-1) families set it from s
     k1: Optional[GroupElement] = None
     eps1: object = None
     a1: object = None
@@ -101,22 +117,27 @@ class LemmaWitness:
     # (eps_code, (u, v)) for the two in-K branches: D(u, v) * g1_reference
     # lies in K at that eps code
     scaled_branches: tuple = ()
-    # the stated combined matrix, built from p_merged with the witness
-    merged_reference: GroupElement = dataclasses.field(init=False)
 
-    def __post_init__(self):
-        self.merged_reference = _scale(self.field, self.d_beta, self.p_merged,
-                                       self.d_alpha)
+    @_cached
+    def s(self):
+        """The offset s = y - a x - b of the lifted tuple, the one place it
+        is formed; in characteristic 2 it is y + a x + b."""
+        return self.sy - self.sa * self.sx - self.sb
 
-    @functools.cached_property
+    @_cached
+    def merged_reference(self):
+        """The stated combined matrix D(d_beta) B(p_merged) D(d_alpha)."""
+        return _scale(self.field, self.d_beta, self.p_merged, self.d_alpha)
+
+    @_cached
     def beta_inv(self):
         return _scale(self.field, self.d_beta, self.p_beta, _UNSCALED)
 
-    @functools.cached_property
+    @_cached
     def alpha_mat(self):
         return _scale(self.field, _UNSCALED, self.p_alpha, self.d_alpha)
 
-    @functools.cached_property
+    @_cached
     def product(self):
         """beta_inv * alpha_mat multiplied out from the factors.
 
@@ -126,7 +147,7 @@ class LemmaWitness:
         """
         return self.beta_inv * self.alpha_mat
 
-    @functools.cached_property
+    @_cached
     def merges(self):
         """Whether beta_inv * alpha_mat equals merged_reference.
 
@@ -223,15 +244,14 @@ def designated_eps_code(lemma, spec):
     return 1
 
 
-def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
-                  section=None, mutation=None, y_override=None):
+def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code, mutation=None):
     """Assemble the witness for one residue tuple.
 
-    a, b, x are representatives in O/pi^depth, eps_code a residue-field
-    code in [0, q); y is derived as a x + b + pi^(depth-1) eps unless
-    y_override (a ring representative) is given for free-y probes.
-    section may replace the canonical lift with any other set-theoretic
-    section of O/pi^depth.
+    a, b, x are representatives in O/pi^depth and eps_code a residue-field
+    code in [0, q).  This is the tuple step: it checks the lemma's
+    hypotheses and the tuple's congruence layer, derives
+    y = a x + b + pi^(depth-1) eps and evaluates ``family_witness`` at the
+    canonical lifts of a, b, x and y.
     """
     depth = check_preconditions(lemma, spec, i, j, k_level)
     if not 0 <= eps_code < spec.q:
@@ -240,33 +260,39 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
     if mutation == "wrong-n1" and lemma in (SPHER01, NONSPHER01):
         depth += 1
     ring = residue_ring(spec, depth)
-    sig = section if section is not None else ring.section
     if k_level > 0:
         la, lb, lx = congruence_levels(lemma, k_level)
         if ring.valuation(a) < min(la, depth) or ring.valuation(x) < min(lx, depth):
             raise LemmaPreconditionError("congruence layer needs a, x in pi^k O/pi^depth")
         if ring.valuation(b) < min(lb, depth):
             raise LemmaPreconditionError("congruence layer needs b in pi^2k O/pi^depth")
-    if y_override is not None:
-        y = y_override
-    else:
-        eps = ring.shift(ring.embed_residue_code(eps_code), depth - 1)
-        y = ring.add(ring.add(ring.mul(a, x), b), eps)
-    sa, sb, sx, sy = sig(a), sig(b), sig(x), sig(y)
+    eps = ring.shift(ring.embed_residue_code(eps_code), depth - 1)
+    y = ring.add(ring.add(ring.mul(a, x), b), eps)
+    sig = ring.section
+    return family_witness(lemma, spec, i, j, depth, sig(a), sig(b), sig(x), sig(y),
+                          eps_code, mutation)
+
+
+def family_witness(lemma, spec, i, j, depth, sa, sb, sx, sy, eps_code=0, mutation=None):
+    """The lemma family's witness at the lifted tuple (sa, sb, sx, sy).
+
+    Every matrix and scalar of the witness is a function of these four
+    elements of O, so any section's lifts and any y may be passed; eps_code
+    only selects the expected cell and the in-K branch.  No hypothesis is
+    checked here: ``build_witness`` checks them.
+    """
     z, one = spec.zero(), spec.one()
     m = None if lemma in (SPHER1M1, NONSPHER1M1) else (i + j) // 2
-    head = (lemma, spec, i, j, k_level, depth, m, a, b, x, y, eps_code)
+    head = (lemma, spec, i, j, depth, m, sa, sb, sx, sy, eps_code)
 
     if m is None:  # the (1,-1) families
         a1 = one + sa.shift(1)
-        s = sy - sa * sx - sb
         wit = LemmaWitness(
             *head, (i, 0), (a1, z, z, -sb.shift(1)), (z, z, sx, sy.shift(1) + sx),
-            (-j, 0), (a1, z, sx, s.shift(1)),
-            (i + 1, j - 1) if eps_code else (max(i, j), min(i, j)))
-        wit.a1 = a1
+            (-j, 0), (i + 1, j - 1) if eps_code else (max(i, j), min(i, j)), a1=a1)
+        wit.p_merged = (a1, z, sx, wit.s.shift(1))
         if lemma == NONSPHER1M1:
-            _attach_nonspher1m1(wit, s, sx, mutation)
+            _attach_nonspher1m1(wit, mutation)
         return wit
 
     d_beta = (m, i - m + j)
@@ -278,11 +304,11 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
         w = sx + sy.shift(1)
         full = sb1 + w
         wit = LemmaWitness(
-            *head, d_beta, (z, a1_sq, sb1, z), (z, z, w, sx * sx),
-            d_alpha, (z, a1_sq, full, sx * sx),
+            *head, d_beta, (z, a1_sq, sb1, z), (z, z, w, sx * sx), d_alpha,
             # other residues: only the observed cell is recorded
-            {0: (i, j), 1: (i, j + 2)}.get(eps_code))
-        _attach_char2(wit, a1_den, a1_sq, full, sa, sb, sx, sy)
+            {0: (i, j), 1: (i, j + 2)}.get(eps_code),
+            p_merged=(z, a1_sq, full, sx * sx))
+        _attach_char2(wit, a1_den, a1_sq, full)
         return wit
 
     if mutation == "d-scaling-exponent":
@@ -296,11 +322,11 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code,
     beta_41 = sa * sa - 2 * sb
     t = sa + sx
     wit = LemmaWitness(
-        *head, d_beta, (z, one, sa, beta_41), (z, z, sx, alpha_41),
-        d_alpha, (z, one, t, beta_41 + alpha_41),
-        (i, j + 1) if eps_code else (i, j))
+        *head, d_beta, (z, one, sa, beta_41), (z, z, sx, alpha_41), d_alpha,
+        (i, j + 1) if eps_code else (i, j),
+        p_merged=(z, one, t, beta_41 + alpha_41))
     if lemma == NONSPHER01:
-        _attach_nonspher01(wit, t, sa, sb, sx, sy)
+        _attach_nonspher01(wit, t)
     return wit
 
 
@@ -330,11 +356,11 @@ def _scale(spec, dl, params, dr):
         (x30.shift(s - u), x31.shift(w - u), x32.shift(-u - w), pi(-u - s))))
 
 
-def _attach_nonspher01(wit, t, sa, sb, sx, sy):
+def _attach_nonspher01(wit, t):
     spec = wit.field
     pi, z, one = spec.pi, spec.zero(), spec.one()
     i, j, m = wit.i, wit.j, wit.m
-    eps1 = (2 * (sy - sa * sx - sb)).shift(-2 * m + 2 * j + 1)
+    eps1 = (2 * wit.s).shift(-2 * m + 2 * j + 1)
     if not eps1.is_integral():
         raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
     t_k1 = t.shift(i - 2 * m + j)
@@ -352,12 +378,12 @@ def _attach_nonspher01(wit, t, sa, sb, sx, sy):
     wit.scaled_branches = ((0, (i, j)), (designated_eps_code(NONSPHER01, spec), (i, j + 1)))
 
 
-def _attach_nonspher1m1(wit, s, sx, mutation):
+def _attach_nonspher1m1(wit, mutation):
     spec = wit.field
     pi, z, one = spec.pi, spec.zero(), spec.one()
-    i, j = wit.i, wit.j
+    i, j, sx = wit.i, wit.j, wit.sx
     a1 = wit.a1
-    eps1 = s.shift(-j + 2)
+    eps1 = wit.s.shift(-j + 2)
     if not eps1.is_integral():
         raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
     a1i = one / a1
@@ -383,12 +409,12 @@ def _attach_nonspher1m1(wit, s, sx, mutation):
     wit.scaled_branches = ((0, (i, j)), (1, (i + 1, j - 1)))
 
 
-def _attach_char2(wit, a1_den, a1_sq, full, sa, sb, sx, sy):
+def _attach_char2(wit, a1_den, a1_sq, full):
     spec = wit.field
     pi, z, one = spec.pi, spec.zero(), spec.one()
     i, j, m = wit.i, wit.j, wit.m
     a1 = full / a1_sq
-    eps1 = (sy + sa * sx + sb).shift(-m + j + 2)
+    eps1 = wit.s.shift(-m + j + 2)
     if not eps1.is_integral():
         raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
     den2 = one / a1_sq
@@ -434,27 +460,22 @@ def minor_rows34_cols12(g, mutation=None):
 
 
 def spher01_minor_value(wit):
-    """The stated closed form -2 pi^(-i-2m+j) (sy - sa sx - sb)."""
-    spec = wit.field
-    sig = residue_ring(spec, wit.depth).section
-    sa, sb, sx, sy = sig(wit.a), sig(wit.b), sig(wit.x), sig(wit.y)
-    return (-2 * (sy - sa * sx - sb)).shift(-wit.i - 2 * wit.m + wit.j)
+    """The stated closed form -2 pi^(-i-2m+j) s, s = y - a x - b."""
+    return (-2 * wit.s).shift(-wit.i - 2 * wit.m + wit.j)
+
+
+def _offset_valuation(wit):
+    """v(s) capped at the witness's depth: the valuation of y - a x - b in
+    O/pi^depth."""
+    return min(wit.s.valuation(), wit.depth)
 
 
 def spher1m1_norm_formula(wit):
     """max(q^i, q^(i+j-v-1)) with v the capped valuation of y - a x - b."""
-    ring = residue_ring(wit.field, wit.depth)
-    t = ring.sub(wit.y, ring.add(ring.mul(wit.a, wit.x), wit.b))
-    v = ring.valuation(t)
-    return max(wit.i, wit.i + wit.j - v - 1)
+    return max(wit.i, wit.i + wit.j - _offset_valuation(wit) - 1)
 
 
 def spher01_wedge_formula(wit):
     """max(q^(i+2m-j-v), q^(i+j)) with v the capped valuation of 2(y-ax-b)."""
-    spec = wit.field
-    ring = residue_ring(spec, wit.depth)
-    t = ring.sub(wit.y, ring.add(ring.mul(wit.a, wit.x), wit.b))
-    v0 = two_valuation(spec)
-    cap = 2 * (wit.m - wit.j)
-    v = min(v0 + ring.valuation(t), cap)
+    v = min(two_valuation(wit.field) + _offset_valuation(wit), 2 * (wit.m - wit.j))
     return max(wit.i + 2 * wit.m - wit.j - v, wit.i + wit.j)

@@ -249,10 +249,12 @@ def _identity_checks(lemma, spec, i, j, k_level, ring, a, b, x, eps, mutation):
             if not unit_sq.valuation() >= 2:
                 failures.append("squared-unit-bound")
     if lemma in _FREE_Y_PROBES:
+        # only the family is re-evaluated at each y, at the tuple's depth and
+        # lifts of a, b and x; a canonical lift does not depend on the level
         norm, formula, name = _FREE_Y_PROBES[lemma]
         for y in ring.elements():
-            fw = lw.build_witness(lemma, spec, i, j, 0, a, b, x, 0,
-                                  mutation=mutation, y_override=y)
+            fw = lw.family_witness(lemma, spec, i, j, wit.depth, wit.sa, wit.sb,
+                                   wit.sx, ring.section(y), mutation=mutation)
             if norm(_product(fw).rows) != formula(fw):
                 failures.append(f"{name}(y={ring.to_str(y)})")
                 break

@@ -12,7 +12,6 @@ MAX_COUNTEREXAMPLES = 25
 
 PASS = "pass"
 VIOLATED = "violated"
-UNDECIDED = "undecided"
 
 
 class BudgetExceededError(RuntimeError):

@@ -190,6 +190,8 @@ ARGPARSE_ERRORS = [
     *ARGPARSE_ERRORS,
     # the line operator lives on O/pi^n, and the error names n
     ["fft-check", "--field", "Q2", "--h", "1", "--n", "0"],
+    # a search of fewer than 0 steps ran as a search of 0
+    ["fourier-norm", "--field", "Q2", "--space", "l1.5:2", "--h", "1", "--iters", "-5"],
 ])
 def test_input_outside_the_claims_domain_is_a_usage_error(args):
     if args in ARGPARSE_ERRORS:

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from sp4lab import lemma_witnesses as lw
 from sp4lab import sp4
-from sp4lab.exactfield import residue_ring
+from sp4lab.exactfield import residue_ring, two_valuation
 from sp4lab.sp4 import is_symplectic
-from sp4lab.verifiers.cells import verify_cell_lemma
+from sp4lab.verifiers.cells import tuple_space, verify_cell_lemma, verify_witness_identities
 from conftest import random_element
 from test_sp4 import _fresh_one
 
@@ -20,7 +20,7 @@ def test_spher01_example_q3(fields):
     q3 = fields["Q3"]
     wit = lw.build_witness(lw.SPHER01, q3, 3, 1, 0, 0, 0, 0, 1)
     assert wit.m == 2 and wit.depth == 2
-    assert wit.y == 3  # pi * 1 as a canonical digit
+    assert wit.sy == q3.pi(1)  # y = pi * 1
     minor = lw.minor_rows34_cols12(wit.product)
     assert minor == -2 * q3.pi(-6) * q3.pi(1)
     assert wit.observed_cell() == (3, 2) == wit.expected_cell
@@ -30,7 +30,7 @@ def test_spher1m1_example_f2(fields):
     f2 = fields["F2((t))"]
     wit = lw.build_witness(lw.SPHER1M1, f2, 3, 2, 0, (), (), (), 1)
     ring = residue_ring(f2, 1)
-    assert wit.y == (1,)
+    assert wit.sy == f2.one()
     assert wit.expected_cell == (4, 1) == wit.observed_cell()
 
 
@@ -191,8 +191,10 @@ def test_section_independence_small(fields):
 
     for a in (0, 4):
         for eps in range(3):
-            wit = lw.build_witness(lw.SPHER01, q3, 3, 1, 0, a, 7, 5, eps,
-                                   section=skewed_section)
+            y = ring.add(ring.add(ring.mul(a, 5), 7),
+                         ring.shift(ring.embed_residue_code(eps), depth - 1))
+            wit = lw.family_witness(lw.SPHER01, q3, 3, 1, depth,
+                                    *map(skewed_section, (a, 7, 5, y)), eps)
             assert wit.observed_cell() == wit.expected_cell
             assert wit.product == wit.merged_reference
 
@@ -211,19 +213,70 @@ def test_congruence_target(fields):
 
 
 def test_free_y_probe(fields):
+    # the family alone, re-evaluated at every y with the tuple's lifts of
+    # a, b and x, follows the capped-valuation formulas
     q3 = fields["Q3"]
-    depth = lw.lemma_depth(lw.SPHER01, q3, 3, 1)
-    ring = residue_ring(q3, depth)
     from sp4lab.sp4 import wedge_norm_exponent, norm_exponent
-    for y in ring.elements():
-        wit = lw.build_witness(lw.SPHER01, q3, 3, 1, 0, 1, 2, 4, 0, y_override=y)
-        assert wedge_norm_exponent(wit.product.rows) == lw.spher01_wedge_formula(wit)
-        assert norm_exponent(wit.product.rows) == wit.i
-    depth = lw.lemma_depth(lw.SPHER1M1, q3, 3, 3)
-    ring = residue_ring(q3, depth)
-    for y in ring.elements():
-        wit = lw.build_witness(lw.SPHER1M1, q3, 3, 3, 0, 1, 2, 4, 0, y_override=y)
-        assert norm_exponent(wit.product.rows) == lw.spher1m1_norm_formula(wit)
+    probes = ((lw.SPHER01, 3, 1, wedge_norm_exponent, lw.spher01_wedge_formula),
+              (lw.SPHER1M1, 3, 3, norm_exponent, lw.spher1m1_norm_formula))
+    for lemma, i, j, norm, formula in probes:
+        wit = lw.build_witness(lemma, q3, i, j, 0, 1, 2, 4, 0)
+        ring = residue_ring(q3, wit.depth)
+        for y in ring.elements():
+            fw = lw.family_witness(lemma, q3, i, j, wit.depth, wit.sa, wit.sb, wit.sx,
+                                   ring.section(y))
+            assert norm(fw.product.rows) == formula(fw)
+            if lemma == lw.SPHER01:
+                assert norm_exponent(fw.product.rows) == fw.i
+
+
+# (lemma, field, i, j) for each field the lemma accepts
+_OFFSET_CASES = (
+    (lw.SPHER01, "Q2", 5, 1), (lw.SPHER01, "Q3", 4, 1), (lw.SPHER01, "Q5", 3, 1),
+    (lw.SPHER1M1, "Q2", 4, 3), (lw.SPHER1M1, "Q3", 3, 3), (lw.SPHER1M1, "Q5", 3, 3),
+    (lw.SPHER1M1, "F2((t))", 4, 3), (lw.SPHER1M1, "F4((t))", 4, 3),
+)
+
+
+@pytest.mark.parametrize("mutation", [None, "wrong-n1"])
+@pytest.mark.parametrize("lemma, name, i, j", _OFFSET_CASES)
+def test_offset_formulas_match_the_residue_ring(fields, lemma, name, i, j, mutation):
+    # the formulas read v(s) capped at the witness's depth; the oracle
+    # forms y - (a x + b) in O/pi^depth at that same depth, mutated or not
+    spec = fields[name]
+    rnd = random.Random(f"offset:{lemma}:{name}:{mutation}")
+    domains = tuple_space(lemma, spec, i, j, 0)
+    ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
+    for _ in range(4):
+        a, b, x, eps = (dom[rnd.randrange(len(dom))] for dom in domains)
+        wit = lw.build_witness(lemma, spec, i, j, 0, a, b, x, eps, mutation=mutation)
+        deep = residue_ring(spec, wit.depth)
+        for y in ring.elements():
+            fw = lw.family_witness(lemma, spec, i, j, wit.depth, wit.sa, wit.sb, wit.sx,
+                                   deep.section(y), mutation=mutation)
+            v = deep.valuation(deep.sub(y, deep.add(deep.mul(a, x), b)))
+            if lemma == lw.SPHER01:
+                v = min(two_valuation(spec) + v, 2 * (fw.m - j))
+                assert lw.spher01_wedge_formula(fw) == max(i + 2 * fw.m - j - v, i + j)
+            else:
+                assert lw.spher1m1_norm_formula(fw) == max(i, i + j - v - 1)
+
+
+@pytest.mark.parametrize("lemma, i, j", [(lw.SPHER01, 4, 1), (lw.SPHER1M1, 3, 3)])
+def test_identities_build_each_tuple_once(fields, monkeypatch, lemma, i, j):
+    # the free-y probe re-evaluates only the family, so the tuple step runs
+    # once per sampled tuple
+    calls = []
+    build = lw.build_witness
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(lw, "build_witness", counted)
+    rep = verify_witness_identities(lemma, fields["Q3"], i, j, sample_n=20, seed=5)
+    assert rep.status == "pass"
+    assert len(calls) == rep.cases_run == 20
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,10 @@ CASES = (
     # the char-2 compensator and its in-K rescalings at congruence level 1
     (_cells(lw.CHAR2_02, "F2((t))", 7, 1, k=1), None),
     (_cells(lw.CHAR2_02, "F4((t))", 7, 1, k=1), None),
+    # the SPHER01 identities, free-y probe included, under the alpha (4,1)
+    # sign flip
+    (("identities:SPHER01:Q3:4,1", "identities",
+      {"lemma": lw.SPHER01, "field": "Q3", "i": 4, "j": 1, "n": 20}), "minor-sign-flip"),
 )
 
 # (runner, mutation) pairs whose replay passes: the identities rebuild every

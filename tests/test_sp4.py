@@ -425,8 +425,8 @@ def _free_y_product(spec, rnd):
         lemma, i, j = rnd.choice(((lw.SPHER01, 4, 1), (lw.SPHER01, 5, 1),
                                   (lw.SPHER1M1, 3, 2)))
     ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
-    a, b, x, y = (rnd.choice(ring.elements()) for _ in range(4))
-    return lw.build_witness(lemma, spec, i, j, 0, a, b, x, 0, y_override=y).product.rows
+    lifts = (ring.section(rnd.choice(ring.elements())) for _ in range(4))
+    return lw.family_witness(lemma, spec, i, j, ring.n, *lifts).product.rows
 
 
 def _near_rank_one(spec, rnd):

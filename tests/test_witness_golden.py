@@ -78,9 +78,10 @@ def dump(lemma, field, i, j, k, a, b, x, eps, mutation):
     try:
         wit = lw.build_witness(lemma, spec, i, j, k, a, b, x, eps,
                                mutation=mutation)
+        ring_y = residue_ring(spec, wit.depth)
         out.update({
             "depth": wit.depth, "m": wit.m,
-            "y": residue_ring(spec, wit.depth).to_str(wit.y),
+            "y": ring_y.to_str(wit.sy.reduce(ring_y)),
             "beta_inv": _strings(wit.beta_inv),
             "alpha_mat": _strings(wit.alpha_mat),
             "merged_reference": _strings(wit.merged_reference),
