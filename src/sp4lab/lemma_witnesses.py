@@ -9,11 +9,15 @@ compensator k1 in K whose reduction mod pi^k is constant on the
 congruence-restricted tuples, with k1 * beta^-1 * alpha = g1_reference,
 plus two diagonal rescalings D * g1_reference that must land in K.
 
-Everything here is transcription.  ``build_witness`` is the tuple step:
-it checks the hypotheses, derives y and lifts a, b, x, y once;
-``family_witness`` is the family itself, a function of those lifts alone,
-so the free-y probes re-evaluate it at each y without repeating the tuple
-step.  Each family states its three
+Everything here is transcription, and every lemma-specific decision is
+made here.  ``build_witness`` is the tuple step: it checks the hypotheses
+and the tuple's congruence layer, derives y, lifts a, b, x, y once,
+passes in the lemma's designated eps code (``designated_eps_code``,
+computed once per lemma and field) and checks that eps1 is integral, a
+claim about the tuple rather than the family.  ``family_witness`` is the
+family itself: pure ring arithmetic over those four lifts, with no
+hypothesis check and no residue ring, so the free-y probes re-evaluate it
+at each y without repeating the tuple step.  Each family states its three
 unipotent factors (of beta^-1, of alpha and of the merged matrix) by
 their lower-Borel parameters (a, b, c, d) and its two diagonal factors by
 their torus exponents, so beta^-1, alpha and the merged matrix are
@@ -24,6 +28,14 @@ in-K rescaling is stated only by its eps code and the torus exponents of
 its diagonal D, so the rescaled matrix is D * g1_reference and its one
 per-tuple claim is that it is integral, which the exponents and the
 valuations of g1_reference decide entry by entry.
+
+Each family also states, on its witness, the displayed identities of its
+lemma's proof: the closed form of a minor, the norm and the wedge-norm
+exponents of beta^-1, alpha and their product, eps1's residue, the
+squared-unit bound and the free-y probe.  The identity sweep
+(``verifiers.cells``) walks whichever a witness states, in one fixed
+order, and names no lemma.  ``LEAST_LEVEL`` is the one statement of the
+congruence level each lemma is stated at.
 
 The identity beta^-1 * alpha = merged matrix is decided by the product
 law of the lower unipotent group (``LemmaWitness.merges``): both sides
@@ -39,10 +51,12 @@ verifier suites must detect every catalogued corruption.
 """
 
 import dataclasses
+import functools
 from typing import Optional
 
 from sp4lab.exactfield import EQUAL, residue_ring, two_valuation
-from sp4lab.sp4 import GroupElement, cartan_invariants, unipotent_entries, unipotent_product
+from sp4lab.sp4 import (GroupElement, cartan_invariants, norm_exponent, unipotent_entries,
+                        unipotent_product, wedge_norm_exponent)
 
 SPHER01 = "SPHER01"
 SPHER1M1 = "SPHER1M1"
@@ -51,6 +65,10 @@ NONSPHER1M1 = "NONSPHER1M1"
 CHAR2_02 = "CHAR2_02"
 
 LEMMA_IDS = (SPHER01, SPHER1M1, NONSPHER01, NONSPHER1M1, CHAR2_02)
+
+# the least congruence level k each lemma is stated at; the spherical
+# lemmas are the k = 0 case alone
+LEAST_LEVEL = {SPHER01: 0, SPHER1M1: 0, NONSPHER01: 1, NONSPHER1M1: 1, CHAR2_02: 0}
 
 # catalogued formula corruptions for mutation testing
 MUTATIONS = (
@@ -90,6 +108,10 @@ class LemmaWitness:
     their torus exponents and lower-Borel parameters, in the notation of
     ``_scale``, and each is built on first read, as is their
     multiplied-out product.
+
+    The fields after scaled_branches are the displayed identities the
+    lemma states, None where it states none.  eps1's identity is stated by
+    eps_code and eps0: eps1 reduces to eps_code / eps0 mod pi.
     """
 
     lemma: str
@@ -103,6 +125,7 @@ class LemmaWitness:
     sx: object
     sy: object
     eps_code: int                   # residue-field element code
+    eps0: int                       # the designated nonzero code (``designated_eps_code``)
     d_beta: tuple
     p_beta: tuple
     p_alpha: tuple
@@ -117,6 +140,13 @@ class LemmaWitness:
     # (eps_code, (u, v)) for the two in-K branches: D(u, v) * g1_reference
     # lies in K at that eps code
     scaled_branches: tuple = ()
+    minor_value: object = None        # rows 3,4 x columns 1,2 minor of beta^-1 alpha
+    product_norm: Optional[int] = None  # norm exponent of beta^-1 alpha
+    beta_wedge: Optional[int] = None  # wedge-norm exponents of beta^-1, alpha
+    alpha_wedge: Optional[int] = None  # and beta^-1 alpha
+    product_wedge: Optional[int] = None
+    unit_sq: object = None            # a unit square plus one, of valuation >= 2
+    free_y: Optional[tuple] = None    # (norm, formula, check name) at every y
 
     @_cached
     def s(self):
@@ -217,8 +247,9 @@ def check_preconditions(lemma, spec, i, j, k_level):
         raise LemmaPreconditionError(f"{lemma} requires characteristic != 2, got {spec}")
     if k_level < 0:
         raise LemmaPreconditionError("congruence level must be >= 0")
-    if k_level == 0 and lemma in (NONSPHER01, NONSPHER1M1):
-        raise LemmaPreconditionError(f"{lemma} needs a congruence level k >= 1")
+    if k_level < LEAST_LEVEL[lemma]:
+        raise LemmaPreconditionError(
+            f"{lemma} needs a congruence level k >= {LEAST_LEVEL[lemma]}")
     if k_level > 0 and lemma in (SPHER01, SPHER1M1):
         raise LemmaPreconditionError(f"{lemma} is the k = 0 case; use the non-spherical variant")
     v0 = two_valuation(spec) if lemma in (SPHER01, NONSPHER01) else 0
@@ -234,8 +265,10 @@ def check_preconditions(lemma, spec, i, j, k_level):
     return depth
 
 
+@functools.lru_cache(maxsize=None)
 def designated_eps_code(lemma, spec):
-    """Code of the nonzero residue the in-K rescaling branch is stated for."""
+    """Code of the nonzero residue the in-K rescaling branch and eps1's
+    residue are stated for, computed once per (lemma, field)."""
     if lemma == NONSPHER01:
         # image of pi^v0 / 2 in the residue field
         v0 = two_valuation(spec)
@@ -250,8 +283,9 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code, mutation=None):
     a, b, x are representatives in O/pi^depth and eps_code a residue-field
     code in [0, q).  This is the tuple step: it checks the lemma's
     hypotheses and the tuple's congruence layer, derives
-    y = a x + b + pi^(depth-1) eps and evaluates ``family_witness`` at the
-    canonical lifts of a, b, x and y.
+    y = a x + b + pi^(depth-1) eps, evaluates ``family_witness`` at the
+    canonical lifts of a, b, x and y with the lemma's designated eps code,
+    and checks that the witness's eps1 is integral.
     """
     depth = check_preconditions(lemma, spec, i, j, k_level)
     if not 0 <= eps_code < spec.q:
@@ -269,21 +303,27 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code, mutation=None):
     eps = ring.shift(ring.embed_residue_code(eps_code), depth - 1)
     y = ring.add(ring.add(ring.mul(a, x), b), eps)
     sig = ring.section
-    return family_witness(lemma, spec, i, j, depth, sig(a), sig(b), sig(x), sig(y),
-                          eps_code, mutation)
+    wit = family_witness(lemma, spec, i, j, depth, sig(a), sig(b), sig(x), sig(y),
+                         eps_code, designated_eps_code(lemma, spec), mutation)
+    if wit.eps1 is not None and not wit.eps1.is_integral():
+        raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
+    return wit
 
 
-def family_witness(lemma, spec, i, j, depth, sa, sb, sx, sy, eps_code=0, mutation=None):
+def family_witness(lemma, spec, i, j, depth, sa, sb, sx, sy, eps_code=0, eps0=1,
+                   mutation=None):
     """The lemma family's witness at the lifted tuple (sa, sb, sx, sy).
 
-    Every matrix and scalar of the witness is a function of these four
-    elements of O, so any section's lifts and any y may be passed; eps_code
-    only selects the expected cell and the in-K branch.  No hypothesis is
-    checked here: ``build_witness`` checks them.
+    Pure ring arithmetic: every matrix, scalar and stated identity of the
+    witness is a function of these four elements of O, so any section's
+    lifts and any y may be passed.  eps_code only selects the expected
+    cell, the in-K branch and eps1's residue; eps0 is the lemma's
+    designated nonzero code.  No hypothesis is checked here, eps1's
+    integrality included: ``build_witness`` checks them.
     """
     z, one = spec.zero(), spec.one()
     m = None if lemma in (SPHER1M1, NONSPHER1M1) else (i + j) // 2
-    head = (lemma, spec, i, j, depth, m, sa, sb, sx, sy, eps_code)
+    head = (lemma, spec, i, j, depth, m, sa, sb, sx, sy, eps_code, eps0)
 
     if m is None:  # the (1,-1) families
         a1 = one + sa.shift(1)
@@ -291,7 +331,10 @@ def family_witness(lemma, spec, i, j, depth, sa, sb, sx, sy, eps_code=0, mutatio
             *head, (i, 0), (a1, z, z, -sb.shift(1)), (z, z, sx, sy.shift(1) + sx),
             (-j, 0), (i + 1, j - 1) if eps_code else (max(i, j), min(i, j)), a1=a1)
         wit.p_merged = (a1, z, sx, wit.s.shift(1))
-        if lemma == NONSPHER1M1:
+        if lemma == SPHER1M1:
+            wit.beta_wedge, wit.alpha_wedge, wit.product_wedge = i, j, i + j
+            wit.free_y = _NORM_PROBE
+        else:
             _attach_nonspher1m1(wit, mutation)
         return wit
 
@@ -306,8 +349,8 @@ def family_witness(lemma, spec, i, j, depth, sa, sb, sx, sy, eps_code=0, mutatio
         wit = LemmaWitness(
             *head, d_beta, (z, a1_sq, sb1, z), (z, z, w, sx * sx), d_alpha,
             # other residues: only the observed cell is recorded
-            {0: (i, j), 1: (i, j + 2)}.get(eps_code),
-            p_merged=(z, a1_sq, full, sx * sx))
+            {0: (i, j), eps0: (i, j + 2)}.get(eps_code),
+            p_merged=(z, a1_sq, full, sx * sx), beta_wedge=i + j, alpha_wedge=2 * m - 2 * j)
         _attach_char2(wit, a1_den, a1_sq, full)
         return wit
 
@@ -325,7 +368,11 @@ def family_witness(lemma, spec, i, j, depth, sa, sb, sx, sy, eps_code=0, mutatio
         *head, d_beta, (z, one, sa, beta_41), (z, z, sx, alpha_41), d_alpha,
         (i, j + 1) if eps_code else (i, j),
         p_merged=(z, one, t, beta_41 + alpha_41))
-    if lemma == NONSPHER01:
+    if lemma == SPHER01:
+        wit.minor_value = (-2 * wit.s).shift(-i - 2 * m + j)
+        wit.product_norm, wit.beta_wedge, wit.alpha_wedge = i, i + j, 2 * m - 2 * j
+        wit.free_y = _WEDGE_PROBE
+    else:
         _attach_nonspher01(wit, t)
     return wit
 
@@ -361,8 +408,6 @@ def _attach_nonspher01(wit, t):
     pi, z, one = spec.pi, spec.zero(), spec.one()
     i, j, m = wit.i, wit.j, wit.m
     eps1 = (2 * wit.s).shift(-2 * m + 2 * j + 1)
-    if not eps1.is_integral():
-        raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
     t_k1 = t.shift(i - 2 * m + j)
     wit.k1 = GroupElement(spec, (
         (z, z, one, z),
@@ -375,7 +420,7 @@ def _attach_nonspher01(wit, t):
         ((eps1 - one).shift(j), z, -t.shift(j + 1), pi(j + 1)),
         (z, z, pi(i), z)))
     wit.eps1 = eps1
-    wit.scaled_branches = ((0, (i, j)), (designated_eps_code(NONSPHER01, spec), (i, j + 1)))
+    wit.scaled_branches = ((0, (i, j)), (wit.eps0, (i, j + 1)))
 
 
 def _attach_nonspher1m1(wit, mutation):
@@ -384,8 +429,6 @@ def _attach_nonspher1m1(wit, mutation):
     i, j, sx = wit.i, wit.j, wit.sx
     a1 = wit.a1
     eps1 = wit.s.shift(-j + 2)
-    if not eps1.is_integral():
-        raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
     a1i = one / a1
     c = a1i * a1i * eps1
     u = a1 * (one - eps1)
@@ -406,7 +449,7 @@ def _attach_nonspher1m1(wit, mutation):
         (z, -c.shift(j - 1), z, a1i.shift(j)),
         (z, ui.shift(i), z, pi(i + 1))))
     wit.eps1 = eps1
-    wit.scaled_branches = ((0, (i, j)), (1, (i + 1, j - 1)))
+    wit.scaled_branches = ((0, (i, j)), (wit.eps0, (i + 1, j - 1)))
 
 
 def _attach_char2(wit, a1_den, a1_sq, full):
@@ -415,8 +458,6 @@ def _attach_char2(wit, a1_den, a1_sq, full):
     i, j, m = wit.i, wit.j, wit.m
     a1 = full / a1_sq
     eps1 = wit.s.shift(-m + j + 2)
-    if not eps1.is_integral():
-        raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
     den2 = one / a1_sq
     a1_k1 = a1.shift(i - 2 * m + j)
     wit.k1 = GroupElement(spec, (
@@ -425,15 +466,18 @@ def _attach_char2(wit, a1_den, a1_sq, full):
         (one, z, a1.shift(i - 2 * m + 3 * j + 2), pi(2 * j + 2)),
         (a1_k1, one, den2.shift(2 * i - 2 * m + 2 * j), z)))
     e2 = eps1 * eps1 * den2
+    unit = e2 + one                 # (eps1 / (1 + pi a))^2 + 1
     wit.g1_reference = GroupElement(spec, (
         (full.shift(-i), a1_sq.shift(-i), pi(-i + 2 * m - 2 * j), z),
         (e2.shift(-j - 2), z, a1.shift(-j), pi(-j)),
-        ((e2 + one).shift(j), z, a1.shift(j + 2), pi(j + 2)),
+        (unit.shift(j), z, a1.shift(j + 2), pi(j + 2)),
         (z, z, den2.shift(i), z)))
     wit.eps1 = eps1
     wit.a1 = a1
     wit.a1_den = a1_den
-    wit.scaled_branches = ((0, (i, j)), (1, (i, j + 2)))
+    wit.scaled_branches = ((0, (i, j)), (wit.eps0, (i, j + 2)))
+    if wit.eps_code == wit.eps0:
+        wit.unit_sq = unit
 
 
 def congruence_target(lemma, spec, i, j, k_level, mutation=None):
@@ -459,23 +503,30 @@ def minor_rows34_cols12(g, mutation=None):
     return rows[r1][0] * rows[r2][1] - rows[r1][1] * rows[r2][0]
 
 
-def spher01_minor_value(wit):
-    """The stated closed form -2 pi^(-i-2m+j) s, s = y - a x - b."""
-    return (-2 * wit.s).shift(-wit.i - 2 * wit.m + wit.j)
-
-
-def _offset_valuation(wit):
-    """v(s) capped at the witness's depth: the valuation of y - a x - b in
-    O/pi^depth."""
-    return min(wit.s.valuation(), wit.depth)
-
-
 def spher1m1_norm_formula(wit):
-    """max(q^i, q^(i+j-v-1)) with v the capped valuation of y - a x - b."""
-    return max(wit.i, wit.i + wit.j - _offset_valuation(wit) - 1)
+    """max(q^i, q^(i+j-v-1)) with v the valuation of s = y - a x - b.
+
+    v is read uncapped: wherever v >= depth = j - 1 the second term is at
+    most i, so capping v at the depth would change nothing, and s = 0
+    (v infinite) gives i through the max.
+    """
+    return max(wit.i, wit.i + wit.j - wit.s.valuation() - 1)
 
 
 def spher01_wedge_formula(wit):
-    """max(q^(i+2m-j-v), q^(i+j)) with v the capped valuation of 2(y-ax-b)."""
-    v = min(two_valuation(wit.field) + _offset_valuation(wit), 2 * (wit.m - wit.j))
+    """max(q^(i+2m-j-v), q^(i+j)) with v the valuation of 2 s, capped at
+    2(m - j).
+
+    v(s) is read uncapped: wherever v(s) >= depth = 2m - 2j - v(2) (or
+    one more under ``wrong-n1``) the 2(m - j) cap already applies, and it
+    absorbs s = 0 (v infinite) too.
+    """
+    v = min(two_valuation(wit.field) + wit.s.valuation(), 2 * (wit.m - wit.j))
     return max(wit.i + 2 * wit.m - wit.j - v, wit.i + wit.j)
+
+
+# (norm, formula, check name) of the free-y probes the (0,1) and (1,-1)
+# spherical lemmas state: for every y of O/pi^depth the norm of
+# beta^-1 alpha must follow the formula
+_WEDGE_PROBE = (wedge_norm_exponent, spher01_wedge_formula, "wedge-max-formula")
+_NORM_PROBE = (norm_exponent, spher1m1_norm_formula, "norm-max-formula")

@@ -25,6 +25,14 @@ argument), and so are their products with k1 and with the diagonal
 rescalings once k1 is.  The k1-in-K check is therefore the one symplectic
 certificate per tuple; the product is checked only against its stated
 matrix, and the rescalings only for integrality.
+
+The identity sweep checks the displayed identities inside each lemma's
+proof, and names no lemma: each witness states its own identities
+(``lemma_witnesses.LemmaWitness``), and the sweep walks those stated in
+one fixed order (factor-product, minor-formula, product-norm,
+eps1-reduction, g1-reference, the beta^-1, alpha and product wedge norms,
+squared-unit-bound, the free-y probe) at the least congruence level the
+lemma is stated at (``lemma_witnesses.LEAST_LEVEL``).
 """
 
 import itertools
@@ -178,83 +186,51 @@ def verify_cell_lemma(lemma, spec, i, j, k_level=0, mode="exhaustive",
 def _identity_failures(lemma, spec, i, j, k_level, ring, a, b, x, eps, mutation):
     """The failed displayed identities of one tuple, or the build failure."""
     try:
-        return [{"check": name} for name in
-                _identity_checks(lemma, spec, i, j, k_level, ring, a, b, x, eps,
-                                 mutation)]
+        wit = lw.build_witness(lemma, spec, i, j, k_level, a, b, x, eps,
+                               mutation=mutation)
     except lw.LemmaPreconditionError as exc:
         return [{"check": "build", "detail": str(exc)}]
+    return [{"check": name} for name in _identity_checks(wit, ring, mutation)]
 
 
-# lemma -> (norm, its capped-valuation formula, check name) of the free-y
-# probe: for every y of O/pi^depth the norm of beta^-1 alpha must follow
-# the formula
-_FREE_Y_PROBES = {
-    lw.SPHER01: (wedge_norm_exponent, lw.spher01_wedge_formula, "wedge-max-formula"),
-    lw.SPHER1M1: (norm_exponent, lw.spher1m1_norm_formula, "norm-max-formula"),
-}
-
-
-def _identity_checks(lemma, spec, i, j, k_level, ring, a, b, x, eps, mutation):
-    """The names of the failed identities of one tuple; ring is O/pi^depth
-    of the lemma instance, which the free-y probes walk."""
-    wit = lw.build_witness(lemma, spec, i, j, k_level, a, b, x, eps,
-                           mutation=mutation)
+def _identity_checks(wit, ring, mutation):
+    """The names of the failed identities among those the witness states,
+    in one fixed order; ring is O/pi^depth of the lemma instance, which
+    the free-y probe walks."""
     prod = _product(wit)
     failures = []
     if not wit.merges:
         failures.append("factor-product")
+    if wit.minor_value is not None and not (
+            lw.minor_rows34_cols12(prod, mutation=mutation) == wit.minor_value):
+        failures.append("minor-formula")
+    if wit.product_norm is not None and norm_exponent(prod.rows) != wit.product_norm:
+        failures.append("product-norm")
+    if wit.eps1 is not None:
+        # eps1 reduces to eps / eps0, eps0 the lemma's designated code
+        ring1 = residue_ring(wit.field, 1)
+        if (ring1.mul(wit.eps1.reduce(ring1), ring1.embed_residue_code(wit.eps0))
+                != ring1.embed_residue_code(wit.eps_code)):
+            failures.append("eps1-reduction")
+    if wit.k1 is not None and not wit.k1 * prod == wit.g1_reference:
+        failures.append("g1-reference")
     # beta's minors are those of beta^-1 up to sign (``GroupElement.inverse``),
     # so beta's wedge norm is read off beta^-1
-    if lemma == lw.SPHER01:
-        if not lw.minor_rows34_cols12(prod, mutation=mutation) == lw.spher01_minor_value(wit):
-            failures.append("minor-formula")
-        if norm_exponent(prod.rows) != wit.i:
-            failures.append("product-norm")
-        if wedge_norm_exponent(wit.beta_inv.rows) != wit.i + wit.j:
-            failures.append("beta-wedge-norm")
-        if wedge_norm_exponent(wit.alpha_mat.rows) != 2 * wit.m - 2 * wit.j:
-            failures.append("alpha-wedge-norm")
-    elif lemma == lw.SPHER1M1:
-        if wedge_norm_exponent(wit.beta_inv.rows) != wit.i:
-            failures.append("beta-wedge-norm")
-        if wedge_norm_exponent(wit.alpha_mat.rows) != wit.j:
-            failures.append("alpha-wedge-norm")
-        if wedge_norm_exponent(prod.rows) != wit.i + wit.j:
-            failures.append("product-wedge-norm")
-    elif lemma in (lw.NONSPHER01, lw.NONSPHER1M1):
-        ring1 = residue_ring(spec, 1)
-        red = wit.eps1.reduce(ring1)
-        if lemma == lw.NONSPHER01:
-            eps0 = lw.designated_eps_code(lw.NONSPHER01, spec)
-            want = ring1.mul(ring1.inv(ring1.embed_residue_code(eps0)),
-                             ring1.embed_residue_code(eps))
-        else:
-            want = ring1.embed_residue_code(eps)
-        if red != want:
-            failures.append("eps1-reduction")
-        if not wit.k1 * prod == wit.g1_reference:
-            failures.append("g1-reference")
-    elif lemma == lw.CHAR2_02:
-        ring1 = residue_ring(spec, 1)
-        if wit.eps1.reduce(ring1) != ring1.embed_residue_code(eps):
-            failures.append("eps1-reduction")
-        if not wit.k1 * prod == wit.g1_reference:
-            failures.append("g1-reference")
-        if wedge_norm_exponent(wit.beta_inv.rows) != wit.i + wit.j:
-            failures.append("beta-wedge-norm")
-        if wedge_norm_exponent(wit.alpha_mat.rows) != 2 * wit.m - 2 * wit.j:
-            failures.append("alpha-wedge-norm")
-        if eps == 1:
-            unit_sq = wit.eps1 * wit.eps1 / (wit.a1_den * wit.a1_den) + spec.one()
-            if not unit_sq.valuation() >= 2:
-                failures.append("squared-unit-bound")
-    if lemma in _FREE_Y_PROBES:
+    if wit.beta_wedge is not None and wedge_norm_exponent(wit.beta_inv.rows) != wit.beta_wedge:
+        failures.append("beta-wedge-norm")
+    if wit.alpha_wedge is not None and wedge_norm_exponent(wit.alpha_mat.rows) != wit.alpha_wedge:
+        failures.append("alpha-wedge-norm")
+    if wit.product_wedge is not None and wedge_norm_exponent(prod.rows) != wit.product_wedge:
+        failures.append("product-wedge-norm")
+    if wit.unit_sq is not None and not wit.unit_sq.valuation() >= 2:
+        failures.append("squared-unit-bound")
+    if wit.free_y is not None:
         # only the family is re-evaluated at each y, at the tuple's depth and
         # lifts of a, b and x; a canonical lift does not depend on the level
-        norm, formula, name = _FREE_Y_PROBES[lemma]
+        norm, formula, name = wit.free_y
         for y in ring.elements():
-            fw = lw.family_witness(lemma, spec, i, j, wit.depth, wit.sa, wit.sb,
-                                   wit.sx, ring.section(y), mutation=mutation)
+            fw = lw.family_witness(wit.lemma, wit.field, wit.i, wit.j, wit.depth, wit.sa,
+                                   wit.sb, wit.sx, ring.section(y), mutation=mutation)
             if norm(_product(fw).rows) != formula(fw):
                 failures.append(f"{name}(y={ring.to_str(y)})")
                 break
@@ -270,7 +246,7 @@ def verify_witness_identities(lemma, spec, i, j, sample_n=1000, seed=0,
         params["mutation"] = mutation
     report = VerificationReport(task=f"identities:{lemma}:{spec}:{i},{j}",
                                 params=params, seed=seed)
-    k_level = 0 if lemma in (lw.SPHER01, lw.SPHER1M1, lw.CHAR2_02) else 1
+    k_level = lw.LEAST_LEVEL[lemma]
     report.cases_total = case_count(lemma, spec, i, j, k_level)
     tuples = _tuples(tuple_space(lemma, spec, i, j, k_level), "sample", sample_n, seed)
     ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))

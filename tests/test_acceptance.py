@@ -85,7 +85,7 @@ def test_criterion_1_cell_suites():
                 lw.check_preconditions(lw.CHAR2_02, spec, gap + 1, 1, 0)
         runs += len(_run_cells(lw.CHAR2_02, field_name, pairs, cap=8000))
     elapsed = time.time() - t0
-    _announce(1, "cell-claim suites", elapsed < 300,
+    _announce(1, "cell-claim suites", elapsed < 60,
               f"({runs} cell tasks, zero counterexamples, {elapsed:.0f}s)")
 
 

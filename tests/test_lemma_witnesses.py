@@ -241,8 +241,9 @@ _OFFSET_CASES = (
 @pytest.mark.parametrize("mutation", [None, "wrong-n1"])
 @pytest.mark.parametrize("lemma, name, i, j", _OFFSET_CASES)
 def test_offset_formulas_match_the_residue_ring(fields, lemma, name, i, j, mutation):
-    # the formulas read v(s) capped at the witness's depth; the oracle
-    # forms y - (a x + b) in O/pi^depth at that same depth, mutated or not
+    # the formulas read v(s) uncapped; the oracle forms y - (a x + b) in
+    # O/pi^depth at the witness's depth, mutated or not, so its valuation
+    # is capped there, and the two agree
     spec = fields[name]
     rnd = random.Random(f"offset:{lemma}:{name}:{mutation}")
     domains = tuple_space(lemma, spec, i, j, 0)

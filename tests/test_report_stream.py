@@ -179,11 +179,24 @@ CASES = (
     # sign flip
     (("identities:SPHER01:Q3:4,1", "identities",
       {"lemma": lw.SPHER01, "field": "Q3", "i": 4, "j": 1, "n": 20}), "minor-sign-flip"),
+    # NONSPHER01's identities and cells under the three (0,1)-family
+    # mutations: the eps1 reduction, the g1 reference and the cell
+    (("identities:NONSPHER01:Q3:4,1", "identities",
+      {"lemma": lw.NONSPHER01, "field": "Q3", "i": 4, "j": 1, "n": 30}), "minor-sign-flip"),
+    (("identities:NONSPHER01:Q3:4,1", "identities",
+      {"lemma": lw.NONSPHER01, "field": "Q3", "i": 4, "j": 1, "n": 30}), "d-scaling-exponent"),
+    (("identities:NONSPHER01:Q3:4,1", "identities",
+      {"lemma": lw.NONSPHER01, "field": "Q3", "i": 4, "j": 1, "n": 30}), "wrong-n1"),
+    (_cells(lw.NONSPHER01, "Q3", 3, 1, k=1), "minor-sign-flip"),
+    (_cells(lw.NONSPHER01, "Q3", 3, 1, k=1), "d-scaling-exponent"),
+    (_cells(lw.NONSPHER01, "Q3", 3, 1, k=1), "wrong-n1"),
 )
 
-# (runner, mutation) pairs whose replay passes: the identities rebuild every
-# quantity at the wrong depth consistently, and cell sweeps read no minor
-BLIND = {("identities", "wrong-n1"), ("cells", "minor-row-pair")}
+# (task, mutation) pairs whose replay passes: the SPHER01 identities
+# rebuild every quantity at the wrong depth consistently, and cell sweeps
+# read no minor
+BLIND = {("identities:SPHER01:Q3:4,1", "wrong-n1"),
+         ("cells:SPHER01:Q3:3,1,k0", "minor-row-pair")}
 
 
 def stream(cases=CASES):
@@ -202,8 +215,8 @@ def test_report_stream_matches_golden():
     assert len(got) == len(expected)
     for case, g, e in zip(CASES, got, expected):
         assert g == e, case[0]
-    for ((_name, runner, _params), mutation), line in zip(CASES, got):
-        caught = mutation and (runner, mutation) not in BLIND
+    for ((name, _runner, _params), mutation), line in zip(CASES, got):
+        caught = mutation and (name, mutation) not in BLIND
         assert json.loads(line)["status"] == ("violated" if caught else "pass")
 
 
