@@ -38,8 +38,9 @@ import tempfile
 import time
 
 MODULE = pathlib.Path("sp4lab") / "lemma_witnesses.py"
-# spher01_minor_value and _offset_valuation are scanned in the older
-# trees that still define them, so that scores compare across trees
+# spher01_minor_value is stored, not called, by family_witness;
+# _offset_valuation is scanned in the older trees that still define it,
+# so that scores compare across trees
 ROOTS = ("build_witness", "designated_eps_code", "family_witness", "_scale",
          "LemmaWitness.s", "spher01_minor_value", "_offset_valuation",
          "spher1m1_norm_formula", "spher01_wedge_formula")
@@ -142,10 +143,10 @@ def load_equivalents(path=EQUIVALENTS):
     return judged
 
 
-def run_suite(src, timeout, tasks=None):
+def run_suite(src, timeout):
     """(status, seconds) of one quick-profile run over the package in src."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "sp4lab.cli"] + SUITE + (["--tasks", tasks] if tasks else [])
+    cmd = [sys.executable, "-m", "sp4lab.cli"] + SUITE
     t0 = time.perf_counter()
     try:
         code = subprocess.run(cmd, cwd=src, env=env, stdout=subprocess.DEVNULL,
@@ -160,7 +161,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("tree", help="source tree holding src/sp4lab")
     ap.add_argument("--limit", type=int, default=None, help="scan only the first N mutants")
-    ap.add_argument("--tasks", default=None, help="fnmatch pattern passed to the suite")
     args = ap.parse_args(argv)
     if args.limit is not None and args.limit < 1:
         ap.error("--limit must be at least 1")
@@ -175,7 +175,7 @@ def main(argv=None):
         source = target.read_text()
         # the unmutated module goes through the same unparse as every mutant
         target.write_text(ast.unparse(ast.parse(source)))
-        status, base = run_suite(copy, 600, args.tasks)
+        status, base = run_suite(copy, 600)
         if status != "survived":
             print(f"the unmutated suite did not pass ({status}); nothing to scan")
             return 2
@@ -184,7 +184,7 @@ def main(argv=None):
         caught, survivors, contradicted = 0, [], []
         for mid, name, index in scan:
             target.write_text(mutate(source, name, index))
-            status, secs = run_suite(copy, max(60.0, 20 * base), args.tasks)
+            status, secs = run_suite(copy, max(60.0, 20 * base))
             print(f"{status:<10} {secs:5.1f} s  {mid}", flush=True)
             if mid in judged:
                 if status != "survived":

@@ -140,7 +140,9 @@ class LemmaWitness:
     # (eps_code, (u, v)) for the two in-K branches: D(u, v) * g1_reference
     # lies in K at that eps code
     scaled_branches: tuple = ()
-    minor_value: object = None        # rows 3,4 x columns 1,2 minor of beta^-1 alpha
+    # the closed form of the rows 3,4 x columns 1,2 minor of beta^-1 alpha,
+    # as a function of the witness, so it is formed only where it is checked
+    minor_formula: object = None
     product_norm: Optional[int] = None  # norm exponent of beta^-1 alpha
     beta_wedge: Optional[int] = None  # wedge-norm exponents of beta^-1, alpha
     alpha_wedge: Optional[int] = None  # and beta^-1 alpha
@@ -304,13 +306,14 @@ def build_witness(lemma, spec, i, j, k_level, a, b, x, eps_code, mutation=None):
     y = ring.add(ring.add(ring.mul(a, x), b), eps)
     sig = ring.section
     wit = family_witness(lemma, spec, i, j, depth, sig(a), sig(b), sig(x), sig(y),
-                         eps_code, designated_eps_code(lemma, spec), mutation)
+                         eps_code=eps_code, eps0=designated_eps_code(lemma, spec),
+                         mutation=mutation)
     if wit.eps1 is not None and not wit.eps1.is_integral():
         raise LemmaPreconditionError("eps1 left the valuation ring; inconsistent tuple")
     return wit
 
 
-def family_witness(lemma, spec, i, j, depth, sa, sb, sx, sy, eps_code=0, eps0=1,
+def family_witness(lemma, spec, i, j, depth, sa, sb, sx, sy, *, eps_code, eps0,
                    mutation=None):
     """The lemma family's witness at the lifted tuple (sa, sb, sx, sy).
 
@@ -369,7 +372,7 @@ def family_witness(lemma, spec, i, j, depth, sa, sb, sx, sy, eps_code=0, eps0=1,
         (i, j + 1) if eps_code else (i, j),
         p_merged=(z, one, t, beta_41 + alpha_41))
     if lemma == SPHER01:
-        wit.minor_value = (-2 * wit.s).shift(-i - 2 * m + j)
+        wit.minor_formula = spher01_minor_value
         wit.product_norm, wit.beta_wedge, wit.alpha_wedge = i, i + j, 2 * m - 2 * j
         wit.free_y = _WEDGE_PROBE
     else:
@@ -503,6 +506,11 @@ def minor_rows34_cols12(g, mutation=None):
     return rows[r1][0] * rows[r2][1] - rows[r1][1] * rows[r2][0]
 
 
+def spher01_minor_value(wit):
+    """The stated closed form -2 pi^(-i-2m+j) s, s = y - a x - b."""
+    return (-2 * wit.s).shift(-wit.i - 2 * wit.m + wit.j)
+
+
 def spher1m1_norm_formula(wit):
     """max(q^i, q^(i+j-v-1)) with v the valuation of s = y - a x - b.
 
@@ -514,14 +522,14 @@ def spher1m1_norm_formula(wit):
 
 
 def spher01_wedge_formula(wit):
-    """max(q^(i+2m-j-v), q^(i+j)) with v the valuation of 2 s, capped at
-    2(m - j).
+    """max(q^(i+2m-j-v), q^(i+j)) with v the valuation of 2 s.
 
-    v(s) is read uncapped: wherever v(s) >= depth = 2m - 2j - v(2) (or
-    one more under ``wrong-n1``) the 2(m - j) cap already applies, and it
-    absorbs s = 0 (v infinite) too.
+    v is read uncapped: wherever v > 2(m - j), which includes every
+    v(s) > depth = 2m - 2j - v(2), the first term is below i + j, so
+    capping v at 2(m - j) or at the depth would change nothing, and s = 0
+    (v infinite) gives i + j through the max.
     """
-    v = min(two_valuation(wit.field) + wit.s.valuation(), 2 * (wit.m - wit.j))
+    v = two_valuation(wit.field) + wit.s.valuation()
     return max(wit.i + 2 * wit.m - wit.j - v, wit.i + wit.j)
 
 

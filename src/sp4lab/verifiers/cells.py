@@ -201,8 +201,8 @@ def _identity_checks(wit, ring, mutation):
     failures = []
     if not wit.merges:
         failures.append("factor-product")
-    if wit.minor_value is not None and not (
-            lw.minor_rows34_cols12(prod, mutation=mutation) == wit.minor_value):
+    if wit.minor_formula is not None and not (
+            lw.minor_rows34_cols12(prod, mutation=mutation) == wit.minor_formula(wit)):
         failures.append("minor-formula")
     if wit.product_norm is not None and norm_exponent(prod.rows) != wit.product_norm:
         failures.append("product-norm")
@@ -230,7 +230,8 @@ def _identity_checks(wit, ring, mutation):
         norm, formula, name = wit.free_y
         for y in ring.elements():
             fw = lw.family_witness(wit.lemma, wit.field, wit.i, wit.j, wit.depth, wit.sa,
-                                   wit.sb, wit.sx, ring.section(y), mutation=mutation)
+                                   wit.sb, wit.sx, ring.section(y), eps_code=wit.eps_code,
+                                   eps0=wit.eps0, mutation=mutation)
             if norm(_product(fw).rows) != formula(fw):
                 failures.append(f"{name}(y={ring.to_str(y)})")
                 break

@@ -194,7 +194,8 @@ def test_section_independence_small(fields):
             y = ring.add(ring.add(ring.mul(a, 5), 7),
                          ring.shift(ring.embed_residue_code(eps), depth - 1))
             wit = lw.family_witness(lw.SPHER01, q3, 3, 1, depth,
-                                    *map(skewed_section, (a, 7, 5, y)), eps)
+                                    *map(skewed_section, (a, 7, 5, y)), eps_code=eps,
+                                    eps0=lw.designated_eps_code(lw.SPHER01, q3))
             assert wit.observed_cell() == wit.expected_cell
             assert wit.product == wit.merged_reference
 
@@ -224,7 +225,7 @@ def test_free_y_probe(fields):
         ring = residue_ring(q3, wit.depth)
         for y in ring.elements():
             fw = lw.family_witness(lemma, q3, i, j, wit.depth, wit.sa, wit.sb, wit.sx,
-                                   ring.section(y))
+                                   ring.section(y), eps_code=wit.eps_code, eps0=wit.eps0)
             assert norm(fw.product.rows) == formula(fw)
             if lemma == lw.SPHER01:
                 assert norm_exponent(fw.product.rows) == fw.i
@@ -254,7 +255,8 @@ def test_offset_formulas_match_the_residue_ring(fields, lemma, name, i, j, mutat
         deep = residue_ring(spec, wit.depth)
         for y in ring.elements():
             fw = lw.family_witness(lemma, spec, i, j, wit.depth, wit.sa, wit.sb, wit.sx,
-                                   deep.section(y), mutation=mutation)
+                                   deep.section(y), eps_code=wit.eps_code, eps0=wit.eps0,
+                                   mutation=mutation)
             v = deep.valuation(deep.sub(y, deep.add(deep.mul(a, x), b)))
             if lemma == lw.SPHER01:
                 v = min(two_valuation(spec) + v, 2 * (fw.m - j))

@@ -15,7 +15,7 @@ SMALLEST_ARGS = {
     "fourier_norm_sweep.py": ["--fields", "Q2", "--h-values", "1",
                               "--exponents", "1.5", "2.0", "--dim", "1",
                               "--iters", "100"],
-    "mutation_scan.py": [".", "--limit", "1", "--tasks", "identities:SPHER01:*"],
+    "mutation_scan.py": [".", "--limit", "1"],
     "parity_depth_scan.py": ["--max-depth", "2", "--samples", "5"],
     "zigzag_ledger_sweep.py": ["--grid", "20", "--h-values", "1",
                                "--alphas", "3/10", "--beta-fractions", "0"],

@@ -426,7 +426,8 @@ def _free_y_product(spec, rnd):
                                   (lw.SPHER1M1, 3, 2)))
     ring = residue_ring(spec, lw.lemma_depth(lemma, spec, i, j))
     lifts = (ring.section(rnd.choice(ring.elements())) for _ in range(4))
-    return lw.family_witness(lemma, spec, i, j, ring.n, *lifts).product.rows
+    return lw.family_witness(lemma, spec, i, j, ring.n, *lifts, eps_code=0,
+                             eps0=lw.designated_eps_code(lemma, spec)).product.rows
 
 
 def _near_rank_one(spec, rnd):
