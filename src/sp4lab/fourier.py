@@ -23,9 +23,12 @@ one builder, ``_averaging_operator``: row (a, b) averages over x the
 weighted values xi_{x, a x + b + s} at a list of (shift s, weight) taps,
 one tap per eps weighted by chi(eps) for the line operator, and +1 at
 pi^(n-1) eps0 and -1 at 0 for the shifted difference.  For Hilbert
-coefficients the left-hand supremum is an exact largest singular value;
-for other spaces random families plus coordinate ascent search for
-violations.
+coefficients the left-hand supremum is an exact largest singular value.
+
+Every other supremum, the transform norm's lower end and the
+line-averaging ratio alike, comes from one search, ``_search``: optional
+structured starts, random families scored 64 at a time, then coordinate
+ascent from the best family found.
 """
 
 import cmath
@@ -53,8 +56,8 @@ class SpaceSpec:
     d: int
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("space exponent must satisfy p >= 1")
+        if not self.p >= 1:  # NaN fails this test too
+            raise ValueError(f"space exponent must satisfy p >= 1, got {self.p}")
         if self.d < 1:
             raise ValueError("space dimension must be >= 1")
 
@@ -68,15 +71,19 @@ class SpaceSpec:
 
 
 def parse_space(text):
-    """Parse the space grammar l<p>:<d> (e.g. l2:4, l1.5:3); hilbert:<d> ok."""
+    """Parse the space grammar l<p>:<d> (e.g. l2:4, l1.5:3); hilbert:<d> ok.
+
+    A malformed spec raises a ValueError that names it."""
     text = text.strip()
-    if text.startswith("hilbert"):
-        d = int(text.split(":", 1)[1]) if ":" in text else 1
-        return SpaceSpec(2.0, d)
-    if not text.startswith("l") or ":" not in text:
-        raise ValueError(f"bad space spec {text!r} (expected like l2:4)")
-    p_part, d_part = text[1:].split(":", 1)
-    return SpaceSpec(float(p_part), int(d_part))
+    name, colon, d_part = text.partition(":")
+    try:
+        if name == "hilbert":
+            return SpaceSpec(2.0, int(d_part) if colon else 1)
+        if not name.startswith("l") or not colon:
+            raise ValueError("expected like l2:4")
+        return SpaceSpec(float(name[1:]), int(d_part))
+    except ValueError as exc:
+        raise ValueError(f"bad space spec {text!r}: {exc}") from None
 
 
 def lp_norms(mat, p):
@@ -93,72 +100,49 @@ def lp_norms(mat, p):
 # characters
 
 
-class CharacterTable:
+def characters_pairing(spec, n):
     """All characters of O/pi^n as a complex pairing matrix.
 
-    chi[b, a] is the value of the character indexed by b at a; the
-    pairing is perfect, which is certified at construction by direct
-    orthogonality sums.
+    Entry [b, a] is the value at a of the character indexed by b, both
+    indexed in ``residue_ring(spec, n).elements()`` order.  The pairing is
+    perfect, which is certified here by direct orthogonality sums.  At
+    level 1 the class of residue code c has index c, and row 1 is
+    nontrivial: chi_1(a) = exp(2 pi i tr(a) / p), and the trace onto F_p
+    is surjective.
     """
-
-    def __init__(self, spec, n):
-        self.spec = spec
-        self.n = n
-        self.ring = residue_ring(spec, n)
-        elems = self.elements = self.ring.elements()
-        mat = np.empty((len(elems), len(elems)), dtype=complex)
-        for bi, b in enumerate(elems):
-            for ai, a in enumerate(elems):
-                root, index = self.ring.character(b, a)
-                mat[bi, ai] = cmath.exp(1j * root * index)
-        self.matrix = mat
-        self._certify()
-
-    def _certify(self):
-        defect = self.orthogonality_defect()
-        if defect > PAIRING_TOL * self.matrix.shape[0]:
-            raise AssertionError(f"character pairing is not perfect (defect {defect})")
-
-    def orthogonality_defect(self):
-        size = self.matrix.shape[0]
-        gram = self.matrix @ self.matrix.conj().T
-        return float(np.abs(gram - size * np.eye(size)).max())
-
-    def nontrivial_index(self):
-        """Index of some nontrivial character."""
-        for bi in range(self.matrix.shape[0]):
-            if np.abs(self.matrix[bi] - 1.0).max() > 1e-9:
-                return bi
-        raise AssertionError("no nontrivial character found")
-
-
-def characters_pairing(spec, n):
-    return CharacterTable(spec, n)
+    ring = residue_ring(spec, n)
+    elems = ring.elements()
+    size = len(elems)
+    mat = np.empty((size, size), dtype=complex)
+    for bi, b in enumerate(elems):
+        for ai, a in enumerate(elems):
+            root, index = ring.character(b, a)
+            mat[bi, ai] = cmath.exp(1j * root * index)
+    defect = float(np.abs(mat @ mat.conj().T - size * np.eye(size)).max())
+    if defect > PAIRING_TOL * size:
+        raise AssertionError(f"character pairing is not perfect (defect {defect})")
+    return mat
 
 
 def c2_constant(spec, eps0_code=1):
     """C2 = (sum over nontrivial chi of |chi-bar(eps0) - 1|)^2, computed from
-    the level-1 character table."""
-    table = characters_pairing(spec, 1)
-    ring1 = table.ring
-    idx = table.elements.index(ring1.embed_residue_code(eps0_code))
+    the level-1 character matrix."""
+    _check_eps0(spec, eps0_code)
     total = 0.0
-    for bi in range(len(table.elements)):
-        coeff = np.conj(table.matrix[bi, idx]) - 1.0
-        total += float(abs(coeff))
+    for value in characters_pairing(spec, 1)[:, eps0_code]:
+        total += float(abs(np.conj(value) - 1.0))
     return total ** 2
 
 
 def c2_constant_direct(spec, eps0_code=1):
     """Direct l1-of-coefficients evaluation of the same constant: expand
     f = q delta_eps0 - q delta_0 over the characters and sum |f_chi|."""
-    table = characters_pairing(spec, 1)
-    ring1 = table.ring
+    _check_eps0(spec, eps0_code)
     q = spec.q
     f = np.zeros(q, dtype=complex)
-    f[table.elements.index(ring1.embed_residue_code(eps0_code))] = q
-    f[table.elements.index(ring1.zero)] = -q
-    coeffs = (table.matrix.conj() @ f) / q  # f_chi = E_eps f(eps) chi-bar(eps)
+    f[eps0_code] = q
+    f[0] = -q
+    coeffs = (characters_pairing(spec, 1).conj() @ f) / q  # f_chi = E_eps f(eps) chi-bar(eps)
     total = float(np.abs(coeffs).sum())
     return total ** 2
 
@@ -169,8 +153,8 @@ def c2_constant_direct(spec, eps0_code=1):
 
 def transform_matrix(spec, h):
     """Matrix of T against expectation-normalized bases: chi(a)/|R|."""
-    table = characters_pairing(spec, h)
-    return table.matrix / len(table.elements)
+    mat = characters_pairing(spec, h)
+    return mat / mat.shape[0]
 
 
 def transform_upper_bound(spec, h, space):
@@ -187,8 +171,10 @@ def transform_norm(spec, h, space, iters=2000, seed=0):
 
     Hilbert spaces get the exact operator norm, the largest singular
     value of the normalized transform (lower == upper, analytically
-    q^(-h/2)); other spaces get an adversarial-search lower bound and the
-    interpolation upper bound.
+    q^(-h/2)); other spaces get the interpolation upper bound and, as the
+    lower bound, ``_search`` from the structured starts (the
+    delta-diagonal family, the constant family and single spikes) with
+    max(1, iters // 50) random families and ``iters`` ascent steps.
     """
     if h < 1:
         raise ValueError(f"the transform needs a residue level h >= 1, got {h}")
@@ -200,39 +186,15 @@ def transform_norm(spec, h, space, iters=2000, seed=0):
         return {"lower": value, "upper": value, "kind": "exact",
                 "analytic": spec.q ** (-h / 2.0)}
     upper = transform_upper_bound(spec, h, space)
-    rng = np.random.default_rng(seed)
-    size = mat.shape[1]
-    best = 0.0
-    # structured starts: the delta-diagonal family and single spikes
-    starts = [np.eye(size, space.d, dtype=complex),
-              np.ones((size, space.d), dtype=complex)]
-    for a in range(min(size, space.d)):
-        fam = np.zeros((size, space.d), dtype=complex)
-        fam[a % size, a % space.d] = 1.0
-        starts.append(fam)
-    for fam in starts:
-        best = max(best, math.sqrt(_fft_ratio(mat, fam, space.p, 1.0)))
-    fam_best = None
-    for _ in range(max(1, iters // 50)):
-        fam = rng.standard_normal((size, space.d)) + 1j * rng.standard_normal((size, space.d))
-        r = math.sqrt(_fft_ratio(mat, fam, space.p, 1.0))
-        if r > best:
-            best, fam_best = r, fam
-    if fam_best is None:
-        fam_best = starts[0].astype(complex).copy()
-    step = 0.5
-    last_improvement = 0
-    for it in range(iters):
-        idx = (rng.integers(size), rng.integers(space.d))
-        delta = step * (rng.standard_normal() + 1j * rng.standard_normal())
-        cand = fam_best.copy()
-        cand[idx] += delta
-        r = math.sqrt(_fft_ratio(mat, cand, space.p, 1.0))
-        if r > best * (1 + 1e-12):
-            best, fam_best = r, cand
-            last_improvement = it
-        else:
-            step *= 0.999
+    size, d = mat.shape[1], space.d
+    starts = [np.eye(size, d, dtype=complex), np.ones((size, d), dtype=complex)]
+    for a in range(min(size, d)):
+        spike = np.zeros((size, d), dtype=complex)
+        spike[a, a] = 1.0
+        starts.append(spike)
+    ratio, _, last_improvement = _search(mat, space, 1.0, np.random.default_rng(seed),
+                                         max(1, iters // 50), iters, np.stack(starts))
+    best = math.sqrt(ratio)
     # converged: the ascent plateaued, or the bracket is already tight
     converged = (iters - last_improvement > iters // 5
                  or best >= upper * (1 - 1e-6))
@@ -323,13 +285,11 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
     "random" otherwise; "exhaustive" needs a Hilbert space.  It is the
     exact route: the supremum of LHS / E||xi||^2 is the top singular
     value squared of the line operator (weighted), compared directly
-    against the decay coefficient.  "random" runs a search: ``trials``
-    random families, then ``trials // 4`` steps of coordinate ascent from
-    the best of them.  The families are drawn and scored 64 at a time,
-    each batch by one stacked product (``_fft_ratios``); a batch's first
-    maximum replaces the best family only when it is strictly greater, as
-    a family-by-family scan would decide.  Any ratio above 1 + FFT_TOL is
-    reported as a violation.
+    against the decay coefficient.  "random" runs ``_search`` with no
+    structured start, ``trials`` random families and ``trials // 4``
+    ascent steps.  The line operator twists by the row-1 character,
+    which is nontrivial.  Any ratio above 1 + FFT_TOL is reported as a
+    violation.
     """
     if h < 1:
         raise ValueError(f"the decay exponent needs h >= 1, got {h}")
@@ -355,9 +315,7 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
     report = VerificationReport(task=f"fft:{spec}:h{h}:n{n}:k{k}:{space}",
                                 params=params, seed=seed)
     if k == 0:
-        table1 = characters_pairing(spec, 1)
-        chi_row = table1.matrix[table1.nontrivial_index()]
-        mat = line_operator(spec, n, chi_row)
+        mat = line_operator(spec, n, characters_pairing(spec, 1)[1])
     else:
         mat, _, _ = shifted_difference_operator(spec, n, k, eps0_code)
     coeff = float(fft_rhs_coefficient(spec, h, n, k, space, eps0_code))
@@ -374,33 +332,8 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
         if ratio > 1 + FFT_TOL:
             report.record_violation({"check": "fft-inequality", "ratio": ratio})
         return report.done()
-    rng = np.random.default_rng(seed)
-    cols = mat.shape[1]
-    best = 0.0
-    best_fam = None
-    batch = 64
-    done = 0
-    while done < trials:
-        m = min(batch, trials - done)
-        fams = rng.standard_normal((m, cols, space.d)) + 1j * rng.standard_normal((m, cols, space.d))
-        ratios = _fft_ratios(mat, fams, space.p, coeff)
-        top = int(np.argmax(ratios))
-        if ratios[top] > best:
-            best, best_fam = float(ratios[top]), fams[top]
-        done += m
-    if best_fam is None:
-        best_fam = np.ones((cols, space.d), dtype=complex)
-        best = _fft_ratio(mat, best_fam, space.p, coeff)
-    step = 0.5
-    for _ in range(trials // 4):
-        idx = (rng.integers(cols), rng.integers(space.d))
-        cand = best_fam.copy()
-        cand[idx] += step * (rng.standard_normal() + 1j * rng.standard_normal())
-        r = _fft_ratio(mat, cand, space.p, coeff)
-        if r > best:
-            best, best_fam = r, cand
-        else:
-            step *= 0.998
+    best, best_fam, _ = _search(mat, space, coeff, np.random.default_rng(seed),
+                                trials, trials // 4)
     report.cases_total = report.cases_run = trials + trials // 4
     report.margins["max_ratio"] = best
     if best > 1 + FFT_TOL:
@@ -408,6 +341,43 @@ def check_fft_lemma(spec, h, n, k=0, eps0_code=1, space=SpaceSpec(2.0, 1),
             "check": "fft-inequality", "ratio": best,
             "family": [[str(z) for z in row] for row in best_fam.tolist()]})
     return report.done()
+
+
+def _search(mat, space, coeff, rng, draws, steps, starts=None):
+    """Largest ``_fft_ratio`` found; returns (ratio, family, last improving step).
+
+    The (m, cols, d) stack of starts is scored first, then ``draws``
+    random families, drawn and scored 64 at a time by one stacked product
+    (``_fft_ratios``); a stack's first maximum replaces the best family
+    only when it is strictly greater, as a family-by-family scan would
+    decide.  If nothing scores above 0 the constant family is the best.
+    Then ``steps`` coordinate-ascent steps each perturb one entry of the
+    best family, and the step shrinks by 0.998 at every step that does
+    not improve.  The last improving step is 0 when none improves.
+    """
+    cols, d = mat.shape[1], space.d
+    best, best_fam = 0.0, None
+    batches = (rng.standard_normal((m, cols, d)) + 1j * rng.standard_normal((m, cols, d))
+               for m in (min(64, draws - done) for done in range(0, draws, 64)))
+    for fams in itertools.chain([] if starts is None else [starts], batches):
+        ratios = _fft_ratios(mat, fams, space.p, coeff)
+        top = int(np.argmax(ratios))
+        if ratios[top] > best:
+            best, best_fam = float(ratios[top]), fams[top]
+    if best_fam is None:
+        best_fam = np.ones((cols, d), dtype=complex)
+        best = _fft_ratio(mat, best_fam, space.p, coeff)
+    step, last_improvement = 0.5, 0
+    for it in range(steps):
+        idx = (rng.integers(cols), rng.integers(d))
+        cand = best_fam.copy()
+        cand[idx] += step * (rng.standard_normal() + 1j * rng.standard_normal())
+        r = _fft_ratio(mat, cand, space.p, coeff)
+        if r > best:
+            best, best_fam, last_improvement = r, cand, it
+        else:
+            step *= 0.998
+    return best, best_fam, last_improvement
 
 
 def _fft_ratio(mat, fam, p, coeff):
@@ -494,8 +464,8 @@ def estimate_type_constant(space, p_exp, n_vectors, trials=100, seed=0):
     beyond.  The supremum over all data is a lower bound for the type-p
     constant of the space.
     """
-    if p_exp < 1:
-        raise ValueError("type exponent must satisfy p >= 1")
+    if not p_exp >= 1:  # NaN fails this test too
+        raise ValueError(f"type exponent must satisfy p >= 1, got {p_exp}")
     if n_vectors < 1 or trials < 0:
         raise ValueError("a type estimate needs n_vectors >= 1 and trials >= 0, "
                          f"got {n_vectors} and {trials}")

@@ -211,8 +211,9 @@ def test_criterion_6_fourier():
         xi = rng.standard_normal((nx * ny, 2)) + 1j * rng.standard_normal((nx * ny, 2))
         _, full, reduced = shifted_rewrite_families(spec, n, k, xi, eps0_code=eps0)
         assert abs(full - reduced) <= 1e-12 * max(1.0, abs(full))
-    _announce(6, "Fourier operator", True,
-              f"(max LHS/RHS ratio {worst:.6f}, {time.time() - t0:.0f}s)")
+    elapsed = time.time() - t0
+    _announce(6, "Fourier operator", elapsed < 90,
+              f"(max LHS/RHS ratio {worst:.6f}, {elapsed:.0f}s)")
 
 
 def test_criterion_7_zigzag():

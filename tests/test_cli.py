@@ -192,6 +192,15 @@ ARGPARSE_ERRORS = [
     ["fft-check", "--field", "Q2", "--h", "1", "--n", "0"],
     # a search of fewer than 0 steps ran as a search of 0
     ["fourier-norm", "--field", "Q2", "--space", "l1.5:2", "--h", "1", "--iters", "-5"],
+    # a NaN exponent fails p >= 1: these passed or printed a NaN bracket
+    ["fft-check", "--field", "Q2", "--h", "1", "--n", "2", "--space", "lnan:2"],
+    ["fourier-norm", "--field", "Q2", "--h", "1", "--space", "lnan:2"],
+    ["type-const", "--space", "l2:4", "--p", "nan"],
+    ["type-const", "--p", "2", "--space", "lnan:3"],
+    # a malformed spec is named, not left to a bare float() or int() message
+    ["type-const", "--p", "2", "--space", "lx:2"],
+    ["type-const", "--p", "2", "--space", "hilbert:x"],
+    ["type-const", "--p", "2", "--space", "hilbertx:2"],
 ])
 def test_input_outside_the_claims_domain_is_a_usage_error(args):
     if args in ARGPARSE_ERRORS:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sp4lab.exactfield import residue_ring
+from sp4lab.exactfield import parse_field, residue_ring
 from sp4lab.fourier import (
     SpaceSpec,
     _fft_ratio,
@@ -36,8 +36,13 @@ def test_space_grammar():
     assert parse_space("hilbert:2").p == 2
     with pytest.raises(ValueError):
         parse_space("x2:4")
-    with pytest.raises(ValueError):
-        SpaceSpec(0.5, 2)
+    for p in (0.5, float("nan")):
+        with pytest.raises(ValueError):
+            SpaceSpec(p, 2)
+    assert parse_space("hilbert").d == 1
+    for bad in ("lx:2", "hilbert:x", "hilbertx:2", "lnan:2", "l2"):
+        with pytest.raises(ValueError, match=f"bad space spec '{bad}'"):
+            parse_space(bad)
 
 
 def test_character_orthogonality_grid(fields):
@@ -46,10 +51,11 @@ def test_character_orthogonality_grid(fields):
         for n in (1, 2, 3):
             if spec.q ** n > 200:
                 continue
-            table = characters_pairing(spec, n)
-            assert table.orthogonality_defect() <= 1e-10 * spec.q ** n
+            mat = characters_pairing(spec, n)
+            size = mat.shape[0]
+            gram = mat @ mat.conj().T
+            assert np.abs(gram - size * np.eye(size)).max() <= 1e-10 * size
             # rows pairwise distinct
-            mat = table.matrix
             for a in range(mat.shape[0]):
                 for b in range(a + 1, mat.shape[0]):
                     assert np.abs(mat[a] - mat[b]).max() > 1e-9
@@ -57,16 +63,29 @@ def test_character_orthogonality_grid(fields):
 
 def test_character_examples(fields):
     f2 = fields["F2((t))"]
-    table = characters_pairing(f2, 1)
-    sums = table.matrix.sum(axis=1)
+    sums = characters_pairing(f2, 1).sum(axis=1)
     nontrivial = [abs(s) for s in sums if abs(s) > 1e-9]
     assert len(nontrivial) == 1  # only the trivial character has nonzero sum
     q3 = fields["Q3"]
-    table = characters_pairing(q3, 2)
-    gram = table.matrix @ table.matrix.conj().T
+    mat = characters_pairing(q3, 2)
+    gram = mat @ mat.conj().T
     assert np.abs(gram - 9 * np.eye(9)).max() < 1e-10
     f4 = fields["F4((t))"]
     characters_pairing(f4, 1)  # perfectness certified at construction
+
+
+@pytest.mark.parametrize("name", ["Q2", "Q3", "Q5", "Q7", "F2((t))", "F3((t))",
+                                  "F4((t))", "F5((t))", "F7((t))", "F8((t))",
+                                  "F9((t))", "F25((t))"])
+def test_level_one_characters_are_indexed_by_residue_code(name):
+    # c2_constant reads column c for code c, and check_fft_lemma reads row 1
+    spec = parse_field(name)
+    ring = residue_ring(spec, 1)
+    mat = characters_pairing(spec, 1)
+    assert np.array_equal(mat[0], np.ones(spec.q))
+    assert np.abs(mat[1] - 1.0).max() > 1e-9
+    elems = ring.elements()
+    assert [elems.index(ring.embed_residue_code(c)) for c in range(spec.q)] == list(range(spec.q))
 
 
 def test_hilbert_norm_exact(fields):
@@ -92,6 +111,17 @@ def test_l1_witness_reaches_one(fields):
     assert res["lower"] == pytest.approx(1.0, abs=1e-9)
     assert res["upper"] == 1.0
     assert res["kind"] == "bracket"
+
+
+@pytest.mark.parametrize("name", ["Q2", "Q3", "F4((t))"])
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_structured_starts_close_the_bracket_when_d_covers_the_ring(fields, name, h, p):
+    # with d = 16 >= q^h the delta-diagonal start attains the interpolation
+    # bound q^(-h(1-1/p)), so the bracket closes with no search step
+    res = transform_norm(fields[name], h, SpaceSpec(p, 16), iters=0)
+    assert abs(res["lower"] - res["upper"]) <= 1e-12
+    assert res["converged"] and res["bracket_consistent"]
 
 
 def test_lp_bracket_orders(fields):
@@ -137,8 +167,7 @@ def _search_operator(spec, n, k):
     # the operator and decay coefficient check_fft_lemma searches at p = 1.5
     if k:
         return shifted_difference_operator(spec, n, k, 1)[0]
-    table = characters_pairing(spec, 1)
-    return line_operator(spec, n, table.matrix[table.nontrivial_index()])
+    return line_operator(spec, n, characters_pairing(spec, 1)[1])
 
 
 @pytest.mark.parametrize("name,n,k,d,m", [("Q3", 2, 0, 3, 64), ("Q2", 3, 1, 2, 37),
@@ -225,6 +254,11 @@ def test_c2_bounds_and_agreement(fields):
             b = c2_constant_direct(spec, eps0)
             assert a == pytest.approx(b, abs=1e-9)
             assert a <= (2 * (q - 1)) ** 2 + 1e-9
+        # codes index the character matrix directly, so a non-code is refused
+        for eps0 in (0, q, -1):
+            for c2 in (c2_constant, c2_constant_direct):
+                with pytest.raises(ValueError):
+                    c2(spec, eps0)
 
 
 def test_rhs_coefficient_examples(fields):
@@ -246,5 +280,6 @@ def test_type_constant_l1_growth():
 
 
 def test_type_constant_validation():
-    with pytest.raises(ValueError):
-        estimate_type_constant(SpaceSpec(1.0, 2), 0.5, 3)
+    for p in (0.5, float("nan")):
+        with pytest.raises(ValueError):
+            estimate_type_constant(SpaceSpec(1.0, 2), p, 3)
